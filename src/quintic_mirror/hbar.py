@@ -3,8 +3,17 @@
 Three representations, each matching one role in the pipeline:
 
 * ``Poly``    -- dense univariate polynomial over Fraction.
-* ``RatFunc`` -- quotient of two ``Poly`` in lowest terms with monic
-  denominator (canonical form, so ``==`` is structural equality).
+* ``RatFunc`` -- numerator ``Poly`` over a factored monic denominator,
+  stored as a root multiset {root: multiplicity}, in lowest terms (so
+  ``==`` is structural equality).  Every denominator the pipeline builds
+  is a product of linear forms in hbar: the Z* factors
+  lam_i - lam_a + r hbar (``hypergeom.zstar_family`` passes their roots
+  directly), the recursion edges lam_i - lam_j + d hbar, the Newton-node
+  differences, the 1/hbar of the transformations, and their images under
+  hbar -> -hbar.  Sums take the per-root maximum as common denominator,
+  products cross-reduce numerators against the other operand's roots, and
+  a cancellation is one synthetic division, so no polynomial gcd is ever
+  needed.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
   sign), used for the ambient fundamental solution where every
   coefficient is a polynomial in 1/hbar.
@@ -183,11 +192,8 @@ class Poly:
 
     def deflate_root(self, r: Fraction) -> "Poly | None":
         """Divide out (hbar - r) if r is a root, else None."""
-        if self.eval(r) != 0:
-            return None
-        quot, rem = self.divmod(Poly([-r, 1]))
-        assert rem.is_zero()
-        return quot
+        quot, rem = _deflate(self.c, _frac(r))
+        return None if rem else Poly(quot)
 
     def __eq__(self, other):
         other = Poly._coerce(other)
@@ -205,76 +211,134 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _poly_from_roots_linear(factors: Iterable[tuple]) -> Poly:
-    """Product of linear polynomials given as (constant, hbar-coefficient)."""
-    out = Poly([1])
-    for a, b in factors:
-        out = out * Poly([a, b])
-    return out
+def _deflate(c: tuple, r: Fraction) -> tuple[tuple, Fraction]:
+    """Synthetic division of sum c[k] hbar^k by (hbar - r).
+
+    One Horner pass gives the quotient's coefficients and the remainder,
+    which is the value at r.
+    """
+    if not c:
+        return (), Fraction(0)
+    if r == 0:
+        return c[1:], c[0]
+    acc = c[-1]
+    quot = [acc]
+    for x in c[-2::-1]:
+        acc = x + r * acc
+        quot.append(acc)
+    rem = quot.pop()
+    return tuple(reversed(quot)), rem
+
+
+def _times_roots(c: tuple, roots: dict) -> tuple:
+    """Coefficients of (sum c[k] hbar^k) * prod (hbar - r)^k over roots."""
+    c = list(c)
+    for r, k in roots.items():
+        for _ in range(k):
+            if r == 0:
+                c.insert(0, Fraction(0))
+            else:
+                c = ([-r * c[0]]
+                     + [c[i - 1] - r * c[i] for i in range(1, len(c))]
+                     + [c[-1]])
+    return tuple(c)
+
+
+def _cancel(c: tuple, roots: dict, candidates) -> tuple:
+    """Divide (hbar - r) out of c as often as both c and roots allow.
+
+    Only the roots in ``candidates`` are tried.  ``roots`` is a fresh dict
+    owned by the caller and is updated in place; the reduced coefficients
+    are returned.
+    """
+    for r in candidates:
+        k = roots[r]
+        while k:
+            quot, rem = _deflate(c, r)
+            if rem:
+                break
+            c, k = quot, k - 1
+        if k:
+            roots[r] = k
+        else:
+            del roots[r]
+    return c
+
+
+def _missing(lcm: dict, roots: dict) -> dict:
+    """The factors of lcm that roots lacks, as a root multiset."""
+    return {r: k - roots.get(r, 0) for r, k in lcm.items()
+            if k > roots.get(r, 0)}
 
 
 class RatFunc:
-    """num/den in lowest terms, den monic and nonzero.
+    """num / prod (hbar - root)^mult in lowest terms.
 
-    Construction normalizes, trying exact division first (the common case
-    in the class-P sums, where denominators provably clear) and falling
-    back to a gcd reduction.
+    The denominator is kept factored, as a root multiset ``roots``
+    ({root: multiplicity}) standing for a monic product of linear forms:
+    every denominator the pipeline produces is one.  Lowest terms means
+    ``num`` vanishes at no stored root, so the form is canonical and
+    ``==`` is structural equality.
+
+    A denominator is given as a root mapping (``zstar_family``) or as a
+    ``Poly`` of degree at most 1 (the recursion edges lam_i - lam_j + d
+    hbar, the 1/hbar prefactors, the Newton-node differences).  A ``Poly``
+    of higher degree raises ``StructureError``, as does inverting a
+    numerator of degree above 1: neither would split into known roots.
+    ``den`` rebuilds the expanded monic denominator on demand.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "roots", "_den")
 
     def __init__(self, num, den=None, _normalized: bool = False):
         num = num if isinstance(num, Poly) else Poly._coerce(num)
+        if num is None:
+            raise TypeError("RatFunc components must be Poly-coercible")
         if den is None:
-            den = Poly([1])
+            roots = {}
+        elif isinstance(den, dict):
+            roots = den
         else:
             den = den if isinstance(den, Poly) else Poly._coerce(den)
-        if num is None or den is None:
-            raise TypeError("RatFunc components must be Poly-coercible")
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly([1])
-            return
-        if den.degree == 0:
-            lead = den.c[0]
-            self.num = num if lead == 1 else Poly(x / lead for x in num.c)
-            self.den = Poly([1])
-            return
-        quot, rem = num.divmod(den)
-        if rem.is_zero():
-            self.num, self.den = quot, Poly([1])
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            num = Poly(x / lead for x in num.c)
-            den = Poly(x / lead for x in den.c)
-        self.num, self.den = num, den
+            if den is None:
+                raise TypeError("RatFunc components must be Poly-coercible")
+            if den.is_zero():
+                raise ZeroDivisionError(
+                    "rational function with zero denominator")
+            if den.degree > 1:
+                raise StructureError(
+                    f"denominator {den!r} is not a linear form in hbar")
+            lead = den.c[-1]
+            if lead != 1:
+                num = Poly(x / lead for x in num.c)
+            roots = {-den.c[0] / lead: 1} if den.degree == 1 else {}
+        if not _normalized:
+            if num.is_zero():
+                roots = {}
+            elif roots:
+                roots = dict(roots)
+                num = Poly(_cancel(num.c, roots, list(roots)))
+        self.num = num
+        self.roots = roots
+        self._den = None
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator prod (hbar - root)^mult, expanded."""
+        if self._den is None:
+            self._den = Poly(_times_roots((Fraction(1),), self.roots))
+        return self._den
 
     @classmethod
     def const(cls, x) -> "RatFunc":
-        return cls(Poly([x]), Poly([1]), _normalized=True)
-
-    @classmethod
-    def from_factors(cls, num_factors, den_factors, scale=1) -> "RatFunc":
-        """Build from lists of linear factors (constant, hbar-coeff)."""
-        num = _poly_from_roots_linear(num_factors) * Poly([scale])
-        den = _poly_from_roots_linear(den_factors)
-        return cls(num, den)
+        return cls(Poly([x]), _normalized=True)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, Poly):
-            return RatFunc(x, Poly([1]), _normalized=True)
+            return RatFunc(x, _normalized=True)
         if isinstance(x, (int, Fraction)):
             return RatFunc.const(x)
         return None
@@ -283,7 +347,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return not self.roots
 
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
@@ -298,16 +362,19 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        g = self.den.gcd(other.den)
-        if g.degree > 0:
-            da = self.den // g
-            db = other.den // g
-            num = self.num * db + other.num * da
-            den = self.den * db
-        else:
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        return RatFunc(num, den)
+        ra, rb = self.roots, other.roots
+        roots = dict(ra)
+        for r, k in rb.items():
+            if k > roots.get(r, 0):
+                roots[r] = k
+        num = (Poly(_times_roots(self.num.c, _missing(roots, ra)))
+               + Poly(_times_roots(other.num.c, _missing(roots, rb))))
+        if num.is_zero():
+            return RatFunc(num, _normalized=True)
+        # The sum can vanish only at a root both operands hold equally often.
+        tied = [r for r, k in ra.items() if rb.get(r) == k]
+        return RatFunc(Poly(_cancel(num.c, roots, tied)), roots,
+                       _normalized=True)
 
     __radd__ = __add__
 
@@ -324,7 +391,7 @@ class RatFunc:
         return other + (-self)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc(-self.num, self.roots, _normalized=True)
 
     def __mul__(self, other):
         other = RatFunc._coerce(other)
@@ -332,20 +399,23 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFunc.const(0)
-        # Cross-reduce before multiplying to keep degrees down.
-        g1 = self.num.gcd(other.den)
-        g2 = other.num.gcd(self.den)
-        n1 = self.num // g1 if g1.degree > 0 else self.num
-        d2 = other.den // g1 if g1.degree > 0 else other.den
-        n2 = other.num // g2 if g2.degree > 0 else other.num
-        d1 = self.den // g2 if g2.degree > 0 else self.den
-        return RatFunc(n1 * n2, d1 * d2)
+        ra, rb = self.roots, other.roots
+        roots = dict(ra)
+        for r, k in rb.items():
+            roots[r] = roots.get(r, 0) + k
+        # Cross-reduce: a numerator can only cancel the other's roots.
+        n1 = _cancel(self.num.c, roots, [r for r in rb if r not in ra])
+        n2 = _cancel(other.num.c, roots, [r for r in ra if r not in rb])
+        return RatFunc(Poly(n1) * Poly(n2), roots, _normalized=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
+        if self.num.degree > 1:
+            raise StructureError(
+                f"inverse of {self!r} would need a non-linear denominator")
         return RatFunc(self.den, self.num)
 
     def __truediv__(self, other):
@@ -363,25 +433,31 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n, _normalized=True)
+        roots = {r: k * n for r, k in self.roots.items()} if n else {}
+        return RatFunc(self.num ** n, roots, _normalized=True)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
-        d = self.den.eval(x)
-        if d == 0:
+        if x in self.roots:
             raise PoleError(x)
+        d = Fraction(1)
+        for r, k in self.roots.items():
+            d *= (x - r) ** k
         return self.num.eval(x) / d
 
     __call__ = eval
 
     def subs_neg(self) -> "RatFunc":
-        den = self.den.subs_neg()
-        lead = den.leading()
+        """Substitute hbar -> -hbar: roots change sign.
+
+        prod(-hbar - r)^k = (-1)^(sum k) prod(hbar + r)^k, so the numerator
+        absorbs the sign of an odd total multiplicity.
+        """
         num = self.num.subs_neg()
-        if lead != 1:
-            num = Poly(v / lead for v in num.c)
-            den = Poly(v / lead for v in den.c)
-        return RatFunc(num, den, _normalized=True)
+        if sum(self.roots.values()) % 2:
+            num = -num
+        return RatFunc(num, {-r: k for r, k in self.roots.items()},
+                       _normalized=True)
 
     def laurent_at_infinity(self, depth: int) -> tuple[Fraction, ...]:
         """Coefficients of hbar^0, hbar^-1, ..., hbar^-depth at hbar=infinity.
@@ -420,10 +496,10 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.roots == other.roots
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, frozenset(self.roots.items())))
 
     def __repr__(self):
         if self.is_polynomial():

@@ -198,14 +198,17 @@ def zstar_family(cfg: HypergeomConfig,
     for i in range(cfg.m + 1):
         coeffs: list = [RatFunc.const(1)]
         for d in range(1, cfg.order + 1):
-            num = Poly([1])
+            # lam_i - lam_a + r hbar = r (hbar - (lam_a - lam_i)/r): the
+            # scale prod r = (d!)^(m+1) moves into the numerator.
+            num = Poly([Fraction(1, factorial(d) ** (cfg.m + 1))])
             for r in range(1, cfg.l * d + 1):
                 num = num * Poly([cfg.l * lam[i], r])
-            den = Poly([1])
+            roots: dict = {}
             for a in range(cfg.m + 1):
                 for r in range(1, d + 1):
-                    den = den * Poly([lam[i] - lam[a], r])
-            coeffs.append(RatFunc(num, den))
+                    root = (lam[a] - lam[i]) / r
+                    roots[root] = roots.get(root, 0) + 1
+            coeffs.append(RatFunc(num, roots))
         entries.append(TruncSeries(coeffs, cfg.order))
     return CorrelatorFamily(lam, entries, cfg.m, cfg.l, cfg.order)
 

@@ -6,15 +6,35 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from euclid_ratfunc import EuclidRatFunc
 from quintic_mirror.errors import PoleError, StructureError
 from quintic_mirror.hbar import Laurent, Poly, RatFunc
 from quintic_mirror.sampling import sample_rational
+from quintic_mirror.verify import check_recursion_cy, check_transformations
+
+
+def _linear_product(roots, scale=1) -> RatFunc:
+    """scale / prod (hbar - r), assembled as a product of linear RatFuncs."""
+    out = RatFunc(Poly([scale]))
+    for r in roots:
+        out = out * RatFunc(Poly([1]), Poly([-r, 1]))
+    return out
+
+
+def _multiset(roots) -> dict:
+    out: dict = {}
+    for r in roots:
+        out[r] = out.get(r, 0) + 1
+    return out
 
 
 def test_add_common_denominator():
     got = RatFunc(Poly([1]), Poly([1, 1])) + RatFunc(Poly([1]), Poly([-1, 1]))
-    assert got == RatFunc(Poly([0, 2]), Poly([-1, 0, 1]))
+    assert got == RatFunc(Poly([0, 2]), {Fraction(-1): 1, Fraction(1): 1})
+    assert got.num == Poly([0, 2]) and got.den == Poly([-1, 0, 1])
 
 
 def test_eval_direct_substitution():
@@ -42,8 +62,11 @@ def test_laurent_expansion_rejects_positive_powers():
 def test_canonical_form_monic_reduced():
     f = RatFunc(Poly([2, 2]), Poly([4, 4, 0]))  # (2h+2)/(4h+4) = 1/2
     assert f.is_polynomial() and f.num == Poly([Fraction(1, 2)])
-    g = RatFunc(Poly([0, 2]), Poly([0, 0, 4]))  # 2h/4h^2 = (1/2)/h
+    # 2h/(4h) * 1/h = (1/2)/h, and 2h/h^2 from a root mapping = 2/h
+    g = RatFunc(Poly([0, 2]), Poly([0, 4])) * RatFunc(Poly([1]), Poly([0, 1]))
     assert g.num == Poly([Fraction(1, 2)]) and g.den == Poly([0, 1])
+    h = RatFunc(Poly([0, 2]), {Fraction(0): 2})
+    assert h.num == Poly([2]) and h.den == Poly([0, 1])
 
 
 def test_structural_equality_of_equivalent_builds():
@@ -51,7 +74,7 @@ def test_structural_equality_of_equivalent_builds():
     a = (RatFunc(Poly([1]), Poly([1, 1])) * RatFunc(Poly([2, 1]), Poly([5, 1]))
          + RatFunc(Poly([3])))
     b = RatFunc(Poly([2, 1]) + Poly([3]) * Poly([1, 1]) * Poly([5, 1]),
-                Poly([1, 1]) * Poly([5, 1]))
+                {Fraction(-1): 1, Fraction(-5): 1})
     assert a == b
 
 
@@ -61,14 +84,14 @@ def test_polynomial_identity_by_point_evaluation():
     rng = random.Random(3)
     for _ in range(30):
         num = Poly([sample_rational(rng) for _ in range(4)])
-        den = Poly([sample_rational(rng) for _ in range(3)] + [1])
+        roots = [sample_rational(rng, span=4, max_den=2) for _ in range(3)]
         if num.is_zero():
             continue
-        f = RatFunc(num, den)
-        g = RatFunc(num * Poly([2]), den * Poly([2]))
+        f = RatFunc(num, _multiset(roots))
+        g = RatFunc(num * Poly([2])) * _linear_product(roots, Fraction(1, 2))
         points = 0
         x = Fraction(0)
-        while points < num.degree + den.degree + 1:
+        while points < num.degree + len(roots) + 1:
             try:
                 assert f.eval(x) == g.eval(x)
                 points += 1
@@ -81,8 +104,9 @@ def test_polynomial_identity_by_point_evaluation():
 def test_subs_neg_matches_pointwise():
     rng = random.Random(4)
     for _ in range(20):
+        roots = [sample_rational(rng) for _ in range(2)]
         f = RatFunc(Poly([sample_rational(rng) for _ in range(4)]),
-                    Poly([sample_rational(rng) for _ in range(2)] + [1]))
+                    _multiset(roots))
         x = sample_rational(rng, nonzero=True)
         try:
             assert f.subs_neg().eval(x) == f.eval(-x)
@@ -93,14 +117,97 @@ def test_subs_neg_matches_pointwise():
 def test_field_laws_random():
     rng = random.Random(5)
     for _ in range(40):
-        def rf():
-            return RatFunc(Poly([sample_rational(rng) for _ in range(3)]),
+        def rf(num_terms=3):
+            return RatFunc(Poly([sample_rational(rng)
+                                 for _ in range(num_terms)]),
                            Poly([sample_rational(rng), 1]))
         a, b, c = rf(), rf(), rf()
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
-        if not b.is_zero():
-            assert (a / b) * b == a
+        e = rf(num_terms=2)         # a linear numerator is invertible
+        if not e.is_zero():
+            assert (a / e) * e == a
+
+
+def test_non_split_denominator_is_rejected():
+    with pytest.raises(StructureError):
+        RatFunc(Poly([1]), Poly([1, 0, 1]))
+
+
+def test_inverse_of_non_split_numerator_is_rejected():
+    with pytest.raises(StructureError):
+        RatFunc(Poly([1, 0, 1]), Poly([0, 1])).inverse()
+
+
+_ROOTS = [Fraction(x) for x in (-2, -1, 0, 1, 3)] + [Fraction(1, 2),
+                                                     Fraction(-2, 3)]
+_root = st.sampled_from(_ROOTS)
+_scale = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+    lambda x: x != 0)
+
+
+@st.composite
+def _split_pair(draw, max_num_degree=3):
+    """One element as (factored RatFunc, Euclidean oracle).
+
+    Numerator and denominator roots come from one small pool, so repeated
+    and cancelling factors are common.
+    """
+    num = Poly([draw(_scale)])
+    for r in draw(st.lists(_root, max_size=max_num_degree)):
+        num = num * Poly([-r, 1])
+    den_roots = draw(st.lists(_root, max_size=4))
+    den = Poly([1])
+    for r in den_roots:
+        den = den * Poly([-r, 1])
+    return RatFunc(num, _multiset(den_roots)), EuclidRatFunc(num, den)
+
+
+def _same(new: RatFunc, old: EuclidRatFunc) -> None:
+    assert new.num == old.num
+    assert new.den == old.den
+    assert new.is_polynomial() == old.is_polynomial()
+    assert repr(new) == repr(old)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (PoleError, StructureError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_split_pair(), _split_pair(), _split_pair(max_num_degree=1), _root)
+def test_matches_euclidean_oracle(x, y, lin, point):
+    (a, a_old), (b, b_old), (e, e_old) = x, y, lin
+    _same(a, a_old)
+    _same(a + b, a_old + b_old)
+    _same(a - b, a_old - b_old)
+    _same(a * b, a_old * b_old)
+    _same(a.subs_neg(), a_old.subs_neg())
+    _same(-a, -a_old)
+    if not e.is_zero():
+        _same(a / e, a_old / e_old)
+    assert (a == b) == (a_old == b_old)
+    assert a + b - b == a
+    assert _outcome(lambda: a.eval(point)) == _outcome(
+        lambda: a_old.eval(point))
+    assert (_outcome(lambda: a.laurent_at_infinity(3))
+            == _outcome(lambda: a_old.laurent_at_infinity(3)))
+
+
+def test_pipeline_never_calls_euclidean_division(monkeypatch):
+    def forbidden(self, other):
+        raise AssertionError("Euclidean polynomial division on the pipeline")
+
+    monkeypatch.setattr(Poly, "gcd", forbidden)
+    monkeypatch.setattr(Poly, "divmod", forbidden)
+    lam = (Fraction(3, 7), Fraction(-11, 5), Fraction(23, 3), Fraction(2, 9),
+           Fraction(-31, 4))
+    for checks in (check_transformations(4, 5, 2, 0, lam=lam),
+                   check_recursion_cy(4, 5, 2, 0, lam=lam)):
+        assert checks and all(c.passed for c in checks), checks
 
 
 def test_laurent_ring():
