@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (DegenerateLambda, DomainError, PoleError,
                      StructureError)
 from .localization import oracle_crosscheck
-from .mirror import quintic_invariants
+from .mirror import InvariantTable, quintic_invariants
 from .report import Check, all_passed, report_json, report_text
 from .verify import CHECKS, run_check
 
@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for weight sampling (default 0)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; results are "
-                            "independent of threading")
         p.add_argument("--out", default=None,
                        help="also write the report to this file")
 
@@ -135,7 +132,7 @@ def cmd_invariants(args) -> int:
         return USAGE_ERROR
     if args.order == 0:
         _emit(_format_invariants(
-            _EmptyTable(), args.m, args.l, args.format), args.out)
+            InvariantTable(0, [], []), args.m, args.l, args.format), args.out)
         return 0
     table = quintic_invariants(args.order)
     nonint = table.nonintegral_degrees()
@@ -144,11 +141,6 @@ def cmd_invariants(args) -> int:
         text += f"\nWARNING: non-integral virtual counts at degrees {nonint}"
     _emit(text, args.out)
     return 0
-
-
-class _EmptyTable:
-    def rows(self):
-        return iter(())
 
 
 def cmd_verify(args) -> int:
@@ -179,9 +171,6 @@ def cmd_oracle(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        sys.stderr.write("--threads must be >= 1\n")
-        return USAGE_ERROR
     try:
         if args.command == "invariants":
             return cmd_invariants(args)

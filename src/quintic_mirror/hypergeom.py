@@ -85,29 +85,25 @@ class CorrelatorFamily:
                                 self.m, self.l, self.order)
 
 
-def _coefficient_block(m: int, l: int, d: int, nilpotency: int) -> HTruncPoly:
-    """prod_{r=1..ld}(lH+r) / prod_{r=1..d}(H+r)^(m+1) mod H^nilpotency."""
-    num = HTruncPoly.const(Fraction(1), nilpotency)
-    for r in range(1, l * d + 1):
-        num = num * HTruncPoly([Fraction(r), Fraction(l)], nilpotency)
-    den = HTruncPoly.const(Fraction(1), nilpotency)
-    for r in range(1, d + 1):
-        den = den * (HTruncPoly([Fraction(r), Fraction(1)], nilpotency)
-                     ** (m + 1))
-    return num * den.inverse()
-
-
 def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     """The series sum_d e^((H+d)t) prod(lH+r)/prod(H+r)^(m+1), q = e^t.
 
     Returned as a MixedSeries with h_top = cfg.h_nilpotent - 1 and
     t_top = h_top (the t-degree never exceeds the H-degree because t only
-    enters through e^(Ht)).
+    enters through e^(Ht)).  The degree-d block
+    prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1) is the degree-(d-1) block
+    times prod_{l(d-1)<r<=ld}(lH+r) / (H+d)^(m+1).
     """
     h_top = cfg.h_nilpotent - 1
+    nil = cfg.h_nilpotent
     out = MixedSeries(h_top, h_top, cfg.order)
+    block = HTruncPoly.const(Fraction(1), nil)
     for d in range(cfg.order + 1):
-        block = _coefficient_block(cfg.m, cfg.l, d, cfg.h_nilpotent)
+        if d:
+            for r in range(cfg.l * (d - 1) + 1, cfg.l * d + 1):
+                block = block * HTruncPoly([Fraction(r), Fraction(cfg.l)], nil)
+            block = block / HTruncPoly([Fraction(d), Fraction(1)],
+                                       nil) ** (cfg.m + 1)
         # e^(Ht) * block: coefficient of H^i t^k is block[i-k]/k!.
         for i in range(h_top + 1):
             for k in range(i + 1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import ConsistencyError, DomainError
 from .hypergeom import (HypergeomConfig, exp_prefactor, f_and_g,
@@ -55,8 +55,8 @@ class MirrorMap:
 
     def roundtrip_residual(self) -> TruncSeries:
         D = self.g.order
-        q_of = TruncSeries([0] + list(self.w.coeffs[:D]), D)
-        expg = series_exp(self.g.compose(q_of))
+        q_of = self.w.mul_q()
+        expg = series_exp(self.g.compose(q_of.powers(D)))
         return q_of * expg - TruncSeries.variable(D)
 
 
@@ -111,30 +111,41 @@ def multiple_cover_sum(n: list[Fraction]) -> list[Fraction]:
     return N
 
 
+def _quintic_stages(order: int) -> tuple[MixedSeries, MirrorMap, MixedSeries]:
+    """J = S/I_0, the mirror map, and J after the mirror change of variables.
+
+    Every quintic computation starts from these three stages; each is
+    built once here.
+    """
+    S = hypersurface_series(HypergeomConfig.quintic(order))
+    J = S.div_qseries(S.t_zero_part(0))
+    mm = build_mirror_map(4, order)
+    return J, mm, J.substitute_mirror(mm.g, mm.w)
+
+
 def transformed_quintic_series(order: int) -> MixedSeries:
     """J_b = I_b/I_0 after the mirror change of variables, in (T, q').
 
     The H^0..H^3 components are the A-model data: 1, T, and the two
     derivative combinations of the prepotential.
     """
-    cfg = HypergeomConfig.quintic(order)
-    S = hypersurface_series(cfg)
-    I0 = S.t_zero_part(0)
-    J = S.div_qseries(I0)
-    mm = build_mirror_map(4, order)
-    return J.substitute_mirror(mm.g, mm.w)
+    return _quintic_stages(order)[2]
 
 
 def quintic_invariants(order: int) -> InvariantTable:
-    """Extract N_d from the H^2 component and invert the cover formula.
-
-    The H^2 component of the transformed series must equal
-    T^2/2 + (1/5) sum_d d N_d q'^d; any residue outside that shape is a
-    pipeline inconsistency and raises.
-    """
+    """Extract N_d from the H^2 component and invert the cover formula."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    sub = transformed_quintic_series(order)
+    return _extract_invariants(transformed_quintic_series(order))
+
+
+def _extract_invariants(sub: MixedSeries) -> InvariantTable:
+    """N_d and n_d from the transformed quintic series.
+
+    The H^2 component must equal T^2/2 + (1/5) sum_d d N_d q'^d; any
+    residue outside that shape is a pipeline inconsistency and raises.
+    """
+    order = sub.order
     _check_low_components(sub)
     h2 = sub.h_component(2)
     expected_t2 = Fraction(1, 2)
@@ -167,30 +178,20 @@ def _check_low_components(sub: MixedSeries) -> None:
         raise ConsistencyError("H^1 component of the mirror series is not T")
 
 
-def prepotential_in_t(order: int, table: InvariantTable) -> MixedSeries:
+def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> MixedSeries:
     """F(T(t)) = 5T^3/6 + sum N_d e^(dT) written in the (t, q) variables.
 
-    Uses T = t + g(q) and e^(dT) = q^d exp(d g(q)).
+    Uses T = t + g(q) and e^(dT) = (q exp(g(q)))^d.
     """
-    mm = build_mirror_map(4, order)
-    g, D = mm.g, order
-    out = MixedSeries(0, 3, D)
+    g = mm.g
+    D = g.order
+    g_pows = g.powers(3)
     # 5(t+g)^3/6 expanded in powers of t with q-series coefficients.
-    gpow = [TruncSeries.one(D), g, g * g, g * g * g]
-    binom = {0: 1, 1: 3, 2: 3, 3: 1}
-    for j in range(4):
-        coeffs = gpow[3 - j].scale(Fraction(5 * binom[j], 6))
-        for d in range(D + 1):
-            out.c[0][j][d] = out.c[0][j][d] + coeffs.coeffs[d]
-    eg = series_exp(g)
-    egpows = TruncSeries.one(D)
-    for d in range(1, D + 1):
-        egpows = egpows * eg
-        # q^d * exp(d g): contributes to orders >= d
-        for e in range(D + 1 - d):
-            out.c[0][0][d + e] = (out.c[0][0][d + e]
-                                  + table.N[d - 1] * egpows.coeffs[e])
-    return out
+    rows = [g_pows[3 - j].scale(Fraction(5 * comb(3, j), 6)) for j in range(4)]
+    instantons = TruncSeries([0] + table.N, D).compose(
+        series_exp(g).mul_q().powers(D))
+    rows[0] = rows[0] + instantons
+    return MixedSeries(0, 3, D, [[row.coeffs for row in rows]])
 
 
 def mirror_identity_check(order: int) -> Check:
@@ -200,12 +201,9 @@ def mirror_identity_check(order: int) -> Check:
     H^3 component of the transformed series equals
     (1/5) T dF/dT - (2/5) F = T^3/6 + sum N_d (dT - 2)/5 q'^d.
     """
-    table = quintic_invariants(order)
-    cfg = HypergeomConfig.quintic(order)
-    S = hypersurface_series(cfg)
-    I0 = S.t_zero_part(0)
-    J = S.div_qseries(I0)
-    lhs = prepotential_in_t(order, table)
+    J, mm, sub = _quintic_stages(order)
+    table = _extract_invariants(sub)
+    lhs = prepotential_in_t(mm, table)
     J1, J2, J3 = (J.h_component(b) for b in (1, 2, 3))
     rhs = (J1 * J2 - J3).scale(Fraction(5, 2))
     delta = lhs - rhs
@@ -217,7 +215,6 @@ def mirror_identity_check(order: int) -> Check:
             passed=False,
             detail=f"first mismatch at t^{bad[1]} q^{bad[2]}: {bad[3]}")
     # H^3 closed form.
-    sub = transformed_quintic_series(order)
     h3 = sub.h_component(3)
     want = MixedSeries(0, sub.t_top, order)
     want.set_coeff(0, 3, 0, Fraction(1, 6))

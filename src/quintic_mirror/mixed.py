@@ -12,6 +12,7 @@ Scalars may be Fraction or Laurent (for hbar-graded solutions).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import DomainError, OrderMismatch
@@ -342,6 +343,10 @@ class MixedSeries:
         factor with q'*w(q')*exp(g(q'*w(q'))) = q'.  The result is a
         MixedSeries in (T, q') with the same caps; the substitution
         preserves q-adic order and t-degree, so nothing is lost.
+
+        Each (H^i, t^k) row is a q-series, composed once with q(q')
+        through the shared powers of q(q'); the result is then multiplied
+        by t^k = (T - g(q(q')))^k expanded binomially.
         """
         if g.order != self.order or w.order != self.order:
             raise OrderMismatch("mirror substitution needs matching orders")
@@ -350,41 +355,19 @@ class MixedSeries:
         if w.coeffs[0] != 1:
             raise DomainError("reversion factor must have constant term 1")
         D = self.order
-        q_of = TruncSeries([0] + list(w.coeffs[:D]), D)  # q(q') = q' w(q')
-        g_sub = g.compose(q_of)                           # g as a series in q'
-        # Powers of q(q') and of g_sub, precomputed.
-        q_pow = [TruncSeries.one(D)]
-        for _ in range(D):
-            q_pow.append(q_pow[-1] * q_of)
-        g_pow = [TruncSeries.one(D)]
-        for _ in range(self.t_top):
-            g_pow.append(g_pow[-1] * g_sub)
-        out = MixedSeries(self.h_top, self.t_top, self.order)
-        binom = _binomial_table(self.t_top)
+        q_pows = w.mul_q().powers(D)                # q(q') = q' w(q')
+        g_pows = g.compose(q_pows).powers(self.t_top)
+        out = MixedSeries(self.h_top, self.t_top, D)
         for i in range(self.h_top + 1):
             for k in range(self.t_top + 1):
-                for d in range(D + 1):
-                    a = self.c[i][k][d]
-                    if a == 0:
-                        continue
-                    # t^k = (T - g_sub)^k, q^d = q_pow[d]
-                    for j in range(k + 1):
-                        sign = 1 if (k - j) % 2 == 0 else -1
-                        factor = q_pow[d] * g_pow[k - j]
-                        coefmul = binom[k][j] * sign
-                        row = out.c[i][j]
-                        for e in range(D + 1):
-                            b = factor.coeffs[e]
-                            if b == 0:
-                                continue
-                            row[e] = row[e] + a * coefmul * b
+                if all(a == 0 for a in self.c[i][k]):
+                    continue
+                row = TruncSeries(self.c[i][k], D).compose(q_pows)
+                for j in range(k + 1):
+                    term = row * g_pows[k - j] if j < k else row
+                    coef = comb(k, j) * (-1) ** (k - j)
+                    out_row = out.c[i][j]
+                    for e, b in enumerate(term.coeffs):
+                        if b != 0:
+                            out_row[e] = out_row[e] + coef * b
         return out
-
-
-def _binomial_table(n: int) -> list[list[int]]:
-    table = [[1]]
-    for k in range(1, n + 1):
-        prev = table[-1]
-        table.append([1] + [prev[j - 1] + prev[j]
-                            for j in range(1, k)] + [1])
-    return table

@@ -147,6 +147,8 @@ def recursion_coeffs(regime: str, m: int, l: int, lam,
     if regime != regime_of(m, l):
         raise DomainError(f"regime {regime} inconsistent with (m, l)=({m}, {l})")
     lam = tuple(Fraction(x) for x in lam)
+    if len(lam) != m + 1:
+        raise DomainError(f"need {m + 1} weights, got {len(lam)}")
     if len(set(lam)) != len(lam):
         raise DegenerateLambda("weights must be pairwise distinct")
     out = RecursionCoefficients(regime, m, l, lam, order)
@@ -558,15 +560,9 @@ def phi_law_b(phi: ZQSeries, g: TruncSeries) -> ZQSeries:
     z_top, order = phi.z_top, phi.order
     delta = _delta_series(g, z_top)
     z_plus = ZQSeries(z_top, order, {(1, 0): RatFunc(Poly([1]))}) + delta
-    eg = series_exp(g)
     # powers of q e^g(q) and of (z + delta)
-    qpow = [ZQSeries.constant(1, z_top, order)]
-    egp = TruncSeries.one(order)
-    for e in range(1, order + 1):
-        egp = egp * eg
-        shifted = TruncSeries([0] * e + list(egp.coeffs[: order + 1 - e]),
-                              order)
-        qpow.append(_lift_qseries(shifted, z_top))
+    qpow = [_lift_qseries(p, z_top)
+            for p in series_exp(g).mul_q().powers(order)]
     zpow = [ZQSeries.constant(1, z_top, order)]
     for _ in range(z_top):
         zpow.append(zpow[-1] * z_plus)
@@ -613,16 +609,10 @@ def transform_family(family: CorrelatorFamily, kind: str,
         pref = series_exp(g.map(
             lambda c: RatFunc(Poly([Fraction(C) * c]), Poly([0, 1]))))
         return family.map_entries(lambda i, e: e * pref)
-    eg = series_exp(g)
-    egmat = [TruncSeries.one(D)]
-    for _ in range(D):
-        egmat.append(egmat[-1] * eg)
+    q_pows = series_exp(g).mul_q().powers(D)     # powers of q e^(g(q))
 
     def twist(i: int, entry: TruncSeries) -> TruncSeries:
-        substituted = TruncSeries(
-            [sum((RatFunc._coerce(entry[e]) * egmat[e].coeffs[d - e]
-                  for e in range(d + 1)), RatFunc.const(0))
-             for d in range(D + 1)], D)
+        substituted = entry.compose(q_pows)
         pref = series_exp(g.map(
             lambda c: RatFunc(Poly([family.lam[i] * c]), Poly([0, 1]))))
         return pref * substituted
@@ -692,31 +682,14 @@ def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
     gdiff = G_top - G_1
     g = gdiff.scale(m + 1) / F
     w = series_reversion(series_exp(g))
-    sigma = TruncSeries([0] + list(w.coeffs[:D]), D)     # q = sigma(q')
-    sig_pow = [TruncSeries.one(D)]
-    for _ in range(D):
-        sig_pow.append(sig_pow[-1] * sigma)
-
-    def compose_sigma(s: TruncSeries) -> TruncSeries:
-        out = TruncSeries.constant(s.coeffs[0], D)
-        for e in range(1, D + 1):
-            if s.coeffs[e] != 0:
-                out = out + sig_pow[e].scale(s.coeffs[e])
-        return out
-
-    F_sig = compose_sigma(F)
-    inv_F = TruncSeries.one(D) / F_sig
+    sigma_pows = w.mul_q().powers(D)             # q = sigma(q') = q' w(q')
+    inv_F = TruncSeries.one(D) / F.compose(sigma_pows)
     total = sum(lam)
     out = []
     for i in range(m + 1):
         A_i = (gdiff.scale((m + 1) * lam[i]) + G_1.scale(total)) / F
-        A_sig = compose_sigma(A_i)
-        pref = series_exp(A_sig.map(
+        pref = series_exp(A_i.compose(sigma_pows).map(
             lambda c: RatFunc(Poly([-c]), Poly([0, 1]))))
-        entry = family.entry(i)
-        composed = TruncSeries(
-            [sum((RatFunc._coerce(entry[e]) * sig_pow[e].coeffs[d]
-                  for e in range(D + 1)), RatFunc.const(0))
-             for d in range(D + 1)], D)
+        composed = family.entry(i).compose(sigma_pows)
         out.append(composed * pref * inv_F.map(RatFunc.const))
     return out

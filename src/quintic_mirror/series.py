@@ -5,6 +5,9 @@ variable, truncated at a fixed order ``D``.  Coefficients may be any ring
 elements that support ``+``, ``-``, ``*`` among themselves and with plain
 ``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``HTruncPoly``, ...).
 Binary operations require equal orders; callers down-truncate explicitly.
+
+Every substitution of one series into another goes through
+``TruncSeries.compose``, fed with the inner series' ``powers``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ __all__ = [
     "series_exp",
     "series_log",
     "series_reversion",
-    "geometric_inverse",
 ]
 
 
@@ -121,7 +123,7 @@ class TruncSeries:
             acc = self.coeffs[k]
             for j in range(k):
                 acc = acc - out[j] * other.coeffs[k - j]
-            out.append(_divide(acc, b0))
+            out.append(_exact_div(acc, b0))
         return TruncSeries(out, D)
 
     def __pow__(self, n: int) -> "TruncSeries":
@@ -137,18 +139,46 @@ class TruncSeries:
                 base = base * base
         return result
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """Substitute ``inner`` (zero constant term) for the variable."""
-        self._check(inner)
-        if inner.coeffs[0] != 0:
-            raise DomainError("composition requires inner constant term 0")
-        D = self.order
-        out = TruncSeries.constant(self.coeffs[0], D)
-        power = TruncSeries.one(D)
-        for k in range(1, D + 1):
-            power = power * inner
-            out = out + power.scale(self.coeffs[k])
+    def mul_q(self) -> "TruncSeries":
+        """Multiply by the variable q (shift up; the top order falls off)."""
+        return TruncSeries([0] + self.coeffs[: self.order], self.order)
+
+    def powers(self, n: int) -> list["TruncSeries"]:
+        """[1, s, s^2, ..., s^n] for this series s, each at its order.
+
+        The list is what ``compose`` takes, so several outer series
+        substituted into the same inner one share its powers.
+        """
+        out = [TruncSeries.one(self.order), self][: n + 1]
+        while len(out) <= n:
+            out.append(out[-1] * self)
         return out
+
+    def compose(self, powers: list["TruncSeries"]) -> "TruncSeries":
+        """Substitute an inner series s for the variable: self(s).
+
+        ``powers`` is ``s.powers(n)`` with n >= the order; s must have
+        zero constant term, so s^k starts at q^k and only the first
+        ``order + 1`` powers matter.  Zero coefficients of ``self`` are
+        skipped.  The coefficients of ``self`` and of s may come from any
+        ring that multiplies with the other's (``Fraction``,
+        ``RatFunc``, ...).
+        """
+        D = self.order
+        if D:
+            self._check(powers[1])
+            if powers[1].coeffs[0] != 0:
+                raise DomainError("composition requires inner constant term 0")
+        out = [self.coeffs[0]] + [0] * D
+        for k in range(1, D + 1):
+            a = self.coeffs[k]
+            if a == 0:
+                continue
+            p = powers[k].coeffs
+            for e in range(k, D + 1):
+                if p[e] != 0:
+                    out[e] = out[e] + a * p[e]
+        return TruncSeries(out, D)
 
     def map(self, fn: Callable) -> "TruncSeries":
         return TruncSeries([fn(a) for a in self.coeffs], self.order)
@@ -177,9 +207,10 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _divide(a, b):
-    # Exact division in the coefficient ring; Fractions of ints stay exact.
-    if isinstance(a, int) and isinstance(b, (int, Fraction)):
+def _exact_div(a, b):
+    # Exact division in the coefficient ring; an int dividend becomes a
+    # Fraction so that int / int stays exact.
+    if isinstance(a, int):
         return Fraction(a) / b
     return a / b
 
@@ -201,8 +232,7 @@ def series_exp(a: TruncSeries) -> TruncSeries:
             if term == 0:
                 continue
             acc = acc + term * out[k - j] * j
-        acc = _int_divide(acc, k)
-        out.append(acc)
+        out.append(_exact_div(acc, k))
     return TruncSeries(out, D)
 
 
@@ -218,59 +248,21 @@ def series_log(u: TruncSeries) -> TruncSeries:
             if out[j] == 0 or u.coeffs[k - j] == 0:
                 continue
             acc = acc + out[j] * u.coeffs[k - j] * j
-        out.append(u.coeffs[k] - _int_divide(acc, k))
+        out.append(u.coeffs[k] - _exact_div(acc, k))
     return TruncSeries(out, D)
-
-
-def _int_divide(a, k: int):
-    if isinstance(a, int):
-        return Fraction(a, k)
-    return a / k
-
-
-def geometric_inverse(b: TruncSeries) -> TruncSeries:
-    """1 / b for b with invertible constant term."""
-    return TruncSeries.one(b.order) / b
 
 
 def series_reversion(v: TruncSeries) -> TruncSeries:
     """Compositional inverse of the map q -> q*v(q), for v(0) = 1.
 
     Returns w with w(0) = 1 such that substituting q = q'*w(q') into
-    q*v(q) gives back q' through the truncation order.  Solved order by
-    order: the degree-k coefficient of the inverse is determined by the
-    lower ones (O(D^2) ring products per step).
+    q*v(q) gives back q' through the truncation order.  By Lagrange
+    inversion w_j = [q^j] v^-(j+1) / (j+1): one series division and the
+    powers of 1/v, O(D^3) ring operations.
     """
     if v.coeffs[0] != 1:
         raise DomainError("series_reversion requires v(0) = 1")
     D = v.order
-    # psi = compositional inverse of phi(q) = q*v(q) = sum phi_e q^e with
-    # phi_e = v_{e-1}.  [q'^k] phi(psi(q')) = 0 for k >= 2 determines psi_k
-    # from psi_j, j < k, since psi^e only involves lower coefficients.
-    psi = [0, 1]
-    for k in range(2, D + 2):
-        p = psi + [0] * (k + 1 - len(psi))
-        acc = 0
-        running = p
-        for e in range(2, k + 1):
-            running = _poly_trunc_mul(running, p, k)
-            if e - 1 > D:
-                break
-            ve = v.coeffs[e - 1]
-            if ve != 0:
-                acc = acc + ve * running[k]
-        psi.append(-acc)
-    # w(q') = psi(q')/q'
-    return TruncSeries(psi[1: D + 2], D)
-
-
-def _poly_trunc_mul(a: list, b: list, top: int) -> list:
-    out = [0] * (top + 1)
-    for i, x in enumerate(a[: top + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: top + 1 - i]):
-            if y == 0:
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
+    inv_pows = (TruncSeries.one(D) / v).powers(D + 1)
+    return TruncSeries([_exact_div(inv_pows[j + 1].coeffs[j], j + 1)
+                        for j in range(D + 1)], D)

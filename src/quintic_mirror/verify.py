@@ -58,7 +58,7 @@ def _sampled_family(m: int, l: int, order: int, rng, regime: str,
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
         coeffs = recursion_coeffs(regime, m, l, weights, order)
-        cfg = HypergeomConfig(m, l, order, m if l <= m else m)
+        cfg = HypergeomConfig(m, l, order, m)
         family = zstar_family(cfg, weights)
         return weights, coeffs, family
 

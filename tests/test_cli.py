@@ -133,10 +133,17 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--order", "1",
-                           "--threads", "2")
-    assert code == 0
+@pytest.mark.parametrize("argv, message", [
+    (("recursion-cy", "--lambda", "1,2,3"), "need 5 weights, got 3"),
+    (("recursion-i", "--m", "5", "--l", "3", "--lambda", "1,2,3"),
+     "need 6 weights, got 3"),
+    (("recursion-ii", "--m", "4", "--l", "4", "--lambda", "1,2,3,4,5,6"),
+     "need 5 weights, got 6"),
+])
+def test_lambda_of_wrong_length_is_usage_error(capsys, argv, message):
+    code, _, err = run_cli(capsys, "verify", *argv, "--order", "2")
+    assert code == 2
+    assert message in err
 
 
 def test_byte_identical_reruns():

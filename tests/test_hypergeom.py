@@ -151,6 +151,25 @@ def test_zstar_pole_containment():
                     pytest.fail(f"unexplained pole in denominator {den!r}")
 
 
+def test_hypersurface_series_quintic_block_closed_form():
+    # prod_{r<=15}(5H+r) / prod_{r<=3}(H+r)^5 mod H^4 as coefficient lists,
+    # with 1/(r+H) = sum_k (-H)^k / r^(k+1).
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(4)]
+
+    block = [F(1), F(0), F(0), F(0)]
+    for r in range(1, 16):
+        block = mul(block, [F(r), F(5), F(0), F(0)])
+    for r in range(1, 4):
+        inverse = [F((-1) ** k, r ** (k + 1)) for k in range(4)]
+        for _ in range(5):
+            block = mul(block, inverse)
+    S = hypersurface_series(HypergeomConfig.quintic(3))
+    for i in range(4):
+        for k in range(i + 1):
+            assert S.coeff(i, k, 3) == block[i - k] / factorial(k)
+
+
 def test_hypersurface_series_matches_equivariant_route():
     # Independent route: keep H un-truncated one step longer, include the
     # r = 0 numerator factor lH, and compare H^(b+1) against l * I_b.

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_mirror import mirror
 from quintic_mirror.errors import ConsistencyError, DomainError
 from quintic_mirror.hypergeom import HypergeomConfig, hypersurface_series
 from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
@@ -16,6 +17,7 @@ from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
                                    quintic_invariants,
                                    transformed_quintic_series)
 from quintic_mirror.mixed import MixedSeries
+from quintic_mirror.series import TruncSeries
 
 
 def F(p, q=1):
@@ -72,6 +74,35 @@ def test_mirror_identity_passes():
     assert mirror_identity_check(5).passed
 
 
+def test_quintic_invariants_series_products(monkeypatch):
+    # The powers of 1/exp(g), of q(q') and of g(q(q')) are each built once
+    # and shared by every substitution into them.
+    calls = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    quintic_invariants(30)
+    assert len(calls) <= 90
+
+
+def test_mirror_identity_builds_each_stage_once(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((mirror, "hypersurface_series"),
+                        (mirror, "build_mirror_map"),
+                        (MixedSeries, "substitute_mirror")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    assert mirror_identity_check(5).passed
+    assert sorted(calls) == ["build_mirror_map", "hypersurface_series",
+                             "substitute_mirror"]
+
+
 def test_mirror_identity_fault_injection():
     # Perturbing N_2 must surface at the q^2 coefficient of the identity.
     order = 3
@@ -80,7 +111,7 @@ def test_mirror_identity_fault_injection():
     cfg = HypergeomConfig.quintic(order)
     S = hypersurface_series(cfg)
     J = S.div_qseries(S.t_zero_part(0))
-    lhs = prepotential_in_t(order, table)
+    lhs = prepotential_in_t(build_mirror_map(4, order), table)
     rhs = (J.h_component(1) * J.h_component(2)
            - J.h_component(3)).scale(F(5, 2))
     delta = lhs - rhs

@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 
 from quintic_mirror.errors import DomainError, OrderMismatch
+from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.sampling import sample_series_coeffs
 from quintic_mirror.series import (TruncSeries, series_exp, series_log,
                                    series_reversion)
@@ -101,7 +102,36 @@ def test_div_mul_roundtrip():
         assert (a / b) * b == a
 
 
+def _horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
+    """outer(inner) as c0 + inner*(c1 + inner*(c2 + ...)), one term at a time."""
+    D = outer.order
+    acc = TruncSeries.constant(outer[D], D)
+    for k in range(D - 1, -1, -1):
+        acc = acc * inner + TruncSeries.constant(outer[k], D)
+    return acc
+
+
+def _random_ratfunc(rng) -> RatFunc:
+    num = Poly([F(rng.randint(-5, 5)), F(rng.randint(-3, 3), 2)])
+    return RatFunc(num, Poly([rng.choice((1, -1, 2)), 1]))
+
+
+@pytest.mark.parametrize("ring", ["fraction", "ratfunc"])
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_compose_matches_horner(ring, order):
+    rng = random.Random(11 + order)
+    draw = ((lambda: F(rng.randint(-9, 9), rng.randint(1, 4)))
+            if ring == "fraction" else lambda: _random_ratfunc(rng))
+    for _ in range(4):
+        outer = TruncSeries([draw() for _ in range(order + 1)], order)
+        inner = TruncSeries([0] + [draw() for _ in range(order)], order)
+        assert outer.compose(inner.powers(order)) == _horner(outer, inner)
+
+
 def test_reversion_frozen_examples():
+    assert series_reversion(TruncSeries.one(0)) == TruncSeries.one(0)
+    assert series_reversion(TruncSeries([F(1), F(3, 2)], 1)).coeffs == [
+        1, F(-3, 2)]
     assert series_reversion(TruncSeries.one(3)) == TruncSeries.one(3)
     w = series_reversion(TruncSeries([F(1), F(1), F(0)], 2))
     assert w.coeffs == [1, -1, 2]
@@ -117,12 +147,11 @@ def test_reversion_requires_unit_constant():
 def test_reversion_roundtrip_random():
     # q' w(q') v(q' w(q')) = q' through the truncation order.
     rng = random.Random(7)
-    for _ in range(25):
-        v = random_series(rng, 6, unit_constant=True)
+    for D in [6] * 25 + [40]:
+        v = random_series(rng, D, unit_constant=True)
         w = series_reversion(v)
-        D = 6
         q_of = TruncSeries([0] + list(w.coeffs[:D]), D)
-        residual = q_of * v.compose(q_of) - TruncSeries.variable(D)
+        residual = q_of * v.compose(q_of.powers(D)) - TruncSeries.variable(D)
         assert residual.is_zero()
 
 
