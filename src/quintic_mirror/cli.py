@@ -1,8 +1,11 @@
 """Command-line driver: invariants, verification reports, graph-sum oracle.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage or
-precondition errors.  Output is deterministic for a fixed seed and never
-contains floating point; rationals print as "p/q" (or "p" for integers).
+precondition errors (a degenerate weight configuration included), and 3
+on an internal error: any other exception is a program bug, reported as
+"internal error: ..." rather than blamed on the input.  Output is
+deterministic for a fixed seed and never contains floating point;
+rationals print as "p/q" (or "p" for integers).
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .mirror import InvariantTable, quintic_invariants
 from .report import Check, all_passed, report_json, report_text
 from .verify import CHECKS, run_check
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def parse_rational(text: str) -> Fraction:
@@ -144,24 +148,13 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        checks = run_check(args.check, args.m, args.l, args.order,
-                           args.seed, lam=args.lam,
-                           hbar_depth=args.hbar_depth)
-    except (DomainError, StructureError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return USAGE_ERROR
-    except (DegenerateLambda, PoleError) as exc:
-        sys.stderr.write(f"degenerate weight configuration: {exc}\n")
-        return USAGE_ERROR
+    checks = run_check(args.check, args.m, args.l, args.order, args.seed,
+                       lam=args.lam, hbar_depth=args.hbar_depth)
     _emit(_format_checks(checks, args.format), args.out)
     return 0 if all_passed(checks) else CHECK_FAILED
 
 
 def cmd_oracle(args) -> int:
-    if args.degree not in (1, 2):
-        sys.stderr.write("the graph-sum oracle supports degrees 1 and 2\n")
-        return USAGE_ERROR
     check = oracle_crosscheck(args.degree, trials=args.trials,
                               seed=args.seed)
     _emit(_format_checks([check], args.format), args.out)
@@ -178,9 +171,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(args)
         if args.command == "oracle":
             return cmd_oracle(args)
-    except DomainError as exc:
+    except (DomainError, StructureError) as exc:
         sys.stderr.write(f"{exc}\n")
         return USAGE_ERROR
+    except (DegenerateLambda, PoleError) as exc:
+        sys.stderr.write(f"degenerate weight configuration: {exc}\n")
+        return USAGE_ERROR
+    except Exception as exc:
+        import traceback        # only on this path: it slows every start-up
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return INTERNAL_ERROR
     parser.error("no command given")
     return USAGE_ERROR
 

@@ -3,17 +3,21 @@
 Three representations, each matching one role in the pipeline:
 
 * ``Poly``    -- dense univariate polynomial over Fraction.
-* ``RatFunc`` -- numerator ``Poly`` over a factored monic denominator,
-  stored as a root multiset {root: multiplicity}, in lowest terms (so
-  ``==`` is structural equality).  Every denominator the pipeline builds
-  is a product of linear forms in hbar: the Z* factors
+* ``RatFunc`` -- content * N / prod (q hbar - p)^k in lowest terms: a
+  primitive integer numerator N (gcd 1, positive leading coefficient),
+  one Fraction content carrying sign and scale, and the denominator as a
+  root multiset {(p, q): k} keyed by integer pairs, so the form is
+  canonical and ``==`` is structural equality.  Every denominator the
+  pipeline builds is a product of linear forms in hbar: the Z* factors
   lam_i - lam_a + r hbar (``hypergeom.zstar_family`` passes their roots
   directly), the recursion edges lam_i - lam_j + d hbar, the Newton-node
   differences, the 1/hbar of the transformations, and their images under
-  hbar -> -hbar.  Sums take the per-root maximum as common denominator,
-  products cross-reduce numerators against the other operand's roots, and
-  a cancellation is one synthetic division, so no polynomial gcd is ever
-  needed.
+  hbar -> -hbar.  All arithmetic runs on integers: a missing root p/q
+  multiplies N by (q hbar - p), a cancellation is exact top-down integer
+  division by it, and only a sum needs a gcd pass over its coefficients
+  (by Gauss's lemma products and exact quotients of primitive polynomials
+  stay primitive).  No polynomial gcd is ever needed.  ``num`` and
+  ``den`` are Fraction-coefficient ``Poly`` views, built on first use.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
   sign), used for the ambient fundamental solution where every
   coefficient is a polynomial in 1/hbar.
@@ -22,6 +26,8 @@ Three representations, each matching one role in the pipeline:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DomainError, PoleError, StructureError
@@ -192,8 +198,16 @@ class Poly:
 
     def deflate_root(self, r: Fraction) -> "Poly | None":
         """Divide out (hbar - r) if r is a root, else None."""
-        quot, rem = _deflate(self.c, _frac(r))
-        return None if rem else Poly(quot)
+        content, n = _primitive(self.c)
+        if not n:
+            return self
+        p, q = _key(r)
+        quot = _div_root(n, p, q)
+        if quot is None:
+            return None
+        # self = content (q hbar - p) quot = content q (hbar - r) quot
+        scale = content * q
+        return Poly([scale * x for x in quot])
 
     def __eq__(self, other):
         other = Poly._coerce(other)
@@ -211,93 +225,160 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _deflate(c: tuple, r: Fraction) -> tuple[tuple, Fraction]:
-    """Synthetic division of sum c[k] hbar^k by (hbar - r).
+def _key(r) -> tuple[int, int]:
+    """A root r = p/q as its pair (p, q), q > 0, in lowest terms."""
+    r = _frac(r)
+    return r.numerator, r.denominator
 
-    One Horner pass gives the quotient's coefficients and the remainder,
-    which is the value at r.
+
+def _split(ints: list, den: int) -> tuple[Fraction, tuple]:
+    """Split sum ints[k] hbar^k / den into (content, primitive tuple).
+
+    The integer tuple has gcd 1 and a positive leading coefficient; the
+    zero polynomial gives (0, ()).
     """
-    if not c:
-        return (), Fraction(0)
-    if r == 0:
-        return c[1:], c[0]
-    acc = c[-1]
-    quot = [acc]
-    for x in c[-2::-1]:
-        acc = x + r * acc
-        quot.append(acc)
-    rem = quot.pop()
-    return tuple(reversed(quot)), rem
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return Fraction(g, den), tuple(ints)
 
 
-def _times_roots(c: tuple, roots: dict) -> tuple:
-    """Coefficients of (sum c[k] hbar^k) * prod (hbar - r)^k over roots."""
-    c = list(c)
-    for r, k in roots.items():
+def _primitive(coeffs: tuple) -> tuple[Fraction, tuple]:
+    """``_split`` for Fraction coefficients."""
+    den = lcm(*(x.denominator for x in coeffs))
+    return _split([x.numerator * (den // x.denominator) for x in coeffs], den)
+
+
+def _conv(a: tuple, b: tuple) -> tuple:
+    """Product of two primitive integer coefficient tuples."""
+    if len(a) == 1:             # the only primitive constant is (1,)
+        return b
+    if len(b) == 1:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return tuple(out)
+
+
+def _mul_roots(c: tuple, roots: dict) -> tuple:
+    """c * prod (q hbar - p)^k over the pairs (p, q) of roots."""
+    for (p, q), k in roots.items():
         for _ in range(k):
-            if r == 0:
-                c.insert(0, Fraction(0))
-            else:
-                c = ([-r * c[0]]
-                     + [c[i - 1] - r * c[i] for i in range(1, len(c))]
-                     + [c[-1]])
-    return tuple(c)
-
-
-def _cancel(c: tuple, roots: dict, candidates) -> tuple:
-    """Divide (hbar - r) out of c as often as both c and roots allow.
-
-    Only the roots in ``candidates`` are tried.  ``roots`` is a fresh dict
-    owned by the caller and is updated in place; the reduced coefficients
-    are returned.
-    """
-    for r in candidates:
-        k = roots[r]
-        while k:
-            quot, rem = _deflate(c, r)
-            if rem:
-                break
-            c, k = quot, k - 1
-        if k:
-            roots[r] = k
-        else:
-            del roots[r]
+            c = (-p * c[0], *[q * a - p * b for a, b in zip(c, c[1:])],
+                 q * c[-1])
     return c
 
 
-def _missing(lcm: dict, roots: dict) -> dict:
-    """The factors of lcm that roots lacks, as a root multiset."""
-    return {r: k - roots.get(r, 0) for r, k in lcm.items()
+def _div_root(c: tuple, p: int, q: int) -> tuple | None:
+    """Exact quotient of c by (q hbar - p), or None if it does not divide.
+
+    Top-down division: q B[i-1] = c[i] + p B[i], stopping at the first
+    inexact step.  q hbar - p is primitive, so a quotient over Q is
+    integral (Gauss's lemma) and an inexact step proves it does not divide.
+    """
+    if p == 0:
+        return c[1:] if c[0] == 0 else None
+    if c[0] % p:
+        return None
+    out = [0] * (len(c) - 1)
+    acc = c[-1]
+    for i in range(len(c) - 2, -1, -1):
+        b, rem = divmod(acc, q)
+        if rem:
+            return None
+        out[i] = b
+        acc = c[i] + p * b
+    return tuple(out) if acc == 0 else None
+
+
+def _reduce(c: tuple, roots: dict, candidates) -> tuple:
+    """Divide (q hbar - p) out of c as often as both c and roots allow.
+
+    Only the pairs in ``candidates`` are tried.  ``roots`` is a fresh dict
+    owned by the caller and is updated in place; the reduced coefficients
+    are returned.
+    """
+    for key in candidates:
+        k = roots[key]
+        p, q = key
+        while k:
+            quot = _div_root(c, p, q)
+            if quot is None:
+                break
+            c, k = quot, k - 1
+        if k:
+            roots[key] = k
+        else:
+            del roots[key]
+    return c
+
+
+def _missing(common: dict, roots: dict) -> dict:
+    """The factors of common that roots lacks, as a root multiset."""
+    return {r: k - roots.get(r, 0) for r, k in common.items()
             if k > roots.get(r, 0)}
 
 
+def _q_power(roots: dict) -> int:
+    """prod q^k: the scale between prod (q hbar - p)^k and its monic form."""
+    out = 1
+    for (_, q), k in roots.items():
+        if q != 1:
+            out *= q ** k
+    return out
+
+
 class RatFunc:
-    """num / prod (hbar - root)^mult in lowest terms.
+    """content * N / prod (q hbar - p)^k in lowest terms.
 
-    The denominator is kept factored, as a root multiset ``roots``
-    ({root: multiplicity}) standing for a monic product of linear forms:
-    every denominator the pipeline produces is one.  Lowest terms means
-    ``num`` vanishes at no stored root, so the form is canonical and
-    ``==`` is structural equality.
+    ``N`` is a primitive integer coefficient tuple (gcd 1, positive leading
+    coefficient), ``content`` a Fraction carrying the sign and the scale,
+    and ``roots`` the denominator's root multiset {(p, q): k}, each root
+    p/q a pair in lowest terms with q > 0: every denominator the pipeline
+    produces is a product of linear forms.  Lowest terms means N vanishes
+    at no stored root, so the triple is canonical and ``==`` compares it
+    structurally.
 
-    A denominator is given as a root mapping (``zstar_family``) or as a
-    ``Poly`` of degree at most 1 (the recursion edges lam_i - lam_j + d
-    hbar, the 1/hbar prefactors, the Newton-node differences).  A ``Poly``
-    of higher degree raises ``StructureError``, as does inverting a
-    numerator of degree above 1: neither would split into known roots.
-    ``den`` rebuilds the expanded monic denominator on demand.
+    A denominator is given as a root mapping ({root: multiplicity} with
+    Fraction roots, standing for the monic product of (hbar - root)) or as
+    a ``Poly`` of degree at most 1 (the recursion edges lam_i - lam_j +
+    d hbar, the 1/hbar prefactors, the Newton-node differences).  A
+    ``Poly`` of higher degree raises ``StructureError``, as does inverting
+    a numerator of degree above 1: neither would split into known roots.
+    ``num`` and ``den`` are Fraction views built on demand: the numerator
+    over the monic denominator, and that denominator expanded.
     """
 
-    __slots__ = ("num", "roots", "_den")
+    __slots__ = ("_n", "_content", "roots", "_num", "_den")
 
-    def __init__(self, num, den=None, _normalized: bool = False):
+    def __init__(self, num, den=None, _content: Fraction | None = None):
+        if _content is not None:
+            # Internal form: num is a primitive integer tuple and den a
+            # pair-keyed root multiset, already in lowest terms.
+            self._n, self._content, self.roots = num, _content, den
+            self._num = self._den = None
+            return
         num = num if isinstance(num, Poly) else Poly._coerce(num)
         if num is None:
             raise TypeError("RatFunc components must be Poly-coercible")
+        scale = Fraction(1)
         if den is None:
             roots = {}
         elif isinstance(den, dict):
-            roots = den
+            roots = {}
+            for r, k in den.items():
+                if k:
+                    key = _key(r)
+                    roots[key] = k
+                    scale *= key[1] ** k
         else:
             den = den if isinstance(den, Poly) else Poly._coerce(den)
             if den is None:
@@ -308,43 +389,55 @@ class RatFunc:
             if den.degree > 1:
                 raise StructureError(
                     f"denominator {den!r} is not a linear form in hbar")
-            lead = den.c[-1]
-            if lead != 1:
-                num = Poly(x / lead for x in num.c)
-            roots = {-den.c[0] / lead: 1} if den.degree == 1 else {}
-        if not _normalized:
-            if num.is_zero():
+            if den.degree == 1:
+                key = _key(-den.c[0] / den.c[1])
+                roots = {key: 1}
+                scale = key[1] / den.c[1]
+            else:
                 roots = {}
-            elif roots:
-                roots = dict(roots)
-                num = Poly(_cancel(num.c, roots, list(roots)))
-        self.num = num
-        self.roots = roots
-        self._den = None
+                scale = 1 / den.c[0]
+        content, n = _primitive(num.c)
+        if not n:
+            roots = {}
+        elif roots:
+            n = _reduce(n, roots, list(roots))
+        self._n, self._content, self.roots = n, content * scale, roots
+        self._num = self._den = None
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over the monic denominator ``den``."""
+        if self._num is None:
+            scale = self._content / _q_power(self.roots)
+            self._num = Poly([scale * x for x in self._n])
+        return self._num
 
     @property
     def den(self) -> Poly:
-        """The monic denominator prod (hbar - root)^mult, expanded."""
+        """The monic denominator prod (hbar - p/q)^k, expanded."""
         if self._den is None:
-            self._den = Poly(_times_roots((Fraction(1),), self.roots))
+            qk = _q_power(self.roots)
+            self._den = Poly([Fraction(x, qk)
+                              for x in _mul_roots((1,), self.roots)])
         return self._den
 
     @classmethod
     def const(cls, x) -> "RatFunc":
-        return cls(Poly([x]), _normalized=True)
+        x = _frac(x)
+        return cls((1,) if x else (), {}, _content=x)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, Poly):
-            return RatFunc(x, _normalized=True)
+            return RatFunc(x)
         if isinstance(x, (int, Fraction)):
             return RatFunc.const(x)
         return None
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._n
 
     def is_polynomial(self) -> bool:
         return not self.roots
@@ -367,14 +460,20 @@ class RatFunc:
         for r, k in rb.items():
             if k > roots.get(r, 0):
                 roots[r] = k
-        num = (Poly(_times_roots(self.num.c, _missing(roots, ra)))
-               + Poly(_times_roots(other.num.c, _missing(roots, rb))))
-        if num.is_zero():
-            return RatFunc(num, _normalized=True)
+        a = _mul_roots(self._n, _missing(roots, ra))
+        b = _mul_roots(other._n, _missing(roots, rb))
+        # ca a + cb b = (fa a + fb b) / den over the contents' common den.
+        ca, cb = self._content, other._content
+        den = lcm(ca.denominator, cb.denominator)
+        fa = ca.numerator * (den // ca.denominator)
+        fb = cb.numerator * (den // cb.denominator)
+        content, n = _split([fa * x + fb * y for x, y in
+                             zip_longest(a, b, fillvalue=0)], den)
+        if not n:
+            return RatFunc.const(0)
         # The sum can vanish only at a root both operands hold equally often.
         tied = [r for r, k in ra.items() if rb.get(r) == k]
-        return RatFunc(Poly(_cancel(num.c, roots, tied)), roots,
-                       _normalized=True)
+        return RatFunc(_reduce(n, roots, tied), roots, _content=content)
 
     __radd__ = __add__
 
@@ -391,7 +490,7 @@ class RatFunc:
         return other + (-self)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.roots, _normalized=True)
+        return RatFunc(self._n, self.roots, _content=-self._content)
 
     def __mul__(self, other):
         other = RatFunc._coerce(other)
@@ -404,19 +503,25 @@ class RatFunc:
         for r, k in rb.items():
             roots[r] = roots.get(r, 0) + k
         # Cross-reduce: a numerator can only cancel the other's roots.
-        n1 = _cancel(self.num.c, roots, [r for r in rb if r not in ra])
-        n2 = _cancel(other.num.c, roots, [r for r in ra if r not in rb])
-        return RatFunc(Poly(n1) * Poly(n2), roots, _normalized=True)
+        n1 = _reduce(self._n, roots, [r for r in rb if r not in ra])
+        n2 = _reduce(other._n, roots, [r for r in ra if r not in rb])
+        return RatFunc(_conv(n1, n2), roots,
+                       _content=self._content * other._content)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
-        if self.is_zero():
+        n = self._n
+        if not n:
             raise ZeroDivisionError("inverse of zero rational function")
-        if self.num.degree > 1:
+        if len(n) > 2:
             raise StructureError(
                 f"inverse of {self!r} would need a non-linear denominator")
-        return RatFunc(self.den, self.num)
+        # A primitive linear numerator n1 hbar + n0 is the factor of the
+        # root -n0/n1, already in lowest terms with n1 > 0.
+        roots = {(-n[0], n[1]): 1} if len(n) == 2 else {}
+        return RatFunc(_mul_roots((1,), self.roots), roots,
+                       _content=1 / self._content)
 
     def __truediv__(self, other):
         other = RatFunc._coerce(other)
@@ -433,31 +538,57 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        roots = {r: k * n for r, k in self.roots.items()} if n else {}
-        return RatFunc(self.num ** n, roots, _normalized=True)
+        if n == 0 or self.is_zero():
+            return RatFunc.const(self._content ** n)
+        out = self._n
+        for _ in range(n - 1):
+            out = _conv(out, self._n)
+        return RatFunc(out, {r: k * n for r, k in self.roots.items()},
+                       _content=self._content ** n)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
-        if x in self.roots:
+        a, b = x.numerator, x.denominator
+        if (a, b) in self.roots:
             raise PoleError(x)
-        d = Fraction(1)
-        for r, k in self.roots.items():
-            d *= (x - r) ** k
-        return self.num.eval(x) / d
+        n = self._n
+        if not n:
+            return Fraction(0)
+        # b^deg N(a/b), by Horner in homogeneous form.
+        acc, bk = n[-1], 1
+        for c in n[-2::-1]:
+            bk *= b
+            acc = acc * a + c * bk
+        den, total = 1, 0
+        for (p, q), k in self.roots.items():
+            den *= (q * a - p * b) ** k
+            total += k
+        # N(x) / prod (q x - p)^k = acc b^(total - deg N) / den
+        shift = total - (len(n) - 1)
+        if shift >= 0:
+            acc *= b ** shift
+        else:
+            den *= b ** -shift
+        return self._content * Fraction(acc, den)
 
     __call__ = eval
 
     def subs_neg(self) -> "RatFunc":
         """Substitute hbar -> -hbar: roots change sign.
 
-        prod(-hbar - r)^k = (-1)^(sum k) prod(hbar + r)^k, so the numerator
-        absorbs the sign of an odd total multiplicity.
+        q(-hbar) - p = -(q hbar + p), and N(-hbar) has leading coefficient
+        of sign (-1)^deg N, so the content absorbs (-1)^(deg N + sum k).
         """
-        num = self.num.subs_neg()
-        if sum(self.roots.values()) % 2:
-            num = -num
-        return RatFunc(num, {-r: k for r, k in self.roots.items()},
-                       _normalized=True)
+        n = self._n
+        if not n:
+            return self
+        odd = (len(n) - 1) % 2
+        neg = tuple(-x if i % 2 != odd else x for i, x in enumerate(n))
+        content = self._content
+        if (odd + sum(self.roots.values())) % 2:
+            content = -content
+        return RatFunc(neg, {(-p, q): k for (p, q), k in self.roots.items()},
+                       _content=content)
 
     def laurent_at_infinity(self, depth: int) -> tuple[Fraction, ...]:
         """Coefficients of hbar^0, hbar^-1, ..., hbar^-depth at hbar=infinity.
@@ -496,10 +627,11 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.roots == other.roots
+        return (self._n == other._n and self._content == other._content
+                and self.roots == other.roots)
 
     def __hash__(self):
-        return hash((self.num, frozenset(self.roots.items())))
+        return hash((self._n, self._content, frozenset(self.roots.items())))
 
     def __repr__(self):
         if self.is_polynomial():

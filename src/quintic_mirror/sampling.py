@@ -54,7 +54,7 @@ def sample_until(rng: random.Random, builder, attempts: int = 60):
     for _ in range(attempts):
         try:
             return builder(rng)
-        except (DegenerateLambda, PoleError, ZeroDivisionError) as exc:
+        except (DegenerateLambda, PoleError) as exc:
             last = exc
     raise DegenerateLambda(
         f"no nondegenerate sample after {attempts} attempts: {last}")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from quintic_mirror import localization, recursion
 from quintic_mirror.cli import main
 
 
@@ -109,6 +110,65 @@ def test_oracle_degree_two(capsys):
 def test_oracle_degree_three_rejected(capsys):
     code, _, err = run_cli(capsys, "oracle", "--degree", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_oracle_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "oracle", "--degree", "1",
+                             "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert f"trials must be at least 1, got {trials}" in err
+
+
+def test_oracle_reports_the_tuples_it_computed(capsys, monkeypatch):
+    sums = []
+    real = localization.bott_sum_random
+
+    def counted(*args, **kwargs):
+        sums.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "bott_sum_random", counted)
+    code, out, _ = run_cli(capsys, "oracle", "--degree", "1", "--trials", "2")
+    assert code == 0
+    assert len(sums) == 2
+    assert "across 2 weight tuples" in out
+
+
+def _planted(*args, **kwargs):
+    raise ZeroDivisionError("planted")
+
+
+def test_planted_error_in_graph_sum_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(localization, "graph_contribution", _planted)
+    code, out, err = run_cli(capsys, "oracle", "--degree", "1")
+    assert code == 3
+    assert out == ""
+    assert "internal error: ZeroDivisionError: planted" in err
+    assert "degenerate" not in err
+
+
+@pytest.mark.parametrize("weights", [
+    ("--lambda", "0,1,10,100,1000"),
+    ("--seed", "0"),             # sampled weights go through sample_until
+])
+def test_planted_error_in_recursion_coefficient_is_internal_error(
+        capsys, monkeypatch, weights):
+    monkeypatch.setattr(recursion, "_cy_coefficient_direct", _planted)
+    code, out, err = run_cli(capsys, "verify", "recursion-cy", "--order", "2",
+                             *weights)
+    assert code == 3
+    assert out == ""
+    assert "internal error: ZeroDivisionError: planted" in err
+    assert "degenerate" not in err
+
+
+def test_verify_transformations_default_order_finishes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "transformations")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
 
 
 def test_explicit_lambda_flag(capsys):

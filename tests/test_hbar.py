@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from euclid_ratfunc import EuclidRatFunc
 from quintic_mirror.errors import PoleError, StructureError
 from quintic_mirror.hbar import Laurent, Poly, RatFunc
+from quintic_mirror.hypergeom import HypergeomConfig, zstar_family
+from quintic_mirror.recursion import phi_double_correlator
 from quintic_mirror.sampling import sample_rational
 from quintic_mirror.verify import check_recursion_cy, check_transformations
 
@@ -144,19 +146,33 @@ _ROOTS = [Fraction(x) for x in (-2, -1, 0, 1, 3)] + [Fraction(1, 2),
 _root = st.sampled_from(_ROOTS)
 _scale = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
     lambda x: x != 0)
+# Roots of height up to 2^80 with denominators up to 7, and the root 0.  A
+# fixed pool makes shared and cancelling factors likely; fresh draws add
+# roots no other factor shares.
+_WIDE_ROOTS = [Fraction(0), Fraction(2**80 - 1, 7), Fraction(-2**79 + 3, 5),
+               Fraction(3**50, 4), Fraction(-1, 7), Fraction(2**80, 3),
+               Fraction(-5, 6)]
+_wide_root = st.one_of(
+    st.sampled_from(_WIDE_ROOTS),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 7)))
+# A large common content: a scale with 90-bit numerator and 60-bit
+# denominator in front of the numerator's linear factors.
+_big_scale = st.builds(
+    Fraction, st.integers(1, 2**90), st.integers(1, 2**60)).map(
+        lambda x: x * (-1) ** x.denominator)
 
 
 @st.composite
-def _split_pair(draw, max_num_degree=3):
+def _split_pair(draw, max_num_degree=3, root=_root, scale=_scale):
     """One element as (factored RatFunc, Euclidean oracle).
 
     Numerator and denominator roots come from one small pool, so repeated
     and cancelling factors are common.
     """
-    num = Poly([draw(_scale)])
-    for r in draw(st.lists(_root, max_size=max_num_degree)):
+    num = Poly([draw(scale)])
+    for r in draw(st.lists(root, max_size=max_num_degree)):
         num = num * Poly([-r, 1])
-    den_roots = draw(st.lists(_root, max_size=4))
+    den_roots = draw(st.lists(root, max_size=4))
     den = Poly([1])
     for r in den_roots:
         den = den * Poly([-r, 1])
@@ -177,9 +193,7 @@ def _outcome(fn):
         return type(exc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_split_pair(), _split_pair(), _split_pair(max_num_degree=1), _root)
-def test_matches_euclidean_oracle(x, y, lin, point):
+def _agree_with_oracle(x, y, lin, point) -> None:
     (a, a_old), (b, b_old), (e, e_old) = x, y, lin
     _same(a, a_old)
     _same(a + b, a_old + b_old)
@@ -197,6 +211,72 @@ def test_matches_euclidean_oracle(x, y, lin, point):
             == _outcome(lambda: a_old.laurent_at_infinity(3)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_split_pair(), _split_pair(), _split_pair(max_num_degree=1), _root)
+def test_matches_euclidean_oracle(x, y, lin, point):
+    _agree_with_oracle(x, y, lin, point)
+
+
+_wide_pair = _split_pair(root=_wide_root)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_wide_pair, _wide_pair, _split_pair(max_num_degree=1, root=_wide_root),
+       _wide_root)
+def test_matches_euclidean_oracle_at_tall_roots(x, y, lin, point):
+    _agree_with_oracle(x, y, lin, point)
+
+
+_big_pair = _split_pair(scale=_big_scale)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_big_pair, _big_pair, _split_pair(max_num_degree=1, scale=_big_scale),
+       _root)
+def test_matches_euclidean_oracle_with_large_content(x, y, lin, point):
+    _agree_with_oracle(x, y, lin, point)
+
+
+def test_root_at_zero_matches_euclidean_oracle():
+    zero = Fraction(0)
+    x = (RatFunc(Poly([0, 0, 3]), {zero: 3}),
+         EuclidRatFunc(Poly([0, 0, 3]), Poly([0, 0, 0, 1])))
+    y = (RatFunc(Poly([2, 1]), {zero: 1, Fraction(-2): 1}),
+         EuclidRatFunc(Poly([2, 1]), Poly([0, 2, 1])))
+    lin = (RatFunc(Poly([0, 5])), EuclidRatFunc(Poly([0, 5])))
+    for point in (zero, Fraction(-2), Fraction(1, 3)):
+        _agree_with_oracle(x, y, lin, point)
+        _agree_with_oracle(y, x, lin, point)
+
+
+_any_root = st.one_of(_root, _wide_root)
+_any_pair = _split_pair(root=_any_root)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_any_pair, _any_pair, _any_pair)
+def test_equal_builds_hash_equal(x, y, z):
+    (a, _), (b, _), (c, _) = x, y, z
+    left, right = (a + b) + c, a + (b + c)
+    assert left == right and hash(left) == hash(right)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    # The same function through a detour: multiply, then divide back out.
+    lin = RatFunc(Poly([3, 7]))
+    assert (a * lin) / lin == a and hash((a * lin) / lin) == hash(a)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_any_pair, st.lists(_any_root, min_size=1, max_size=4))
+def test_eval_matches_num_over_den(x, points):
+    a, _ = x
+    for point in points:
+        if a.den.eval(point) == 0:
+            with pytest.raises(PoleError):
+                a.eval(point)
+        else:
+            assert a.eval(point) == a.num.eval(point) / a.den.eval(point)
+
+
 def test_pipeline_never_calls_euclidean_division(monkeypatch):
     def forbidden(self, other):
         raise AssertionError("Euclidean polynomial division on the pipeline")
@@ -208,6 +288,25 @@ def test_pipeline_never_calls_euclidean_division(monkeypatch):
     for checks in (check_transformations(4, 5, 2, 0, lam=lam),
                    check_recursion_cy(4, 5, 2, 0, lam=lam)):
         assert checks and all(c.passed for c in checks), checks
+
+
+def test_phi_correlator_never_reads_fraction_views(monkeypatch):
+    # num and den are Fraction views for printing and expansions; the
+    # correlator's arithmetic must stay on the integer kernels.
+    reads = []
+    for name in ("num", "den"):
+        view = vars(RatFunc)[name]
+        monkeypatch.setattr(RatFunc, name, property(
+            lambda self, view=view, name=name: reads.append(name)
+            or view.fget(self)))
+    lam = (Fraction(3, 7), Fraction(-11, 5), Fraction(23, 3), Fraction(2, 9),
+           Fraction(-31, 4))
+    family = zstar_family(HypergeomConfig(4, 5, 2, 4), lam)
+    phi = phi_double_correlator(family, 3, 2)   # z^0..z^2 vanish
+    nonzero = [v for v in phi.c.values() if not v.is_zero()]
+    assert nonzero and reads == []
+    # The counter sees a read: the guard is not vacuous.
+    assert nonzero[0].num is not None and reads == ["num"]
 
 
 def test_laurent_ring():

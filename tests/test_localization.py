@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quintic_mirror import localization
 from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.localization import (DecoratedGraph, bott_sum,
                                          bott_sum_random, enumerate_graphs,
@@ -111,6 +112,21 @@ def test_corrupted_node_factor_breaks_invariance():
 def test_oracle_crosscheck_passes():
     assert oracle_crosscheck(1, trials=3, seed=0).passed
     assert oracle_crosscheck(2, trials=3, seed=0).passed
+
+
+def test_planted_zero_division_is_not_resampled(monkeypatch):
+    # A bug in a contribution formula must surface, not be retried and
+    # reported as a degenerate weight tuple.
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(localization, "graph_contribution", planted)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        oracle_crosscheck(1, trials=3, seed=0)
+    assert len(calls) == 1
 
 
 def test_oracle_crosscheck_detects_mismatch():
