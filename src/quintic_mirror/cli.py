@@ -47,7 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "on hypersurfaces; all arithmetic over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def shared(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for weight sampling (default 0)")
+        p.add_argument("--format", choices=("text", "json", "csv"),
+                       default="text")
+        p.add_argument("--out", default=None,
+                       help="also write the report to this file")
+
+    def model(p: argparse.ArgumentParser) -> None:
         p.add_argument("--m", type=int, default=4,
                        help="ambient projective dimension (default 4)")
         p.add_argument("--l", type=int, default=5,
@@ -59,26 +67,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=parse_lambda,
                        default=None, metavar="a,b,c,...",
                        help="explicit weight tuple (rationals p/q)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for weight sampling (default 0)")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--out", default=None,
-                       help="also write the report to this file")
+        shared(p)
 
     p_inv = sub.add_parser("invariants",
                            help="genus-0 invariants and virtual counts")
-    common(p_inv)
+    model(p_inv)
 
     p_ver = sub.add_parser("verify", help="run a named identity check")
     p_ver.add_argument("check", choices=sorted(CHECKS))
-    common(p_ver)
+    model(p_ver)
 
     p_orc = sub.add_parser("oracle",
                            help="fixed-point graph-sum cross-check")
     p_orc.add_argument("--degree", type=int, default=1)
     p_orc.add_argument("--trials", type=int, default=3)
-    common(p_orc)
+    shared(p_orc)
     return parser
 
 

@@ -46,6 +46,9 @@ class HypergeomConfig:
     h_nilpotent: int
 
     def __post_init__(self):
+        if self.m < 1:
+            raise DomainError(f"need m >= 1 for a hypersurface in P^m, "
+                              f"got m={self.m}")
         if not 1 <= self.l <= self.m + 1:
             raise DomainError(f"need 1 <= l <= m+1, got l={self.l}, m={self.m}")
         if self.order < 1:

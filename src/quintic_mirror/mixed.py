@@ -6,7 +6,10 @@ multiplication simply discards every term of H-degree above the cap.
 ``MixedSeries`` models elements of H*[t][[q]] with q = e^t: a finite
 array of coefficients ``c[i][k][d]`` for H^i t^k q^d.  The derivative
 in t obeys the chain rule d/dt (t^k q^d) = k t^{k-1} q^d + d t^k q^d.
-Scalars may be Fraction or Laurent (for hbar-graded solutions).
+Scalars may be Fraction, Laurent (for hbar-graded solutions) or RatFunc.
+The double correlator Phi(z, q) is carried with h_top = 0 and z in the
+t slot; z and q are independent there, so ``ddt`` (d/dt with q = e^t)
+is not d/dz.
 """
 
 from __future__ import annotations
@@ -154,6 +157,9 @@ class MixedSeries:
     ``order`` the q-truncation.  Multiplication truncates in all three
     gradings; H-truncation is the nilpotency H^(h_top+1) = 0, while the
     t and q caps must be chosen by the caller to absorb the result.
+    The t slot may hold any variable independent of H and q (z for the
+    double correlator, with h_top = 0); only ``ddt`` and
+    ``substitute_mirror`` read it as t with q = e^t.
     """
 
     __slots__ = ("c", "h_top", "t_top", "order")

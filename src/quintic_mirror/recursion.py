@@ -8,7 +8,8 @@ fixed numeric weight tuple.  This module:
   (residuals exactly zero below the Calabi-Yau case; hbar-polynomials of
   bounded degree in it),
 * extracts the class-P data: numerator polynomials N_id, the interpolated
-  two-variable polynomials E_d, and the double correlator Phi,
+  two-variable polynomials E_d, and the double correlator Phi (a
+  ``MixedSeries`` with z in its t slot),
 * implements the three admissible transformations and their predicted
   effect on Phi,
 * forward-solves the Calabi-Yau recursion from initial data (uniqueness
@@ -23,7 +24,8 @@ from math import factorial
 
 from .errors import ClassPViolation, DegenerateLambda, DomainError
 from .hbar import Poly, RatFunc
-from .hypergeom import CorrelatorFamily, f_and_g
+from .hypergeom import CorrelatorFamily, exp_prefactor, f_and_g
+from .mixed import MixedSeries
 from .series import TruncSeries, series_exp, series_reversion
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "transform_family",
     "mod_hbar2",
     "forward_solve",
-    "ZQSeries",
     "phi_law_a",
     "phi_law_b",
     "phi_law_c",
@@ -172,9 +173,7 @@ def recursion_coeffs(regime: str, m: int, l: int, lam,
                 if a != i:
                     denom *= lam[i] - lam[a]
             c_i = (Fraction(m) * lam[i]) ** m / denom - factorial(m)
-            coeffs = [c_i ** d / factorial(d) for d in range(order + 1)]
-            coeffs[0] = Fraction(0)
-            out.initial[i] = TruncSeries(coeffs, order)
+            out.initial[i] = exp_prefactor(c_i, order) - TruncSeries.one(order)
     return out
 
 
@@ -194,9 +193,7 @@ def z_normalize(family: CorrelatorFamily,
                   for d in range(family.order + 1)]
         out.append(TruncSeries(coeffs, family.order))
     if modified:
-        pref = TruncSeries(
-            [Fraction(-factorial(family.m)) ** d / factorial(d)
-             for d in range(family.order + 1)], family.order)
+        pref = exp_prefactor(-factorial(family.m), family.order)
         out = [e * pref.map(RatFunc.const) for e in out]
     return out
 
@@ -382,7 +379,7 @@ def closed_form_E(m: int, d: int) -> list[Poly]:
 
 def phi_double_correlator(family: CorrelatorFamily, z_order: int,
                           q_order: int,
-                          entries: list[TruncSeries] | None = None) -> "ZQSeries":
+                          entries: list[TruncSeries] | None = None) -> MixedSeries:
     """Phi(z, q) = sum_i w_i e^(lam_i z) Y_i(q e^(z hbar), hbar) Y_i(q, -hbar)
 
     with w_i = (m+1) lam_i / prod_{j != i}(lam_i - lam_j).  The argument
@@ -391,6 +388,9 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
 
         sum_i w_i sum_{d1+d2=e} (lam_i + d1 hbar)^k / k!
               Y_i[d1](hbar) Y_i[d2](-hbar).
+
+    Returned as a ``MixedSeries`` with h_top = 0 and z in the t slot:
+    ``c[0][k][e]`` is the z^k q^e coefficient.
     """
     m, lam = family.m, family.lam
     if q_order > family.order:
@@ -415,7 +415,7 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
         for e in range(q_order + 1):
             for d1 in range(e + 1):
                 pairs[(i, e, d1)] = pos[i][d1] * neg[i][e - d1]
-    out = ZQSeries(z_order, q_order)
+    out = MixedSeries(0, z_order, q_order)
     for e in range(q_order + 1):
         for k in range(z_order + 1):
             acc = RatFunc.const(0)
@@ -429,154 +429,69 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
                         continue
                     inner = inner + prod * Poly([lam[i], d1]) ** k
                 acc = acc + inner * weights[i]
-            out.c[(k, e)] = acc / factorial(k)
+            out.c[0][k][e] = acc / factorial(k)
     return out
 
 
-class ZQSeries:
-    """Double series in (z, q), truncated at (z_top, order); RatFunc values."""
-
-    __slots__ = ("z_top", "order", "c")
-
-    def __init__(self, z_top: int, order: int, coeffs: dict | None = None):
-        self.z_top = z_top
-        self.order = order
-        self.c = {} if coeffs is None else dict(coeffs)
-
-    def coeff(self, k: int, e: int) -> RatFunc:
-        return self.c.get((k, e), RatFunc.const(0))
-
-    @classmethod
-    def constant(cls, value, z_top: int, order: int) -> "ZQSeries":
-        out = cls(z_top, order)
-        out.c[(0, 0)] = RatFunc._coerce(value)
-        return out
-
-    def __add__(self, other: "ZQSeries") -> "ZQSeries":
-        out = ZQSeries(self.z_top, self.order, self.c)
-        for key, v in other.c.items():
-            out.c[key] = out.coeff(*key) + v
-        return out
-
-    def __sub__(self, other: "ZQSeries") -> "ZQSeries":
-        out = ZQSeries(self.z_top, self.order, self.c)
-        for key, v in other.c.items():
-            out.c[key] = out.coeff(*key) - v
-        return out
-
-    def __mul__(self, other: "ZQSeries") -> "ZQSeries":
-        out = ZQSeries(self.z_top, self.order)
-        for (k1, e1), a in self.c.items():
-            if a.is_zero():
-                continue
-            for (k2, e2), b in other.c.items():
-                if k1 + k2 > self.z_top or e1 + e2 > self.order:
-                    continue
-                if b.is_zero():
-                    continue
-                key = (k1 + k2, e1 + e2)
-                cur = out.c.get(key)
-                out.c[key] = a * b if cur is None else cur + a * b
-        return out
-
-    def scale(self, s) -> "ZQSeries":
-        return ZQSeries(self.z_top, self.order,
-                        {k: v * s for k, v in self.c.items()})
-
-    def exp(self) -> "ZQSeries":
-        if not self.coeff(0, 0).is_zero():
-            raise DomainError("exp needs zero constant term")
-        out = ZQSeries.constant(1, self.z_top, self.order)
-        power = ZQSeries.constant(1, self.z_top, self.order)
-        for n in range(1, max(self.z_top, self.order) + 1):
-            power = power * self
-            if not power.c or all(v.is_zero() for v in power.c.values()):
-                break
-            out = out + power.scale(Fraction(1, factorial(n)))
-        return out
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.c.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ZQSeries):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def first_nonzero(self):
-        for key in sorted(self.c):
-            if not self.c[key].is_zero():
-                return key, self.c[key]
-        return None
-
-
-def _lift_qseries(f: TruncSeries, z_top: int) -> ZQSeries:
-    out = ZQSeries(z_top, f.order)
-    for e, v in enumerate(f.coeffs):
-        if v != 0:
-            out.c[(0, e)] = RatFunc.const(v)
-    return out
-
-
-def _shifted_qseries(f: TruncSeries, z_top: int) -> ZQSeries:
+def _shifted_qseries(f: TruncSeries, z_top: int) -> MixedSeries:
     """f(q e^(z hbar)): the q^e term spreads into (e hbar)^k z^k/k!."""
-    out = ZQSeries(z_top, f.order)
+    out = MixedSeries(0, z_top, f.order)
     for e, v in enumerate(f.coeffs):
         if v == 0:
             continue
         for k in range(z_top + 1):
-            val = Poly([0] * k + [Fraction(v) * e ** k]) * Fraction(
-                1, factorial(k))
-            out.c[(k, e)] = RatFunc(val)
+            out.c[0][k][e] = RatFunc(
+                Poly.hbar(k) * (Fraction(v) * e ** k / factorial(k)))
     return out
 
 
-def _delta_series(g: TruncSeries, z_top: int) -> ZQSeries:
+def _delta_series(g: TruncSeries, z_top: int) -> MixedSeries:
     """(g(q e^(z hbar)) - g(q))/hbar; hbar-polynomial by construction."""
-    out = ZQSeries(z_top, g.order)
-    for e, v in enumerate(g.coeffs):
-        if v == 0:
-            continue
-        for k in range(1, z_top + 1):
-            val = Poly([0] * (k - 1) + [Fraction(v) * e ** k]) * Fraction(
-                1, factorial(k))
-            key = (k, e)
-            cur = out.c.get(key)
-            term = RatFunc(val)
-            out.c[key] = term if cur is None else cur + term
-    return out
+    out = _shifted_qseries(g, z_top)
+    out.c[0][0] = [0] * (g.order + 1)          # the z^0 row is g(q) itself
+    return out.scale(RatFunc(Poly([1]), Poly([0, 1])))
 
 
-def phi_law_a(phi: ZQSeries, f: TruncSeries) -> ZQSeries:
+def phi_law_a(phi: MixedSeries, f: TruncSeries) -> MixedSeries:
     """Predicted Phi after scaling the family by f: f(q e^(z hbar)) f(q) Phi."""
-    return _shifted_qseries(f, phi.z_top) * _lift_qseries(f, phi.z_top) * phi
+    return _shifted_qseries(f, phi.t_top).mul_qseries(f) * phi
 
 
-def phi_law_b(phi: ZQSeries, g: TruncSeries) -> ZQSeries:
+def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
     """Predicted Phi after the argument twist:
 
     Phi(z + (g(q e^(z hbar)) - g(q))/hbar, q e^(g(q))).
     """
-    z_top, order = phi.z_top, phi.order
-    delta = _delta_series(g, z_top)
-    z_plus = ZQSeries(z_top, order, {(1, 0): RatFunc(Poly([1]))}) + delta
+    z_top, order = phi.t_top, phi.order
+    z_plus = _delta_series(g, z_top)
+    if z_top:
+        z_plus.c[0][1][0] = RatFunc.const(1)   # delta has no q^0 term
     # powers of q e^g(q) and of (z + delta)
-    qpow = [_lift_qseries(p, z_top)
-            for p in series_exp(g).mul_q().powers(order)]
-    zpow = [ZQSeries.constant(1, z_top, order)]
+    qpow = series_exp(g).mul_q().powers(order)
+    zpow = [MixedSeries.constant(RatFunc.const(1), 0, z_top, order)]
     for _ in range(z_top):
         zpow.append(zpow[-1] * z_plus)
-    out = ZQSeries(z_top, order)
-    for (k, e), v in phi.c.items():
-        if v.is_zero():
-            continue
-        out = out + (zpow[k] * qpow[e]).scale(v)
+    out = MixedSeries(0, z_top, order)
+    for k, row in enumerate(phi.c[0]):
+        for e, v in enumerate(row):
+            if v != 0:
+                out = out + zpow[k].mul_qseries(qpow[e]).scale(v)
     return out
 
 
-def phi_law_c(phi: ZQSeries, g: TruncSeries, C: Fraction) -> ZQSeries:
-    """Predicted Phi after the exponential twist: exp(C delta) Phi."""
-    return _delta_series(g, phi.z_top).scale(C).exp() * phi
+def phi_law_c(phi: MixedSeries, g: TruncSeries, C: Fraction) -> MixedSeries:
+    """Predicted Phi after the exponential twist: exp(C delta) Phi.
+
+    delta has no z^0 term, so every power above z^z_top truncates to zero
+    and the exponential is the finite sum over n <= z_top.
+    """
+    z_top, order = phi.t_top, phi.order
+    c_delta = _delta_series(g, z_top).scale(Fraction(C))
+    term = total = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
+    for n in range(1, z_top + 1):
+        term = (term * c_delta).scale(Fraction(1, n))
+        total = total + term
+    return total * phi
 
 
 def transform_family(family: CorrelatorFamily, kind: str,

@@ -28,6 +28,10 @@ from .series import TruncSeries
 
 __all__ = ["run_check", "CHECKS"]
 
+TUPLES = 2              # weight tuples per sampled recursion check
+PHI_POLY_Z_ORDER = 4    # z-truncation of the phi-poly check
+LAWS_Z_ORDER = 3        # z-truncation of the transformation-law check
+
 
 def check_picard_fuchs(m: int, l: int, order: int, seed: int,
                        lam=None, hbar_depth=None) -> list[Check]:
@@ -55,10 +59,11 @@ def check_case_ii(m: int, l: int, order: int, seed: int,
 
 def _sampled_family(m: int, l: int, order: int, rng, regime: str,
                     lam=None):
+    cfg = HypergeomConfig(m, l, order, m)
+
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
         coeffs = recursion_coeffs(regime, m, l, weights, order)
-        cfg = HypergeomConfig(m, l, order, m)
         family = zstar_family(cfg, weights)
         return weights, coeffs, family
 
@@ -68,12 +73,12 @@ def _sampled_family(m: int, l: int, order: int, rng, regime: str,
 
 
 def check_recursion_i(m: int, l: int, order: int, seed: int,
-                      lam=None, hbar_depth=None, tuples: int = 2) -> list[Check]:
+                      lam=None, hbar_depth=None) -> list[Check]:
     if l >= m:
         raise DomainError(f"this recursion requires l < m, got ({m}, {l})")
     rng = random.Random(seed)
     out = []
-    for trial in range(tuples if lam is None else 1):
+    for trial in range(TUPLES if lam is None else 1):
         weights, coeffs, family = _sampled_family(m, l, order, rng,
                                                   "sub_m", lam)
         ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
@@ -87,12 +92,12 @@ def check_recursion_i(m: int, l: int, order: int, seed: int,
 
 
 def check_recursion_ii(m: int, l: int, order: int, seed: int,
-                       lam=None, hbar_depth=None, tuples: int = 2) -> list[Check]:
+                       lam=None, hbar_depth=None) -> list[Check]:
     if l != m:
         raise DomainError(f"this recursion requires l = m, got ({m}, {l})")
     rng = random.Random(seed)
     out = []
-    for trial in range(tuples if lam is None else 1):
+    for trial in range(TUPLES if lam is None else 1):
         weights, coeffs, family = _sampled_family(m, l, order, rng,
                                                   "equal_m", lam)
         ok, detail, _ = verify_recursion(
@@ -107,13 +112,12 @@ def check_recursion_ii(m: int, l: int, order: int, seed: int,
 
 
 def check_recursion_cy(m: int, l: int, order: int, seed: int,
-                       lam=None, hbar_depth=None,
-                       tuples: int = 2) -> list[Check]:
+                       lam=None, hbar_depth=None) -> list[Check]:
     if l != m + 1:
         raise DomainError(f"the Calabi-Yau recursion requires l = m+1, got ({m}, {l})")
     rng = random.Random(seed)
     out = []
-    for trial in range(tuples if lam is None else 1):
+    for trial in range(TUPLES if lam is None else 1):
         weights, coeffs, family = _sampled_family(m, l, order, rng,
                                                   "calabi_yau", lam)
         ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
@@ -130,11 +134,11 @@ def check_class_p(m: int, l: int, order: int, seed: int,
                   lam=None, hbar_depth=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("class-P extraction is a Calabi-Yau-regime check")
+    cfg = HypergeomConfig(m, l, order, m)
     rng = random.Random(seed)
 
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
-        cfg = HypergeomConfig(m, l, order, m)
         family = zstar_family(cfg, weights)
         return weights, classP_extract(family)
 
@@ -157,42 +161,41 @@ def check_class_p(m: int, l: int, order: int, seed: int,
 
 
 def check_phi_poly(m: int, l: int, order: int, seed: int,
-                   lam=None, hbar_depth=None, z_order: int = 4) -> list[Check]:
+                   lam=None, hbar_depth=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("the double correlator check is Calabi-Yau-regime")
+    cfg = HypergeomConfig(m, l, order, m)
     rng = random.Random(seed)
 
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
-        cfg = HypergeomConfig(m, l, order, m)
         family = zstar_family(cfg, weights)
-        return weights, phi_double_correlator(family, z_order, order)
+        return weights, phi_double_correlator(family, PHI_POLY_Z_ORDER, order)
 
     weights, phi = (build(rng) if lam is not None
                     else sample_until(rng, build))
-    bad = [(k, e) for (k, e), v in sorted(phi.c.items())
-           if not v.is_polynomial()]
+    bad = [(k, e) for k, row in enumerate(phi.c[0])
+           for e, v in enumerate(row) if not v.is_polynomial()]
     return [Check(
         name="phi-poly",
         identity="double-correlator coefficients are hbar-polynomials",
         passed=not bad,
         detail=(f"all z^k q^e coefficients polynomial through "
-                f"z^{z_order} q^{order}" if not bad
+                f"z^{PHI_POLY_Z_ORDER} q^{order}" if not bad
                 else f"non-polynomial coefficients at {bad}"))]
 
 
 def check_transformations(m: int, l: int, order: int, seed: int,
-                          lam=None, hbar_depth=None,
-                          z_order: int = 3) -> list[Check]:
+                          lam=None, hbar_depth=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("transformation laws are a Calabi-Yau-regime check")
+    cfg = HypergeomConfig(m, l, order, m)
     rng = random.Random(seed)
 
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
-        cfg = HypergeomConfig(m, l, order, m)
         family = zstar_family(cfg, weights)
-        phi = phi_double_correlator(family, z_order, order)
+        phi = phi_double_correlator(family, LAWS_Z_ORDER, order)
         return weights, family, phi
 
     weights, family, phi = (build(rng) if lam is not None
@@ -212,12 +215,12 @@ def check_transformations(m: int, l: int, order: int, seed: int,
         transformed = transform_family(family, kind,
                                        f if kind == "a" else g,
                                        C=C if kind == "c" else None)
-        direct = phi_double_correlator(transformed, z_order, order)
+        direct = phi_double_correlator(transformed, LAWS_Z_ORDER, order)
         same = direct == predicted
-        detail = f"coefficientwise through z^{z_order} q^{order}"
+        detail = f"coefficientwise through z^{LAWS_Z_ORDER} q^{order}"
         if not same:
-            where = (direct - predicted).first_nonzero()
-            detail = f"first mismatch at z^{where[0][0]} q^{where[0][1]}"
+            _, k, e, _ = (direct - predicted).first_nonzero()
+            detail = f"first mismatch at z^{k} q^{e}"
         checks.append(Check(
             name=f"phi-law-{kind}",
             identity=f"transformation ({kind}) acts on the double "

@@ -146,7 +146,8 @@ def test_criterion_6_class_p_suite():
     for d in range(4):
         assert data.E_polys[d] == closed_form_E(4, d), f"E_{d} mismatch"
     phi = phi_double_correlator(fam, 4, 3)
-    bad = [key for key, v in phi.c.items() if not v.is_polynomial()]
+    bad = [(k, e) for k, row in enumerate(phi.c[0])
+           for e, v in enumerate(row) if not v.is_polynomial()]
     assert not bad, f"non-polynomial coefficients at {bad}"
     _announce(6, "N_id degree bounds, closed-form E_d (d <= 3), and "
                  "polynomial double correlator through z^4 q^3")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quintic_mirror import localization, recursion
+from quintic_mirror import localization, recursion, verify
 from quintic_mirror.cli import main
 
 
@@ -121,6 +121,13 @@ def test_oracle_rejects_nonpositive_trials(capsys, trials):
     assert f"trials must be at least 1, got {trials}" in err
 
 
+def test_oracle_rejects_options_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--degree", "2", "--m", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_oracle_reports_the_tuples_it_computed(capsys, monkeypatch):
     sums = []
     real = localization.bott_sum_random
@@ -162,6 +169,43 @@ def test_planted_error_in_recursion_coefficient_is_internal_error(
     assert out == ""
     assert "internal error: ZeroDivisionError: planted" in err
     assert "degenerate" not in err
+
+
+@pytest.mark.parametrize("m", [-2, 0])
+@pytest.mark.parametrize("check, l_minus_m", [
+    ("phi-poly", 1), ("transformations", 1), ("class-p", 1),
+    ("recursion-cy", 1), ("recursion-i", -1), ("recursion-ii", 0)])
+def test_ambient_dimension_below_one_is_usage_error(capsys, monkeypatch, m,
+                                                    check, l_minus_m):
+    # The domain check comes before any sampling, so a regression fails
+    # here instead of hanging in sample_lambda.
+    def never(*args, **kwargs):
+        pytest.fail("weights sampled for an out-of-domain m")
+
+    monkeypatch.setattr(verify, "sample_lambda", never)
+    code, out, err = run_cli(capsys, "verify", check, "--m", str(m),
+                             "--l", str(m + l_minus_m))
+    assert code == 2
+    assert out == ""
+    assert f"need m >= 1 for a hypersurface in P^m, got m={m}" in err
+
+
+def test_law_mismatch_is_reported_where_it_is(capsys, monkeypatch):
+    real = verify.phi_law_b
+
+    def off_by_one(phi, g):
+        out = real(phi, g)
+        out.c[0][1][2] = out.c[0][1][2] + 1
+        return out
+
+    monkeypatch.setattr(verify, "phi_law_b", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "transformations", "--order", "3")
+    assert code == 1
+    status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+    assert status["phi-law-b"].startswith("FAIL")
+    assert status["phi-law-b"].endswith("[first mismatch at z^1 q^2]")
+    assert all(status[name].startswith("PASS")
+               for name in ("phi-law-a", "phi-law-c", "composite-inverse"))
 
 
 def test_verify_transformations_default_order_finishes(capsys):

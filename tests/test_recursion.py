@@ -174,24 +174,24 @@ def test_phi_constant_family_vandermonde_identity():
         lam, [TruncSeries([RatFunc.const(1)] + [RatFunc.const(0)] * 2, 2)
               for _ in range(5)], 4, 5, 2)
     phi = phi_double_correlator(const, 3, 2)
-    assert phi.coeff(0, 0).is_zero()
-    assert phi.coeff(1, 0).is_zero()
-    assert phi.coeff(2, 0).is_zero()
+    assert phi.coeff(0, 0, 0).is_zero()
+    assert phi.coeff(0, 1, 0).is_zero()
+    assert phi.coeff(0, 2, 0).is_zero()
     # z^3 q^0 coefficient: 5 * sum lam_i^4 / prod != 0 generically.
-    assert not phi.coeff(3, 0).is_zero()
+    assert not phi.coeff(0, 3, 0).is_zero()
 
 
 def test_phi_zstar_polynomial_and_fault_detection():
     rng = random.Random(40)
     lam, _, fam = cy_setup(rng, order=2)
     phi = phi_double_correlator(fam, 2, 2)
-    assert all(v.is_polynomial() for v in phi.c.values())
+    assert all(v.is_polynomial() for row in phi.c[0] for v in row)
     # Dropping a factor from one coefficient breaks polynomiality.
     broken = fam.coeff(1, 1) * RatFunc(Poly([1]), Poly([lam[1] - lam[0], 1]))
     fam.entries[1] = TruncSeries(
         [fam.coeff(1, 0), broken, fam.coeff(1, 2)], 2)
     phi_bad = phi_double_correlator(fam, 2, 2)
-    assert any(not v.is_polynomial() for v in phi_bad.c.values())
+    assert any(not v.is_polynomial() for row in phi_bad.c[0] for v in row)
 
 
 def test_transformations_identity_cases():
@@ -231,6 +231,28 @@ def test_phi_transformation_laws_small():
     assert phi_double_correlator(fam_b, 2, 2) == phi_law_b(phi, g)
     fam_c = transform_family(fam, "c", g, C=C)
     assert phi_double_correlator(fam_c, 2, 2) == phi_law_c(phi, g, C)
+
+
+def test_phi_transformation_laws_use_every_z_power():
+    # For m >= 2 the rows z^0..z^(m-2) of Phi vanish, so a low z-cap sees
+    # only the leading terms of exp(C delta) and (z + delta)^k.  At m = 1
+    # Phi starts at z^0 and every power up to the cap counts.
+    rng = random.Random(45)
+    lam, _, fam = cy_setup(rng, m=1, order=3)
+    phi = phi_double_correlator(fam, 3, 3)
+    assert not any(v.is_zero() for v in phi.c[0][0])
+    f = TruncSeries([F(1)] + sample_series_coeffs(rng, 2, span=3, max_den=2),
+                    3)
+    g = TruncSeries([F(0)] + sample_series_coeffs(rng, 2, span=3, max_den=2),
+                    3)
+    C = sum(lam)
+    for kind, series, predicted in (
+            ("a", f, phi_law_a(phi, f)),
+            ("b", g, phi_law_b(phi, g)),
+            ("c", g, phi_law_c(phi, g, C))):
+        transformed = transform_family(fam, kind, series,
+                                       C=C if kind == "c" else None)
+        assert phi_double_correlator(transformed, 3, 3) == predicted, kind
 
 
 def test_mod_hbar2_closed_form_and_triviality():
