@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import (DegenerateLambda, DomainError, PoleError,
                      StructureError)
-from .localization import oracle_crosscheck
+from .localization import MAX_DEGREE, oracle_crosscheck
 from .mirror import InvariantTable, quintic_invariants
 from .report import Check, all_passed, report_json, report_text
 from .verify import CHECKS, run_check
@@ -47,9 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "on hypersurfaces; all arithmetic over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for weight sampling (default 0)")
+    def shared(p: argparse.ArgumentParser, seed: bool = True) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for weight sampling (default 0)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--out", default=None,
@@ -62,24 +63,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hypersurface degree (default 5)")
         p.add_argument("--order", type=int, default=6,
                        help="q-truncation order (default 6)")
-        p.add_argument("--hbar-depth", type=int, default=None,
-                       help="depth of the 1/hbar expansion where needed")
-        p.add_argument("--lambda", dest="lam", type=parse_lambda,
-                       default=None, metavar="a,b,c,...",
-                       help="explicit weight tuple (rationals p/q)")
-        shared(p)
 
     p_inv = sub.add_parser("invariants",
                            help="genus-0 invariants and virtual counts")
     model(p_inv)
+    shared(p_inv, seed=False)
 
     p_ver = sub.add_parser("verify", help="run a named identity check")
     p_ver.add_argument("check", choices=sorted(CHECKS))
     model(p_ver)
+    p_ver.add_argument("--hbar-depth", type=int, default=None,
+                       help="depth of the 1/hbar expansion where needed")
+    p_ver.add_argument("--lambda", dest="lam", type=parse_lambda,
+                       default=None, metavar="a,b,c,...",
+                       help="explicit weight tuple (rationals p/q)")
+    shared(p_ver)
 
     p_orc = sub.add_parser("oracle",
                            help="fixed-point graph-sum cross-check")
-    p_orc.add_argument("--degree", type=int, default=1)
+    p_orc.add_argument("--degree", type=int, default=1,
+                       help=f"curve degree, 1 to {MAX_DEGREE} (default 1)")
     p_orc.add_argument("--trials", type=int, default=3)
     shared(p_orc)
     return parser

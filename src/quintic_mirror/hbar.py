@@ -167,9 +167,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd by the Euclidean algorithm.
 
@@ -624,6 +621,11 @@ class RatFunc:
         return tuple(out)
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # A constant is (1,) or () with no roots: compare without
+            # building a RatFunc for the scalar.
+            return (not self.roots and len(self._n) <= 1
+                    and self._content == other)
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
@@ -675,12 +677,6 @@ class Laurent:
 
     def coeff(self, k: int) -> Fraction:
         return self.c.get(k, Fraction(0))
-
-    def min_power(self) -> int:
-        return min(self.c) if self.c else 0
-
-    def max_power(self) -> int:
-        return max(self.c) if self.c else 0
 
     def __add__(self, other):
         other = Laurent._coerce(other)

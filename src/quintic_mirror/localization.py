@@ -1,34 +1,37 @@
 """Bott-residue graph sums over torus-fixed loci of the map space.
 
-Independent low-degree computation of N_d = integral of the top Chern
-class of the section bundle over the space of genus-0 degree-d maps to
-P^m, by explicit enumeration of the decorated fixed-point trees.  Only
-d <= 2 is supported: higher degrees acquire vertex moduli and cotangent
-integrals, which this oracle deliberately avoids.
+Independent computation of N_d, the integral of the top Chern class of
+the section bundle (fibre H^0(C, f^*O(l))) over genus-0 degree-d stable
+maps to P^m, as a sum over the torus-fixed loci: trees with vertices
+labelled by fixed points (adjacent labels distinct) and edges by degrees.
+Kontsevich, "Enumeration of rational curves via torus actions"
+(hep-th/9405035); Ellingsrud-Stromme, "Bott's formula and enumerative
+geometry" (alg-geom/9411005), who confirmed n_3 = 317206375 this way.
 
-Weight bookkeeping (derived from the Euler-sequence weights on each edge,
-removal of the leaf reparametrizations, gluing at internal nodes, and
-node-smoothing factors):
+A tree G contributes 1/(|Aut G| prod_e delta_e) prod_e S_e/N_e prod_v V_v:
 
-* edge (i, j, delta): section-bundle weights
-      ((l*delta - a) lam_i + a lam_j)/delta,  a = 0..l*delta;
-  each internal node at fixed point p divides out one weight l*lam_p.
-* normal bundle, single edge of degree delta:
-      (-1)^(delta-1) delta!^2 w^(2delta-2)
-      * prod_(a not in {i,j}) prod_(r=0..delta)
-          ((r lam_i + (delta-r) lam_j)/delta - lam_a),
-  with w = (lam_i - lam_j)/delta;
-* normal bundle, path i-j-k with unit degrees:
-      prod_(a != i,j)(lam_i - lam_a) * prod_(a != k,j)(lam_k - lam_a)
-      * prod_(a != j)(lam_j - lam_a) * (2 lam_j - lam_i - lam_k);
-* group order = prod of edge degrees times the decorated-graph
-  automorphism count (2 for the symmetric path i-j-i, else 1).
+* edge from label i to label j of degree delta, w = (lam_i - lam_j)/delta:
+      S_e = prod_(a=1..l delta-1) ((l delta - a) lam_i + a lam_j)/delta,
+      N_e = (-1)^delta (delta!)^2 w^(2 delta) prod_(k != i,j) prod_(r=0..delta)
+            ((r lam_i + (delta-r) lam_j)/delta - lam_k);
+* vertex of label i and valence val, w_F = (lam_i - lam_j)/delta_F per flag:
+      V_v = l lam_i (prod_(k != i)(lam_i - lam_k))^(val-1)
+            prod_F w_F^-1 (sum_F w_F^-1)^(val-3).
+
+The last two factors of V_v are the integral over M_{0,val} of
+prod_F 1/(w_F - psi_F): w_F at val 1 and 1/(w_1 + w_2) at val 2.  The
+endpoint section weight l lam_i is kept once per vertex, never divided
+out, so a zero weight needs no special case.  A vanishing N_e, or
+sum_F w_F^-1 = 0 at a vertex of valence 2, raises ``DegenerateLambda``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
+from math import factorial
 
 from .errors import DegenerateLambda, DomainError
 from .report import Check
@@ -42,24 +45,20 @@ __all__ = [
     "oracle_crosscheck",
 ]
 
+MAX_DEGREE = 3      # d = 4 has ~200k labelled trees: too slow to canonicalize
+
 
 @dataclass(frozen=True)
 class DecoratedGraph:
     """Fixed-locus label: a tree with vertex images and edge degrees."""
 
-    shape: str                        # single_edge_d1|single_edge_d2|two_edge_path
     vertices: tuple[int, ...]         # fixed-point labels mu(v)
     edges: tuple[tuple[int, int, int], ...]  # (v, v', delta) as vertex indices
+    automorphisms: int                # decoration-preserving vertex bijections
 
     @property
     def degree(self) -> int:
         return sum(e[2] for e in self.edges)
-
-    @property
-    def automorphisms(self) -> int:
-        if self.shape == "two_edge_path" and self.vertices[0] == self.vertices[2]:
-            return 2
-        return 1
 
     @property
     def group_order(self) -> int:
@@ -69,94 +68,101 @@ class DecoratedGraph:
         return order
 
 
+def _prufer_tree(code: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """The labelled tree on vertices 0..n-1 with Pruefer code ``code``."""
+    valence = [1] * n
+    for x in code:
+        valence[x] += 1
+    edges = []
+    for x in code:
+        leaf = valence.index(1)
+        edges.append((leaf, x))
+        valence[leaf] -= 1
+        valence[x] -= 1
+    edges.append(tuple(v for v in range(n) if valence[v] == 1))
+    return edges
+
+
+@lru_cache(maxsize=None)
+def _tree_classes(m: int, d: int) -> tuple[DecoratedGraph, ...]:
+    """Isomorphism classes of decorated trees, each with its |Aut|.
+
+    Every labelled decorated tree is visited once and keyed by its
+    canonical form, the least relabelling over all vertex permutations;
+    a class met s times among the n! relabellings has n!/s automorphisms.
+    """
+    orbits: dict = {}
+    for n in range(2, d + 2):
+        perms = [(p, tuple(p.index(k) for k in range(n)))
+                 for p in permutations(range(n))]
+        for code in product(range(n), repeat=n - 2):
+            tree = _prufer_tree(code, n)
+            for degrees in product(range(1, d + 1), repeat=n - 1):
+                if sum(degrees) != d:         # not a composition of d
+                    continue
+                images = [(inv, tuple(sorted(
+                    (min(p[u], p[v]), max(p[u], p[v]), delta)
+                    for (u, v), delta in zip(tree, degrees))))
+                    for p, inv in perms]
+                for labels in product(range(m + 1), repeat=n):
+                    if any(labels[u] == labels[v] for u, v in tree):
+                        continue
+                    key = min((tuple(labels[v] for v in inv), edges)
+                              for inv, edges in images)
+                    orbits[key] = orbits.get(key, 0) + 1
+    return tuple(DecoratedGraph(*key, factorial(len(key[0])) // orbits[key])
+                 for key in sorted(orbits, key=lambda key: (len(key[0]), key)))
+
+
 def enumerate_graphs(m: int, d: int) -> list[DecoratedGraph]:
-    """All decorated fixed-locus trees of total degree d <= 2."""
-    if d not in (1, 2):
-        raise DomainError(f"graph enumeration supports d in (1, 2), got {d}")
-    graphs = []
-    if d == 1:
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                graphs.append(DecoratedGraph(
-                    "single_edge_d1", (i, j), (((0, 1, 1)),)))
-        return graphs
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            graphs.append(DecoratedGraph(
-                "single_edge_d2", (i, j), ((0, 1, 2),)))
-    # Paths i-j-k: j is the middle; unordered {i, k} with i = k allowed.
-    for j in range(m + 1):
-        others = [x for x in range(m + 1) if x != j]
-        for a in range(len(others)):
-            for b in range(a, len(others)):
-                i, k = others[a], others[b]
-                graphs.append(DecoratedGraph(
-                    "two_edge_path", (i, j, k), ((0, 1, 1), (1, 2, 1))))
-    return graphs
-
-
-def _edge_bundle_weights(li: Fraction, lj: Fraction, delta: int,
-                         l: int) -> list[Fraction]:
-    """Weights of the degree-l*delta sections along one edge."""
-    return [((l * delta - a) * li + a * lj) / delta
-            for a in range(l * delta + 1)]
+    """All decorated fixed-locus trees of total degree d, up to isomorphism."""
+    if not 1 <= d <= MAX_DEGREE:
+        raise DomainError(
+            f"graph enumeration supports 1 <= d <= {MAX_DEGREE}, got {d}")
+    return list(_tree_classes(m, d))
 
 
 def _product(values) -> Fraction:
-    out = Fraction(1)
+    """Product of rationals, reduced once at the end."""
+    num = den = 1
     for v in values:
-        out *= v
-    return out
+        num *= v.numerator
+        den *= v.denominator
+    return Fraction(num, den)
 
 
 def graph_contribution(graph: DecoratedGraph, lam: tuple[Fraction, ...],
                        m: int, l: int) -> Fraction:
     """(1/|G|) e(E_d)|_Gamma / e(N_Gamma) for one decorated tree."""
     lam = tuple(Fraction(x) for x in lam)
-    if graph.shape in ("single_edge_d1", "single_edge_d2"):
-        i, j = (lam[graph.vertices[0]], lam[graph.vertices[1]])
-        delta = graph.edges[0][2]
-        top = _product(_edge_bundle_weights(i, j, delta, l))
-        w = (i - j) / delta
-        sign = -1 if delta % 2 == 0 else 1
-        normal = sign * Fraction(_factorial(delta) ** 2) * w ** (2 * delta - 2)
-        for a in range(m + 1):
-            la = lam[a]
-            if la == i or la == j:
-                continue
-            for r in range(delta + 1):
-                normal *= (r * i + (delta - r) * j) / delta - la
+    labels = graph.vertices
+    out = Fraction(1, graph.group_order)
+    flags = [[] for _ in labels]          # flag weights w_F at each vertex
+    for v, u, delta in graph.edges:
+        i, j = labels[v], labels[u]
+        li, lj = lam[i], lam[j]
+        w = (li - lj) / delta
+        # The r-th point (r lam_i + (delta-r) lam_j)/delta is lam_j + r w.
+        points = [lj + r * w for r in range(delta + 1)]
+        normal = ((-1) ** delta * factorial(delta) ** 2 * w ** (2 * delta)
+                  * _product(x - lam[k] for x in points
+                             for k in range(m + 1) if k != i and k != j))
         if normal == 0:
             raise DegenerateLambda(f"vanishing normal weight for {graph}")
-        return top / (graph.group_order * normal)
-    if graph.shape == "two_edge_path":
-        vi, vj, vk = (lam[v] for v in graph.vertices)
-        # Sections glue at the internal node: one copy of the node weight
-        # l*lam_j drops from the weight multiset.  A remaining zero weight
-        # kills the whole contribution (it is not a degeneracy).
-        weights = (_edge_bundle_weights(vi, vj, 1, l)
-                   + _edge_bundle_weights(vj, vk, 1, l))
-        weights.remove(l * vj)
-        top = _product(weights)
-        normal = Fraction(2) * vj - vi - vk
-        for a in range(m + 1):
-            la = lam[a]
-            if la != vi and la != vj:
-                normal *= vi - la
-            if la != vk and la != vj:
-                normal *= vk - la
-            if la != vj:
-                normal *= vj - la
-        if normal == 0:
-            raise DegenerateLambda(f"vanishing normal weight for {graph}")
-        return top / (graph.group_order * normal)
-    raise DomainError(f"unknown graph shape {graph.shape}")
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
+        top = l * li                      # S_e factors are top - a w
+        out *= _product(top - a * w for a in range(1, l * delta)) / normal
+        flags[v].append(w)
+        flags[u].append(-w)
+    for i, weights in zip(labels, flags):
+        val = len(weights)
+        inverse_sum = sum(1 / w for w in weights)
+        if inverse_sum == 0 and val < 3:
+            raise DegenerateLambda(f"vanishing node weight for {graph}")
+        factor = l * lam[i] * inverse_sum ** (val - 3) / _product(weights)
+        if val > 1:                       # the tangent factor is 1 at a leaf
+            factor *= _product(lam[i] - lam[k]
+                               for k in range(m + 1) if k != i) ** (val - 1)
+        out *= factor
     return out
 
 
@@ -183,26 +189,23 @@ def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0,
     """Graph sums at independent weight tuples vs the series pipeline."""
     import random
 
-    if d not in (1, 2):
-        raise DomainError("oracle supports degrees 1 and 2 only")
+    if not 1 <= d <= MAX_DEGREE:
+        raise DomainError(f"oracle supports degrees 1 to {MAX_DEGREE} only")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if pipeline_value is None:
         from .mirror import quintic_invariants
         pipeline_value = quintic_invariants(d).N[d - 1]
     rng = random.Random(seed)
-    values = []
-    for _ in range(trials):
-        value, lam = bott_sum_random(4, 5, d, rng)
-        values.append((value, lam))
-    distinct = {v for v, _ in values}
+    values = [bott_sum_random(4, 5, d, rng)[0] for _ in range(trials)]
+    distinct = set(values)
     if len(distinct) != 1:
         return Check(
             name=f"oracle-d{d}",
             identity="graph sum independent of the torus weights",
             passed=False,
             detail=f"weight-dependent sums: {sorted(str(v) for v in distinct)}")
-    value = values[0][0]
+    value = values[0]
     if value != pipeline_value:
         return Check(
             name=f"oracle-d{d}",

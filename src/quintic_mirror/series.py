@@ -4,7 +4,7 @@ A ``TruncSeries`` holds coefficients ``c0..cD`` of a series in one formal
 variable, truncated at a fixed order ``D``.  Coefficients may be any ring
 elements that support ``+``, ``-``, ``*`` among themselves and with plain
 ``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``HTruncPoly``, ...).
-Binary operations require equal orders; callers down-truncate explicitly.
+Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of one series into another goes through
 ``TruncSeries.compose``, fed with the inner series' ``powers``.
@@ -67,11 +67,6 @@ class TruncSeries:
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return TruncSeries(self.coeffs[: order + 1], order)
 
     def _check(self, other: "TruncSeries") -> None:
         if not isinstance(other, TruncSeries):

@@ -16,6 +16,10 @@ from quintic_mirror.errors import DomainError, PoleError, StructureError
 from quintic_mirror.hbar import Poly, _frac
 
 
+def _quo(a: Poly, b: Poly) -> Poly:
+    return a.divmod(b)[0]
+
+
 class EuclidRatFunc:
     """num/den in lowest terms, den monic and nonzero.
 
@@ -53,8 +57,8 @@ class EuclidRatFunc:
             return
         g = num.gcd(den)
         if g.degree > 0:
-            num = num // g
-            den = den // g
+            num = _quo(num, g)
+            den = _quo(den, g)
         lead = den.leading()
         if lead != 1:
             num = Poly(x / lead for x in num.c)
@@ -96,8 +100,8 @@ class EuclidRatFunc:
             return self
         g = self.den.gcd(other.den)
         if g.degree > 0:
-            da = self.den // g
-            db = other.den // g
+            da = _quo(self.den, g)
+            db = _quo(other.den, g)
             num = self.num * db + other.num * da
             den = self.den * db
         else:
@@ -131,10 +135,10 @@ class EuclidRatFunc:
         # Cross-reduce before multiplying to keep degrees down.
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
-        n1 = self.num // g1 if g1.degree > 0 else self.num
-        d2 = other.den // g1 if g1.degree > 0 else other.den
-        n2 = other.num // g2 if g2.degree > 0 else other.num
-        d1 = self.den // g2 if g2.degree > 0 else self.den
+        n1 = _quo(self.num, g1) if g1.degree > 0 else self.num
+        d2 = _quo(other.den, g1) if g1.degree > 0 else other.den
+        n2 = _quo(other.num, g2) if g2.degree > 0 else other.num
+        d1 = _quo(self.den, g2) if g2.degree > 0 else self.den
         return EuclidRatFunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

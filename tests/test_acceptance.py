@@ -6,14 +6,17 @@ failure carries the first offending coefficient in the assertion message.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import quintic_mirror
 from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
                                       hypersurface_operator_residual,
                                       hypersurface_series, zstar_family)
@@ -227,7 +230,10 @@ def test_criterion_10_property_suites_and_determinism():
     cmd = [sys.executable, "-m", "quintic_mirror.cli", "verify",
            "recursion-cy", "--order", "3", "--seed", "11", "--format",
            "json"]
-    runs = [subprocess.run(cmd, capture_output=True, check=False)
+    # The child imports the package this test imported.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(quintic_mirror.__file__).parents[1])}
+    runs = [subprocess.run(cmd, capture_output=True, check=False, env=env)
             for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout and runs[0].returncode == 0
     _announce(10, "ring laws, exp/log and reversion round trips on 100 "

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quintic_mirror
 from quintic_mirror import localization, recursion, verify
 from quintic_mirror.cli import main
 
@@ -107,9 +110,19 @@ def test_oracle_degree_two(capsys):
     assert "4876875/8" in out
 
 
-def test_oracle_degree_three_rejected(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--degree", "3")
+def test_oracle_degree_three(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--degree", "3")
+    assert code == 0
+    assert "PASS" in out
+    assert "N_3 = 8564575000/27" in out
+
+
+@pytest.mark.parametrize("degree", ["0", "4"])
+def test_oracle_degree_out_of_range_rejected(capsys, degree):
+    code, out, err = run_cli(capsys, "oracle", "--degree", degree)
     assert code == 2
+    assert out == ""
+    assert "degrees 1 to 3" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -119,6 +132,15 @@ def test_oracle_rejects_nonpositive_trials(capsys, trials):
     assert code == 2
     assert out == ""
     assert f"trials must be at least 1, got {trials}" in err
+
+
+@pytest.mark.parametrize("option", [("--seed", "9"), ("--lambda", "1,2"),
+                                    ("--hbar-depth", "3")])
+def test_invariants_rejects_options_it_does_not_read(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--order", "2", *option])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_rejects_options_it_does_not_read(capsys):
@@ -253,7 +275,10 @@ def test_lambda_of_wrong_length_is_usage_error(capsys, argv, message):
 def test_byte_identical_reruns():
     cmd = [sys.executable, "-m", "quintic_mirror.cli", "verify",
            "recursion-cy", "--order", "2", "--seed", "3", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=False)
-    second = subprocess.run(cmd, capture_output=True, check=False)
+    # The child imports the package this test imported.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(quintic_mirror.__file__).parents[1])}
+    first = subprocess.run(cmd, capture_output=True, check=False, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=False, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

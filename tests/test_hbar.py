@@ -39,6 +39,26 @@ def test_add_common_denominator():
     assert got.num == Poly([0, 2]) and got.den == Poly([-1, 0, 1])
 
 
+def test_scalar_comparison_builds_no_ratfunc(monkeypatch):
+    samples = [RatFunc(Poly([])), RatFunc(Poly([3])),
+               RatFunc(Poly([Fraction(-1, 2)])), RatFunc(Poly([3, 1])),
+               RatFunc(Poly([3]), Poly([1, 1])), RatFunc(Poly([0, 3]))]
+    expected = [(True, False, False), (False, True, False),
+                (False, False, True), (False, False, False),
+                (False, False, False), (False, False, False)]
+
+    def refuse(x):
+        raise AssertionError("scalar comparison built a RatFunc")
+
+    monkeypatch.setattr(RatFunc, "const", staticmethod(refuse))
+    for rf, (zero, three, half) in zip(samples, expected):
+        assert (rf != 0) is not zero
+        assert (rf == 0) is zero
+        assert (rf == 3) is three
+        assert (rf == Fraction(-1, 2)) is half
+    assert RatFunc(Poly([1])) == RatFunc(Poly([1]))
+
+
 def test_eval_direct_substitution():
     assert RatFunc(Poly([0, 1]), Poly([2, 1])).eval(2) == Fraction(1, 2)
 

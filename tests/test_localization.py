@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -24,39 +25,69 @@ def F(p, q=1):
     return Fraction(p, q)
 
 
+def valences(g):
+    out = [0] * len(g.vertices)
+    for u, v, _ in g.edges:
+        out[u] += 1
+        out[v] += 1
+    return out
+
+
+def leaf_labels(g):
+    return sorted(x for x, k in zip(g.vertices, valences(g)) if k == 1)
+
+
+def is_symmetric_path(g):
+    return len(g.edges) == 2 and len(set(leaf_labels(g))) == 1
+
+
 def test_graph_counts():
     assert len(enumerate_graphs(4, 1)) == 10
     assert len(enumerate_graphs(4, 2)) == 60
     assert len(enumerate_graphs(2, 1)) == 3
+    assert len(enumerate_graphs(4, 3)) == 350
 
 
 def test_graph_count_decomposition_degree_two():
     graphs = enumerate_graphs(4, 2)
-    singles = [g for g in graphs if g.shape == "single_edge_d2"]
-    paths = [g for g in graphs if g.shape == "two_edge_path"]
+    singles = [g for g in graphs if len(g.edges) == 1]
+    paths = [g for g in graphs if len(g.edges) == 2]
     assert len(singles) == 10
     assert len(paths) == 50
-    symmetric = [g for g in paths if g.vertices[0] == g.vertices[2]]
+    symmetric = [g for g in paths if is_symmetric_path(g)]
     assert len(symmetric) == 20
 
 
 def test_group_orders():
-    g2 = next(g for g in enumerate_graphs(4, 2)
-              if g.shape == "single_edge_d2")
+    g2 = next(g for g in enumerate_graphs(4, 2) if len(g.edges) == 1)
     assert g2.group_order == 2
-    sym = next(g for g in enumerate_graphs(4, 2)
-               if g.shape == "two_edge_path"
-               and g.vertices[0] == g.vertices[2])
+    sym = next(g for g in enumerate_graphs(4, 2) if is_symmetric_path(g))
     assert sym.group_order == 2
     asym = next(g for g in enumerate_graphs(4, 2)
-                if g.shape == "two_edge_path"
-                and g.vertices[0] != g.vertices[2])
+                if len(g.edges) == 2 and not is_symmetric_path(g))
     assert asym.group_order == 1
+
+
+@pytest.mark.parametrize("m, d, labelled", [(4, 2, 260), (4, 3, 5620),
+                                            (2, 3, 462), (3, 2, 120)])
+def test_classes_cover_every_labelled_tree(m, d, labelled):
+    # Cayley: (k+1)^(k-1) trees on k edges, C(d-1, k-1) degree
+    # compositions, (m+1) m^k labellings with adjacent labels distinct.
+    cayley = sum((k + 1) ** (k - 1) * comb(d - 1, k - 1) * (m + 1) * m ** k
+                 for k in range(1, d + 1))
+    assert cayley == labelled
+    graphs = enumerate_graphs(m, d)
+    assert sum(factorial(len(g.vertices)) // g.automorphisms
+               for g in graphs) == cayley
+    assert len(set(graphs)) == len(graphs)
+    assert all(g.degree == d for g in graphs)
 
 
 def test_unsupported_degree():
     with pytest.raises(DomainError):
-        enumerate_graphs(4, 3)
+        enumerate_graphs(4, 4)
+    with pytest.raises(DomainError):
+        enumerate_graphs(4, 0)
 
 
 def test_line_count_frozen():
@@ -68,6 +99,12 @@ def test_degree_two_invariant_frozen():
     # n_2 + n_1/8 from the published virtual counts.
     assert bott_sum(4, 5, 2, GOOD_LAMBDA) == F(4876875, 8)
     assert bott_sum(4, 5, 2, OTHER_LAMBDA) == F(4876875, 8)
+
+
+def test_degree_three_invariant_frozen():
+    # n_3 + n_1/27; the first tuple holds a zero weight.
+    for lam in ((0, 1, 10, 100, 1000), (1, 3, 9, 27, 81)):
+        assert bott_sum(4, 5, 3, tuple(map(F, lam))) == F(8564575000, 27)
 
 
 def test_weight_independence_random_tuples():
@@ -93,6 +130,16 @@ def test_degenerate_tuple_raises():
         bott_sum(4, 5, 2, (F(0), F(1), F(1, 2), F(3), F(4)))
 
 
+def test_vanishing_node_weight_raises():
+    # Path 0-1-2 with 2 lam_1 = lam_0 + lam_2: the two flag weights at the
+    # middle vertex cancel, while every edge weight stays nonzero.
+    path = next(g for g in enumerate_graphs(4, 2)
+                if len(g.edges) == 2 and leaf_labels(g) == [0, 2]
+                and 1 in g.vertices)
+    with pytest.raises(DegenerateLambda, match="node weight"):
+        graph_contribution(path, (F(0), F(1), F(2), F(7), F(20)), 4, 5)
+
+
 def test_corrupted_node_factor_breaks_invariance():
     # Doubling the node normalization on path graphs leaves a
     # weight-dependent total: exactly what the cross-check must detect.
@@ -100,13 +147,29 @@ def test_corrupted_node_factor_breaks_invariance():
         total = Fraction(0)
         for g in enumerate_graphs(4, 2):
             c = graph_contribution(g, lam, 4, 5)
-            if g.shape == "two_edge_path":
-                c /= 5 * lam[g.vertices[1]]
+            if len(g.edges) == 2:
+                c /= 5 * lam[g.vertices[valences(g).index(2)]]
             total += c
         return total
 
     assert corrupted_sum(GOOD_LAMBDA) != corrupted_sum(
         (F(1), F(2), F(4), F(8), F(16)))
+
+
+def test_corrupted_valence_three_factor_breaks_invariance():
+    # The same corruption at the trivalent vertices, which only d = 3 has.
+    def corrupted_sum(lam):
+        lam = tuple(map(F, lam))
+        total = Fraction(0)
+        for g in enumerate_graphs(4, 3):
+            c = graph_contribution(g, lam, 4, 5)
+            if 3 in valences(g):
+                c /= 5 * lam[g.vertices[valences(g).index(3)]]
+            total += c
+        return total
+
+    assert corrupted_sum((1, 3, 9, 27, 81)) != corrupted_sum(
+        (2, 3, 10, 100, 1000))
 
 
 def test_oracle_crosscheck_passes():
