@@ -6,12 +6,20 @@ on an internal error: any other exception is a program bug, reported as
 "internal error: ..." rather than blamed on the input.  Output is
 deterministic for a fixed seed and never contains floating point;
 rationals print as "p/q" (or "p" for integers).
+
+Each ``verify`` check accepts only the options it reads, its parameters
+in ``verify.py``; any other option exits 2.  descendents reads none;
+picard-fuchs and mirror-identity read --order; case-i and case-ii read
+--m --l --order; recursion-i/-ii/-cy, class-p, phi-poly and transformations
+also read --seed and --lambda.  An option not given takes its ``DEFAULTS``
+value; without --lambda, weights are sampled from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -22,11 +30,18 @@ from .errors import (DegenerateLambda, DomainError, PoleError,
 from .localization import MAX_DEGREE, oracle_crosscheck
 from .mirror import InvariantTable, quintic_invariants
 from .report import Check, all_passed, report_json, report_text
-from .verify import CHECKS, run_check
+from .verify import CHECKS
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+# The value an option takes when it is not given.
+DEFAULTS = {"m": 4, "l": 5, "order": 6, "seed": 0}
+HELP = {"m": "ambient projective dimension", "l": "hypersurface degree",
+        "order": "q-truncation order", "seed": "seed for weight sampling"}
+VERIFY_FLAGS = {"m": "--m", "l": "--l", "order": "--order", "seed": "--seed",
+                "lam": "--lambda"}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -47,36 +62,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "on hypersurfaces; all arithmetic over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p: argparse.ArgumentParser, seed: bool = True) -> None:
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for weight sampling (default 0)")
+    def shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--out", default=None,
                        help="also write the report to this file")
 
-    def model(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m", type=int, default=4,
-                       help="ambient projective dimension (default 4)")
-        p.add_argument("--l", type=int, default=5,
-                       help="hypersurface degree (default 5)")
-        p.add_argument("--order", type=int, default=6,
-                       help="q-truncation order (default 6)")
+    def ints(p: argparse.ArgumentParser, defaults: dict, *names) -> None:
+        """Integer options; one missing from ``defaults`` is left out of
+        the namespace unless it is typed."""
+        for name in names:
+            p.add_argument(f"--{name}", type=int,
+                           default=defaults.get(name, argparse.SUPPRESS),
+                           help=f"{HELP[name]} (default {DEFAULTS[name]})")
 
     p_inv = sub.add_parser("invariants",
                            help="genus-0 invariants and virtual counts")
-    model(p_inv)
-    shared(p_inv, seed=False)
+    ints(p_inv, DEFAULTS, "m", "l", "order")
+    shared(p_inv)
 
-    p_ver = sub.add_parser("verify", help="run a named identity check")
+    p_ver = sub.add_parser(
+        "verify", help="run a named identity check",
+        description="Run a named identity check. Each check accepts only "
+                    "the options it reads; any other option exits 2.")
     p_ver.add_argument("check", choices=sorted(CHECKS))
-    model(p_ver)
-    p_ver.add_argument("--hbar-depth", type=int, default=None,
-                       help="depth of the 1/hbar expansion where needed")
+    # Only typed options reach the namespace, so cmd_verify can tell them
+    # from defaults.
+    ints(p_ver, {}, "m", "l", "order", "seed")
     p_ver.add_argument("--lambda", dest="lam", type=parse_lambda,
-                       default=None, metavar="a,b,c,...",
-                       help="explicit weight tuple (rationals p/q)")
+                       default=argparse.SUPPRESS, metavar="a,b,c,...",
+                       help="explicit weight tuple (rationals p/q); "
+                            "sampled from --seed when omitted")
     shared(p_ver)
 
     p_orc = sub.add_parser("oracle",
@@ -84,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--degree", type=int, default=1,
                        help=f"curve degree, 1 to {MAX_DEGREE} (default 1)")
     p_orc.add_argument("--trials", type=int, default=3)
+    ints(p_orc, DEFAULTS, "seed")
     shared(p_orc)
     return parser
 
@@ -154,8 +171,16 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_check(args.check, args.m, args.l, args.order, args.seed,
-                       lam=args.lam, hbar_depth=args.hbar_depth)
+    check = CHECKS[args.check]
+    reads = inspect.signature(check).parameters
+    given = {k: v for k, v in vars(args).items() if k in VERIFY_FLAGS}
+    unread = [VERIFY_FLAGS[name] for name in given if name not in reads]
+    if unread:
+        sys.stderr.write(f"verify {args.check} does not read "
+                         f"{' '.join(unread)}\n")
+        return USAGE_ERROR
+    defaults = {name: DEFAULTS[name] for name in reads if name in DEFAULTS}
+    checks = check(**{**defaults, **given})
     _emit(_format_checks(checks, args.format), args.out)
     return 0 if all_passed(checks) else CHECK_FAILED
 

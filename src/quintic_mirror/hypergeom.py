@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError, StructureError
+from .errors import DomainError
 from .hbar import Laurent, Poly, RatFunc
 from .mixed import HTruncPoly, MixedSeries
 from .series import TruncSeries
@@ -116,18 +116,12 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     return out
 
 
-def fundamental_solution(m: int, order: int, hbar_depth: int) -> MixedSeries:
+def fundamental_solution(m: int, order: int) -> MixedSeries:
     """Fundamental solution of ((hbar d/dt)^(m+1) - e^t) f = 0 for P^m.
 
     Coefficients are Laurent polynomials in hbar; the q^d term carries
-    powers down to hbar^(-(m+1)d - m).  ``hbar_depth`` must be large
-    enough to hold them all (a structural error otherwise), so callers
-    state their expectations explicitly.
+    powers down to hbar^(-(m+1)d - m), all of them kept exactly.
     """
-    needed = (m + 1) * order + m
-    if hbar_depth < needed:
-        raise StructureError(
-            f"hbar depth {hbar_depth} < required {needed} for order {order}")
     nil = m + 1
     out = MixedSeries(m, m, order)
     for d in range(order + 1):
@@ -154,8 +148,7 @@ def descendent_value(m: int, d: int) -> Fraction:
     """
     if d < 1:
         raise DomainError("degree must be >= 1")
-    depth = (m + 1) * d + m
-    sol = fundamental_solution(m, d, depth)
+    sol = fundamental_solution(m, d)
     coeff = sol.coeff(0, 0, d)
     if coeff == 0:
         return Fraction(0)

@@ -59,9 +59,6 @@ class RecursionCoefficients:
     C: dict = field(default_factory=dict)         # (i, j, d) -> RatFunc
     initial: dict = field(default_factory=dict)   # i -> TruncSeries over QQ
 
-    def coefficient(self, i: int, j: int, d: int) -> RatFunc:
-        return self.C[(i, j, d)]
-
 
 def regime_of(m: int, l: int) -> str:
     if l < m:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import pytest
 import quintic_mirror
 from quintic_mirror import localization, recursion, verify
 from quintic_mirror.cli import main
+from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.series import TruncSeries
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +92,7 @@ def test_verify_case_i_passes(capsys):
 
 
 def test_verify_descendents(capsys):
-    code, out, _ = run_cli(capsys, "verify", "descendents", "--order", "3")
+    code, out, _ = run_cli(capsys, "verify", "descendents")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
 
@@ -141,6 +145,44 @@ def test_invariants_rejects_options_it_does_not_read(capsys, option):
         main(["invariants", "--order", "2", *option])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# Each value is one a check reading the option accepts, so a rejection can
+# only come from the option being unread.
+VERIFY_OPTIONS = {"m": ("--m", "4"), "l": ("--l", "5"),
+                  "order": ("--order", "1"), "seed": ("--seed", "0"),
+                  "lam": ("--lambda", "0,1,10,100,1000"),
+                  "hbar_depth": ("--hbar-depth", "30")}
+
+
+def test_verify_checks_read_only_cli_options():
+    for check in verify.CHECKS.values():
+        assert set(inspect.signature(check).parameters) <= {
+            "m", "l", "order", "seed", "lam"}
+
+
+@pytest.mark.parametrize("option", sorted(VERIFY_OPTIONS))
+@pytest.mark.parametrize("name", sorted(verify.CHECKS))
+def test_verify_rejects_options_the_check_does_not_read(capsys, monkeypatch,
+                                                        name, option):
+    # A stand-in with the check's signature: only option handling runs.
+    calls = []
+    check = verify.CHECKS[name]
+    monkeypatch.setitem(verify.CHECKS, name, functools.wraps(check)(
+        lambda **kwargs: calls.append(kwargs) or []))
+    flag, value = VERIFY_OPTIONS[option]
+    try:
+        code = main(["verify", name, flag, value])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if option in inspect.signature(check).parameters:
+        assert code == 0
+        assert len(calls) == 1 and option in calls[0]
+    else:
+        assert code == 2
+        assert out == "" and not calls
+        assert flag in err.split()
 
 
 def test_oracle_rejects_options_it_does_not_read(capsys):
@@ -228,6 +270,37 @@ def test_law_mismatch_is_reported_where_it_is(capsys, monkeypatch):
     assert status["phi-law-b"].endswith("[first mismatch at z^1 q^2]")
     assert all(status[name].startswith("PASS")
                for name in ("phi-law-a", "phi-law-c", "composite-inverse"))
+
+
+def test_class_p_violation_is_a_failed_check(capsys, monkeypatch):
+    real = verify.zstar_family
+
+    def corrupted(cfg, weights):
+        fam = real(cfg, weights)
+        bad = fam.coeff(2, 1) * RatFunc(Poly([1]), Poly([3, 1]))
+        fam.entries[2] = TruncSeries(
+            [fam.coeff(2, 0), bad] + list(fam.entry(2).coeffs[2:]), fam.order)
+        return fam
+
+    monkeypatch.setattr(verify, "zstar_family", corrupted)
+    code, out, err = run_cli(capsys, "verify", "class-p", "--order", "2")
+    assert code == 1
+    assert err == ""
+    assert out.startswith("FAIL  class-p-bounds:")
+    assert "N_(i=2, d=1) is not an hbar-polynomial" in out
+
+
+def test_class_p_names_the_first_differing_degree(capsys, monkeypatch):
+    real = verify.closed_form_E
+    monkeypatch.setattr(verify, "closed_form_E", lambda m, d: (
+        real(m, d) + [Poly([1])] if d >= 2 else real(m, d)))
+    code, out, _ = run_cli(capsys, "verify", "class-p", "--order", "3")
+    assert code == 1
+    status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+    assert status["class-p-bounds"].startswith("PASS")
+    assert status["class-p-closed-form"].startswith("FAIL")
+    assert status["class-p-closed-form"].endswith(
+        "[E_2 differs from the closed form]")
 
 
 def test_verify_transformations_default_order_finishes(capsys):

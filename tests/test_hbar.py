@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from euclid_ratfunc import EuclidRatFunc
@@ -31,6 +31,12 @@ def _multiset(roots) -> dict:
     for r in roots:
         out[r] = out.get(r, 0) + 1
     return out
+
+
+# Fixed examples, and no shrinking: a kernel that raises on every example
+# is reported at once instead of after minutes of shrinking.
+_differential = settings(deadline=None, derandomize=True, database=None,
+                         phases=(Phase.explicit, Phase.generate))
 
 
 def test_add_common_denominator():
@@ -231,7 +237,7 @@ def _agree_with_oracle(x, y, lin, point) -> None:
             == _outcome(lambda: a_old.laurent_at_infinity(3)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(_differential, max_examples=300)
 @given(_split_pair(), _split_pair(), _split_pair(max_num_degree=1), _root)
 def test_matches_euclidean_oracle(x, y, lin, point):
     _agree_with_oracle(x, y, lin, point)
@@ -240,7 +246,7 @@ def test_matches_euclidean_oracle(x, y, lin, point):
 _wide_pair = _split_pair(root=_wide_root)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(_differential, max_examples=100)
 @given(_wide_pair, _wide_pair, _split_pair(max_num_degree=1, root=_wide_root),
        _wide_root)
 def test_matches_euclidean_oracle_at_tall_roots(x, y, lin, point):
@@ -250,7 +256,7 @@ def test_matches_euclidean_oracle_at_tall_roots(x, y, lin, point):
 _big_pair = _split_pair(scale=_big_scale)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(_differential, max_examples=100)
 @given(_big_pair, _big_pair, _split_pair(max_num_degree=1, scale=_big_scale),
        _root)
 def test_matches_euclidean_oracle_with_large_content(x, y, lin, point):
@@ -273,7 +279,7 @@ _any_root = st.one_of(_root, _wide_root)
 _any_pair = _split_pair(root=_any_root)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(_differential, max_examples=100)
 @given(_any_pair, _any_pair, _any_pair)
 def test_equal_builds_hash_equal(x, y, z):
     (a, _), (b, _), (c, _) = x, y, z
@@ -285,7 +291,7 @@ def test_equal_builds_hash_equal(x, y, z):
     assert (a * lin) / lin == a and hash((a * lin) / lin) == hash(a)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(_differential, max_examples=100)
 @given(_any_pair, st.lists(_any_root, min_size=1, max_size=4))
 def test_eval_matches_num_over_den(x, points):
     a, _ = x

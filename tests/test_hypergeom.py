@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from quintic_mirror.errors import DomainError, StructureError
+from quintic_mirror.errors import DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
                                       f_and_g, fundamental_solution,
@@ -72,7 +72,7 @@ def test_picard_fuchs_all_components_order_8():
 
 def test_ambient_solution_degree_zero_term():
     m = 3
-    sol = fundamental_solution(m, 2, (m + 1) * 2 + m)
+    sol = fundamental_solution(m, 2)
     for k in range(m + 1):
         for i in range(m + 1):
             want = (Fraction(1, factorial(k)) if i == k else 0)
@@ -85,19 +85,13 @@ def test_ambient_solution_degree_zero_term():
 
 def test_ambient_solution_annihilated_by_quantum_operator():
     for m in (1, 2, 3, 4):
-        depth = (m + 1) * 3 + m
-        sol = fundamental_solution(m, 3, depth)
+        sol = fundamental_solution(m, 3)
         assert quantum_operator_residual(sol, m).is_zero()
-
-
-def test_ambient_solution_depth_validation():
-    with pytest.raises(StructureError):
-        fundamental_solution(3, 4, 3)
 
 
 def test_ambient_m1_d1_expansion():
     # 1/(H + hbar)^2 = hbar^-2 (1 - 2H/hbar) with H^2 = 0.
-    sol = fundamental_solution(1, 1, 5)
+    sol = fundamental_solution(1, 1)
     assert sol.coeff(0, 0, 1).c == {-2: 1}
     assert sol.coeff(1, 0, 1).c == {-3: -2}
 
