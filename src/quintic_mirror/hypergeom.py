@@ -163,14 +163,15 @@ def f_and_g(m: int, l_index: int, order: int) -> tuple[TruncSeries, TruncSeries]
     """
     if not 1 <= l_index <= m + 1:
         raise DomainError("need 1 <= l <= m+1")
-    fc = [Fraction(0)] * (order + 1)
-    gc = [Fraction(0)] * (order + 1)
-    for d in range(order + 1):
-        base = Fraction(factorial((m + 1) * d), factorial(d) ** (m + 1))
-        fc[d] = base
-        if d >= 1:
-            gc[d] = base * sum(Fraction(1, r)
-                               for r in range(1, l_index * d + 1))
+    fc = [Fraction(1)]
+    gc = [Fraction(0)]
+    harmonic = Fraction(0)      # sum_{r=1..ld} 1/r, carried from d-1 to d
+    for d in range(1, order + 1):
+        base = factorial((m + 1) * d) // factorial(d) ** (m + 1)
+        harmonic += sum(Fraction(1, r)
+                        for r in range(l_index * (d - 1) + 1, l_index * d + 1))
+        fc.append(Fraction(base))
+        gc.append(base * harmonic)
     return TruncSeries(fc, order), TruncSeries(gc, order)
 
 

@@ -19,7 +19,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, OrderMismatch
-from .series import TruncSeries
+from .series import TruncSeries, q_mul
 
 __all__ = ["HTruncPoly", "MixedSeries"]
 
@@ -262,7 +262,11 @@ class MixedSeries:
         return out
 
     def mul_qseries(self, s: TruncSeries) -> "MixedSeries":
-        """Multiply by a pure q-series (Cauchy product in q only)."""
+        """Multiply by a pure q-series (Cauchy product in q only).
+
+        A row over Q times a series over Q is one call of the integer
+        kernel ``series.q_mul`` (see the ``series`` module docstring).
+        """
         if s.order != self.order:
             raise OrderMismatch(
                 f"q-order mismatch: {self.order} vs {s.order}")
@@ -270,6 +274,10 @@ class MixedSeries:
         for i in range(self.h_top + 1):
             for k in range(self.t_top + 1):
                 row = self.c[i][k]
+                fast = q_mul(row, s.coeffs, self.order + 1)
+                if fast is not None:
+                    out.c[i][k] = fast
+                    continue
                 orow = out.c[i][k]
                 for d1 in range(self.order + 1):
                     a = row[d1]

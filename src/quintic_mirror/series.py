@@ -8,21 +8,149 @@ Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of one series into another goes through
 ``TruncSeries.compose``, fed with the inner series' ``powers``.
+
+Products over Q take one exact integer kernel (``q_mul``).  When every
+coefficient of both operands is an ``int`` or a ``Fraction``, each operand
+is cleared to integer numerators over its least common denominator and
+packed into one Python ``int``, a fixed-width slot per coefficient
+(Kronecker substitution).  One big-integer multiply then does the whole
+Cauchy product; the low slots are read back as signed digits and divided
+by the product of the two denominators.  ``TruncSeries.__mul__`` (and so
+``powers``, ``__pow__`` and ``series_reversion``), ``TruncSeries.compose``
+and ``MixedSeries.mul_qseries`` use it; any other coefficient ring
+(``RatFunc``, ``HTruncPoly``, ``Laurent``) keeps the term-by-term loop.
+
+The quintic pipeline gains most because the series it raises to powers
+are integral.  The mirror map q exp(g(q)) has integer coefficients
+(Lian-Yau, hep-th/9507151), so exp(g), its inverse 1/exp(g) (constant
+term 1) and the reversion factor w have denominator 1 as well.  Their
+powers then need no gcd at all, while their numerators grow to hundreds
+of bits (532 in w at order 50).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderMismatch
 
 __all__ = [
     "TruncSeries",
+    "q_mul",
     "series_exp",
     "series_log",
     "series_reversion",
 ]
+
+
+def _over_z(coeffs) -> tuple[list[int], int] | None:
+    """(numerators, denominator): ``coeffs`` over their least common
+    denominator, or None when a coefficient is neither int nor Fraction."""
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return None
+    den = lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _bits(nums: list[int]) -> int:
+    return max(max(nums), -min(nums)).bit_length()
+
+
+def _slot_bytes(a_bits: int, b_bits: int, terms: int) -> int:
+    # A digit sum_i a_i b_(k-i) of at most ``terms`` products has
+    # |c| < terms * 2^a_bits * 2^b_bits <= 2^(a_bits + b_bits + bits(terms)),
+    # so a slot of a_bits + b_bits + bits(terms) + 1 bits (the extra one
+    # is the sign) holds it as a signed digit.  Rounded up to whole bytes.
+    return (a_bits + b_bits + terms.bit_length() + 1 + 7) // 8
+
+
+def _pack(nums: list[int], width: int) -> int:
+    """sum_i nums[i] * 256^(width*i), in linear time.
+
+    Each slot holds its digit minus a borrow of 1 when the slot below
+    went negative, in ``width``-byte two's complement; |nums[i]| must
+    fit the signed slot with room for the borrow.
+    """
+    parts = []
+    borrow = 0
+    for a in nums:
+        a -= borrow
+        parts.append(a.to_bytes(width, "little", signed=True))
+        borrow = a < 0
+    return int.from_bytes(b"".join(parts), "little", signed=True)
+
+
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The low ``n`` signed digits of ``packed`` (inverse of ``_pack``).
+
+    Reading a slot as signed leaves the borrow it lent the slot above
+    when it is negative; adding that borrow back gives the next digit.
+    Each digit must lie strictly inside the signed slot range.
+    """
+    size = n * width
+    raw = (packed & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    out = []
+    borrow = 0
+    for k in range(0, size, width):
+        s = int.from_bytes(raw[k:k + width], "little", signed=True)
+        out.append(s + borrow)
+        borrow = s < 0
+    return out
+
+
+def _rationals(nums: list[int], den: int) -> list:
+    """nums[i] / den, kept as ints when den is 1."""
+    if den == 1:
+        return nums
+    return [Fraction(c, den) for c in nums]
+
+
+def q_mul(a: Sequence, b: Sequence, n: int) -> list | None:
+    """The first ``n`` coefficients of the product of coefficient lists
+    ``a`` and ``b`` (each of length ``n``), by one big-integer multiply.
+
+    None unless every coefficient is an ``int`` or a ``Fraction``; the
+    caller then falls back to its term-by-term loop.  Coefficients come
+    back as ``int`` when both denominators are 1, else as ``Fraction``.
+    """
+    a = _over_z(a)
+    b = None if a is None else _over_z(b)
+    if b is None:
+        return None
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    width = _slot_bytes(_bits(a_nums), _bits(b_nums), n)
+    packed = _pack(a_nums, width) * _pack(b_nums, width)
+    return _rationals(_unpack(packed, n, width), a_den * b_den)
+
+
+def _q_compose(a: Sequence, powers: list["TruncSeries"], n: int) -> list | None:
+    """a[0] + sum_k a[k] * powers[k], the first ``n`` coefficients, as one
+    packed linear combination with a single unpack; None unless ``a`` and
+    every power it uses hold only ``int`` and ``Fraction`` coefficients."""
+    cleared = _over_z(a)
+    if cleared is None:
+        return None
+    a, a_den = cleared
+    used = [k for k in range(1, n) if a[k]]
+    cleared = [_over_z(powers[k].coeffs) for k in used]
+    if None in cleared:
+        return None
+    p_den = lcm(*[den for _, den in cleared])
+    cleared = [nums if den == p_den else [c * (p_den // den) for c in nums]
+               for nums, den in cleared]
+    # Slot e sums a[0] * p_den and one a[k] * p_k[e] per used k: at most
+    # n terms, each a product of an entry of a and one of at most the
+    # bits of p_den and of every cleared power.
+    width = _slot_bytes(_bits(a), max([p_den.bit_length()]
+                                      + [_bits(nums) for nums in cleared]), n)
+    acc = a[0] * p_den
+    for k, nums in zip(used, cleared):
+        acc += a[k] * _pack(nums, width)
+    return _rationals(_unpack(acc, n, width), a_den * p_den)
 
 
 class TruncSeries:
@@ -89,9 +217,15 @@ class TruncSeries:
         return TruncSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other):
-        """Cauchy product truncated at the common order."""
+        """Cauchy product truncated at the common order.
+
+        Over Q this is one call of the integer kernel ``q_mul``.
+        """
         self._check(other)
         D = self.order
+        out = q_mul(self.coeffs, other.coeffs, D + 1)
+        if out is not None:
+            return TruncSeries(out, D)
         out = [0] * (D + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -157,13 +291,18 @@ class TruncSeries:
         ``order + 1`` powers matter.  Zero coefficients of ``self`` are
         skipped.  The coefficients of ``self`` and of s may come from any
         ring that multiplies with the other's (``Fraction``,
-        ``RatFunc``, ...).
+        ``RatFunc``, ...).  Over Q the sum is one packed linear
+        combination of the powers (the integer kernel of the module
+        docstring).
         """
         D = self.order
         if D:
             self._check(powers[1])
             if powers[1].coeffs[0] != 0:
                 raise DomainError("composition requires inner constant term 0")
+        out = _q_compose(self.coeffs, powers, D + 1)
+        if out is not None:
+            return TruncSeries(out, D)
         out = [self.coeffs[0]] + [0] * D
         for k in range(1, D + 1):
             a = self.coeffs[k]

@@ -40,17 +40,11 @@ def check_picard_fuchs(order: int) -> list[Check]:
 
 
 def check_case_i(m: int, l: int, order: int) -> list[Check]:
-    if l >= m:
-        raise DomainError(f"case (i) requires l < m, got (m, l) = ({m}, {l})")
-    cfg = HypergeomConfig(m, l, order, m)
-    return [case_i_check(cfg)]
+    return [case_i_check(HypergeomConfig(m, l, order, m))]
 
 
 def check_case_ii(m: int, l: int, order: int) -> list[Check]:
-    if l != m:
-        raise DomainError(f"case (ii) requires l = m, got (m, l) = ({m}, {l})")
-    cfg = HypergeomConfig(m, l, order, m)
-    _, check = case_ii_check(cfg)
+    _, check = case_ii_check(HypergeomConfig(m, l, order, m))
     return [check]
 
 
@@ -63,69 +57,58 @@ def _at_weights(m: int, lam, rng, build):
     return sample_until(rng, lambda r: build(sample_lambda(m, r)))
 
 
-def _sampled_family(m: int, l: int, order: int, rng, regime: str, lam):
+def _recursion_checks(name: str, regime: str, identity: str, done: str,
+                      m: int, l: int, order: int, seed: int, lam,
+                      modified: bool = False) -> list[Check]:
+    """One check per weight tuple: the family satisfies ``regime``'s
+    recursion; ``done`` words the detail of a pass."""
     cfg = HypergeomConfig(m, l, order, m)
 
     def build(weights):
         return (recursion_coeffs(regime, m, l, weights, order),
                 zstar_family(cfg, weights))
 
-    return _at_weights(m, lam, rng, build)
+    rng = random.Random(seed)
+    out = []
+    for trial in range(TUPLES if lam is None else 1):
+        coeffs, family = _at_weights(m, lam, rng, build)
+        ok, detail, _ = verify_recursion(
+            z_normalize(family, modified=modified), coeffs)
+        out.append(Check(
+            name=f"{name}#{trial}", identity=identity, passed=ok,
+            detail=detail or f"{done} through Q-order {order}"))
+    return out
 
 
 def check_recursion_i(m: int, l: int, order: int, seed: int,
                       lam=None) -> list[Check]:
     if l >= m:
         raise DomainError(f"this recursion requires l < m, got ({m}, {l})")
-    rng = random.Random(seed)
-    out = []
-    for trial in range(TUPLES if lam is None else 1):
-        coeffs, family = _sampled_family(m, l, order, rng, "sub_m", lam)
-        ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
-        out.append(Check(
-            name=f"recursion-i#{trial}",
-            identity="hypergeometric correlators satisfy the l<m linear "
-                     "recursion with zero initial terms",
-            passed=ok,
-            detail=detail or f"residuals zero through Q-order {order}"))
-    return out
+    return _recursion_checks(
+        "recursion-i", "sub_m",
+        "hypergeometric correlators satisfy the l<m linear recursion with "
+        "zero initial terms", "residuals zero", m, l, order, seed, lam)
 
 
 def check_recursion_ii(m: int, l: int, order: int, seed: int,
                        lam=None) -> list[Check]:
     if l != m:
         raise DomainError(f"this recursion requires l = m, got ({m}, {l})")
-    rng = random.Random(seed)
-    out = []
-    for trial in range(TUPLES if lam is None else 1):
-        coeffs, family = _sampled_family(m, l, order, rng, "equal_m", lam)
-        ok, detail, _ = verify_recursion(
-            z_normalize(family, modified=True), coeffs)
-        out.append(Check(
-            name=f"recursion-ii#{trial}",
-            identity=f"e^(-{m}! Q)-modified correlators satisfy the l=m "
-                     "recursion with exponential initial terms",
-            passed=ok,
-            detail=detail or f"residuals zero through Q-order {order}"))
-    return out
+    return _recursion_checks(
+        "recursion-ii", "equal_m",
+        f"e^(-{m}! Q)-modified correlators satisfy the l=m recursion with "
+        "exponential initial terms", "residuals zero", m, l, order, seed, lam,
+        modified=True)
 
 
 def check_recursion_cy(m: int, l: int, order: int, seed: int,
                        lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError(f"the Calabi-Yau recursion requires l = m+1, got ({m}, {l})")
-    rng = random.Random(seed)
-    out = []
-    for trial in range(TUPLES if lam is None else 1):
-        coeffs, family = _sampled_family(m, l, order, rng, "calabi_yau", lam)
-        ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
-        out.append(Check(
-            name=f"recursion-cy#{trial}",
-            identity="Calabi-Yau recursion residuals are hbar-polynomials "
-                     "of degree <= d",
-            passed=ok,
-            detail=detail or f"initial terms extracted through Q-order {order}"))
-    return out
+    return _recursion_checks(
+        "recursion-cy", "calabi_yau",
+        "Calabi-Yau recursion residuals are hbar-polynomials of degree <= d",
+        "initial terms extracted", m, l, order, seed, lam)
 
 
 def check_class_p(m: int, l: int, order: int, seed: int,

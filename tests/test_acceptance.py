@@ -51,12 +51,12 @@ def test_criterion_1_quintic_virtual_counts():
     table = quintic_invariants(4)
     for d, want in PUBLISHED.items():
         assert table.n[d - 1] == want, f"n_{d} = {table.n[d - 1]} != {want}"
-    deep = quintic_invariants(10)
+    deep = quintic_invariants(60)
     assert deep.nonintegral_degrees() == []
     assert multiple_cover_sum(deep.n) == deep.N
     assert deep.n[:4] == [PUBLISHED[d] for d in (1, 2, 3, 4)]
     _announce(1, "virtual counts n_1..n_4 exact; integral and "
-                 "cover-consistent through degree 10")
+                 "cover-consistent through degree 60")
 
 
 def test_criterion_2_localization_oracle():

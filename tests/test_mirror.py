@@ -17,7 +17,7 @@ from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
                                    quintic_invariants,
                                    transformed_quintic_series)
 from quintic_mirror.mixed import MixedSeries
-from quintic_mirror.series import TruncSeries
+from quintic_mirror.series import TruncSeries, series_exp
 
 
 def F(p, q=1):
@@ -33,6 +33,14 @@ def test_mirror_map_frozen_values():
     assert mm.g.coeffs[1] == 770
     assert mm.w.coeffs[1] == -770
     assert mm.roundtrip_residual().is_zero()
+
+
+def test_mirror_map_series_are_integral():
+    # The integer series kernel pays off because exp(g) and the reversion
+    # factor w, whose powers the pipeline builds, have denominator 1.
+    mm = build_mirror_map(4, 40)
+    for s in (series_exp(mm.g), mm.w):
+        assert all(c.denominator == 1 for c in s.coeffs)
 
 
 def test_multiple_cover_invert_examples():

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
+from boxed_ring import box_all, rationals, unbox_all
 from quintic_mirror.errors import DomainError
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
 from quintic_mirror.sampling import sample_series_coeffs
@@ -96,3 +99,34 @@ def test_substitute_rejects_nonzero_shift_constant():
     M = MixedSeries(0, 1, 2)
     with pytest.raises(DomainError):
         M.substitute_mirror(TruncSeries([1, 0, 0], 2), TruncSeries.one(2))
+
+
+@st.composite
+def _rows_and_qseries(draw):
+    """Four (H^i, t^k) rows over Q, some all zero, and a q-series."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    rows = [draw(st.one_of(st.just([0] * n), row)) for _ in range(4)]
+    return rows, draw(row)
+
+
+@settings(deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate), max_examples=100)
+@given(_rows_and_qseries())
+@example(([[0]] * 4, [Fraction(-3, 7)])).via("order 0")
+@example(([[0, 0, 0], [1, -2, 0], [Fraction(1, 3), 0, Fraction(-1, 5)],
+           [-4, -5, -6]], [1, Fraction(-1, 2), Fraction(1, 7)])).via(
+    "zero, negative and coprime-denominator rows")
+def test_mul_qseries_kernel_matches_loop(case):
+    rows, s = case
+    order = len(s) - 1
+    series = TruncSeries(s, order)
+    got = MixedSeries(1, 1, order, [rows[:2], rows[2:]]).mul_qseries(series)
+    boxed = MixedSeries(1, 1, order, [[box_all(r) for r in rows[:2]],
+                                      [box_all(r) for r in rows[2:]]])
+    want = boxed.mul_qseries(series)
+    for i in range(2):
+        for k in range(2):
+            want_row = unbox_all(want.c[i][k])
+            assert got.c[i][k] == want_row
+            assert [str(c) for c in got.c[i][k]] == [str(c) for c in want_row]

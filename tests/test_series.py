@@ -7,11 +7,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
+from boxed_ring import box_all, rationals, unbox_all
 from quintic_mirror.errors import DomainError, OrderMismatch
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.sampling import sample_series_coeffs
-from quintic_mirror.series import (TruncSeries, series_exp, series_log,
+from quintic_mirror.series import (TruncSeries, q_mul, series_exp, series_log,
                                    series_reversion)
 
 
@@ -174,3 +177,87 @@ def test_ring_laws_random_triples():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a + b) + c == a + (b + c)
+
+
+# Fixed examples, and no shrinking (as in test_hbar.py).
+_differential = settings(deadline=None, derandomize=True, database=None,
+                         phases=(Phase.explicit, Phase.generate))
+
+
+def _same(got, want):
+    """Equal, and printed the same, coefficient by coefficient."""
+    assert got == want
+    assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def _loop_mul(a, b):
+    D = len(a) - 1
+    return unbox_all((TruncSeries(box_all(a), D)
+                      * TruncSeries(box_all(b), D)).coeffs)
+
+
+@st.composite
+def _q_pair(draw, zero_constant=False):
+    n = draw(st.integers(1, 8))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    a, b = draw(row), draw(row)
+    if zero_constant:
+        b[0] = 0
+    return a, b
+
+
+@settings(_differential, max_examples=150)
+@given(_q_pair())
+@example(([0], [0])).via("order 0, zero")
+@example(([-5], [F(7, 3)])).via("order 0")
+@example(([0, 0, 0, 0], [1, -2, 3, -4])).via("all-zero operand")
+@example(([-1, -2, -3], [-4, -5, -6])).via("negative operands")
+@example(([1, F(1, 2), F(-1, 3)], [F(1, 5), 7, F(-1, 7)])).via(
+    "mixed int/Fraction, coprime denominators")
+@example(([2 ** 64 - 1] * 5, [-(2 ** 64 - 1)] * 5)).via("8-byte operands")
+def test_kernel_mul_matches_loop(pair):
+    a, b = pair
+    D = len(a) - 1
+    assert q_mul(a, b, D + 1) is not None
+    _same((TruncSeries(a, D) * TruncSeries(b, D)).coeffs, _loop_mul(a, b))
+
+
+@pytest.mark.parametrize("D", range(8))
+def test_kernel_mul_at_slot_width_boundary(D):
+    # +-(2^k - 1) in every slot: the largest digits of k and j bits, so
+    # some (k, j, D) fill a whole number of bytes exactly.
+    for k in range(1, 17):
+        for j in range(1, 17):
+            for sign in (1, -1):
+                a = [2 ** k - 1] * (D + 1)
+                b = [sign * (2 ** j - 1)] * (D + 1)
+                _same(q_mul(a, b, D + 1), _loop_mul(a, b))
+
+
+@settings(_differential, max_examples=100)
+@given(_q_pair(zero_constant=True))
+@example(([F(3, 2)], [0])).via("order 0")
+@example(([0, 0, 0], [0, 1, 2])).via("zero outer series")
+@example(([1, -1, 2, -3], [0, -1, 0, F(1, 6)])).via("negative digits")
+@example(([7, F(1, 2), F(1, 3), 5], [0, F(1, 5), F(2, 7), F(-1, 11)])).via(
+    "coprime denominators across powers")
+@example(([2 ** 20 - 1, 1, 1], [0, F(1, 9973), F(1, 9973)])).via(
+    "constant term over a denominator wider than the powers' numerators")
+def test_kernel_compose_matches_loop(pair):
+    outer, inner = pair
+    D = len(outer) - 1
+    got = TruncSeries(outer, D).compose(TruncSeries(inner, D).powers(D))
+    want = TruncSeries(box_all(outer), D).compose(
+        TruncSeries(box_all(inner), D).powers(D))
+    _same(got.coeffs, unbox_all(want.coeffs))
+
+
+def test_ratfunc_coefficients_keep_the_loop():
+    rng = random.Random(13)
+    a = [RatFunc.const(1)] + [_random_ratfunc(rng) for _ in range(3)]
+    b = [F(1, 2), F(-3), 0, F(5, 7)]
+    assert q_mul(a, b, 4) is None and q_mul(b, a, 4) is None
+    want = [sum((a[i] * b[k - i] for i in range(k + 1)), RatFunc.const(0))
+            for k in range(4)]
+    assert (TruncSeries(a, 3) * TruncSeries(b, 3)).coeffs == want
+    assert (TruncSeries(b, 3) * TruncSeries(a, 3)).coeffs == want
