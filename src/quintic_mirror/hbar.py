@@ -1,23 +1,23 @@
 """Exact arithmetic in the formal parameter hbar.
 
-Three representations, each matching one role in the pipeline:
+One integer form underlies ``Poly`` and ``RatFunc``: a polynomial is
+content * N, with N a primitive integer coefficient tuple (gcd 1, positive
+leading coefficient, lowest degree first, ``()`` for zero) and the content
+a Fraction carrying sign and scale.  Both classes run on the same
+module-level kernels over these tuples.  By Gauss's lemma, products and
+exact quotients of primitive tuples stay primitive, so only a sum needs a
+gcd pass over its coefficients.
 
-* ``Poly``    -- dense univariate polynomial over Fraction.
-* ``RatFunc`` -- content * N / prod (q hbar - p)^k in lowest terms: a
-  primitive integer numerator N (gcd 1, positive leading coefficient),
-  one Fraction content carrying sign and scale, and the denominator as a
-  root multiset {(p, q): k} keyed by integer pairs, so the form is
-  canonical and ``==`` is structural equality.  Every denominator the
-  pipeline builds is a product of linear forms in hbar: the Z* factors
-  lam_i - lam_a + r hbar (``hypergeom.zstar_family`` passes their roots
-  directly), the recursion edges lam_i - lam_j + d hbar, the Newton-node
-  differences, the 1/hbar of the transformations, and their images under
-  hbar -> -hbar.  All arithmetic runs on integers: a missing root p/q
-  multiplies N by (q hbar - p), a cancellation is exact top-down integer
-  division by it, and only a sum needs a gcd pass over its coefficients
-  (by Gauss's lemma products and exact quotients of primitive polynomials
-  stay primitive).  No polynomial gcd is ever needed.  ``num`` and
-  ``den`` are Fraction-coefficient ``Poly`` views, built on first use.
+* ``Poly``    -- content * N; ``c`` is its Fraction coefficient view.
+* ``RatFunc`` -- content * N / prod (q hbar - p)^k in lowest terms, the
+  denominator a root multiset {(p, q): k} keyed by integer pairs, so the
+  form is canonical and ``==`` is structural equality.  Every denominator
+  the pipeline builds is a product of linear forms in hbar: the Z*
+  factors lam_i - lam_a + r hbar, the recursion edges lam_i - lam_j +
+  d hbar, the Newton-node differences, the 1/hbar of the transformations,
+  and their images under hbar -> -hbar.  A missing root p/q multiplies N
+  by (q hbar - p), a cancellation is exact top-down integer division by
+  it, and no polynomial gcd is ever needed.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
   sign), used for the ambient fundamental solution where every
   coefficient is a polynomial in 1/hbar.
@@ -43,16 +43,87 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-class Poly:
-    """Polynomial in hbar with Fraction coefficients, lowest degree first."""
+def _split(ints: list, den: int) -> tuple[Fraction, tuple]:
+    """Split sum ints[k] hbar^k / den into (content, primitive tuple).
 
-    __slots__ = ("c",)
+    The integer tuple has gcd 1 and a positive leading coefficient; the
+    zero polynomial gives (0, ()).
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return Fraction(g, den), tuple(ints)
+
+
+def _lin(ca: Fraction, a: tuple, cb: Fraction, b: tuple) -> tuple:
+    """ca a + cb b as (content, primitive tuple), over a common denominator."""
+    den = lcm(ca.denominator, cb.denominator)
+    fa = ca.numerator * (den // ca.denominator)
+    fb = cb.numerator * (den // cb.denominator)
+    return _split([fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)],
+                  den)
+
+
+def _conv(a: tuple, b: tuple) -> tuple:
+    """Product of two primitive integer coefficient tuples."""
+    if len(a) == 1:             # the only primitive constant is (1,)
+        return b
+    if len(b) == 1:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return tuple(out)
+
+
+def _horner(n: tuple, a: int, b: int) -> int:
+    """b^deg N(a/b) for a nonzero integer tuple N, by homogeneous Horner."""
+    acc, bk = n[-1], 1
+    for c in n[-2::-1]:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
+
+
+def _reflect(n: tuple) -> tuple[int, tuple]:
+    """(odd, M) with N(-hbar) = (-1)^odd M and M primitive, for N nonzero."""
+    odd = (len(n) - 1) % 2
+    return odd, tuple(-x if i % 2 != odd else x for i, x in enumerate(n))
+
+
+class Poly:
+    """content * N, a polynomial in hbar over Q: a ``RatFunc`` with no roots.
+
+    ``c``, the Fraction coefficients lowest degree first, is built on each
+    read, for printing, expansions at infinity and the Euclidean
+    ``divmod``/``gcd``; arithmetic never reads it.
+    """
+
+    __slots__ = ("_n", "_content")
 
     def __init__(self, coeffs: Iterable = ()):
         c = [_frac(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
+        den = lcm(*(x.denominator for x in c))
+        self._content, self._n = _split(
+            [x.numerator * (den // x.denominator) for x in c], den)
+
+    @classmethod
+    def _of(cls, content: Fraction, n: tuple) -> "Poly":
+        """The polynomial content * n from a primitive tuple, as it is."""
+        out = object.__new__(cls)
+        out._content, out._n = content, n
+        return out
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(self._content * x for x in self._n)
 
     @classmethod
     def const(cls, x) -> "Poly":
@@ -60,46 +131,48 @@ class Poly:
 
     @classmethod
     def hbar(cls, power: int = 1) -> "Poly":
-        return cls([0] * power + [1])
+        return cls._of(Fraction(1), (0,) * power + (1,))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.c) - 1
+        return len(self._n) - 1
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self._n
 
     def leading(self) -> Fraction:
-        if not self.c:
+        if not self._n:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.c[-1]
+        return self._content * self._n[-1]
 
     def coeff(self, k: int) -> Fraction:
-        return self.c[k] if 0 <= k < len(self.c) else Fraction(0)
+        n = self._n
+        return self._content * n[k] if 0 <= k < len(n) else Fraction(0)
 
     def monic(self) -> "Poly":
-        if not self.c:
+        if not self._n:
             return self
-        lead = self.c[-1]
-        if lead == 1:
-            return self
-        return Poly(x / lead for x in self.c)
+        return Poly._of(Fraction(1, self._n[-1]), self._n)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, Poly):
             return x
         if isinstance(x, (int, Fraction)):
-            return Poly([x])
+            return Poly._of(_frac(x), (1,) if x else ())
         return None
 
     def __add__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        if not other._n:
+            return self
+        if not self._n:
+            return other
+        return Poly._of(*_lin(self._content, self._n,
+                              other._content, other._n))
 
     __radd__ = __add__
 
@@ -107,61 +180,54 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + (-other)
 
     def __rsub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __neg__(self):
-        return Poly([-x for x in self.c])
+        return Poly._of(-self._content, self._n)
 
     def __mul__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.c or not other.c:
-            return Poly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        if not self._n or not other._n:
+            return Poly._of(Fraction(0), ())
+        return Poly._of(self._content * other._content,
+                        _conv(self._n, other._n))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n < 0:
+            raise DomainError("negative powers not supported")
+        if n == 0:
+            return Poly._of(Fraction(1), (1,))
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        dq = len(self.c) - len(other.c)
+        a, b = self.c, other.c
+        rem = list(a)
+        dq = len(a) - len(b)
         if dq < 0:
             return Poly(), self
         quot = [Fraction(0)] * (dq + 1)
-        dlead = other.c[-1]
+        dlead = b[-1]
         for k in range(dq, -1, -1):
-            coef = rem[k + len(other.c) - 1] / dlead
+            coef = rem[k + len(b) - 1] / dlead
             quot[k] = coef
             if coef:
-                for j, b in enumerate(other.c):
-                    rem[k + j] -= coef * b
+                for j, y in enumerate(b):
+                    rem[k + j] -= coef * y
         return Poly(quot), Poly(rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -181,88 +247,36 @@ class Poly:
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
-        acc = Fraction(0)
-        for coef in reversed(self.c):
-            acc = acc * x + coef
-        return acc
+        n = self._n
+        if not n:
+            return Fraction(0)
+        b = x.denominator
+        return self._content * Fraction(_horner(n, x.numerator, b),
+                                        b ** (len(n) - 1))
 
     __call__ = eval
 
     def subs_neg(self) -> "Poly":
         """Substitute hbar -> -hbar."""
-        return Poly(
-            (-x if k % 2 else x) for k, x in enumerate(self.c))
-
-    def deflate_root(self, r: Fraction) -> "Poly | None":
-        """Divide out (hbar - r) if r is a root, else None."""
-        content, n = _primitive(self.c)
-        if not n:
+        if not self._n:
             return self
-        p, q = _key(r)
-        quot = _div_root(n, p, q)
-        if quot is None:
-            return None
-        # self = content (q hbar - p) quot = content q (hbar - r) quot
-        scale = content * q
-        return Poly([scale * x for x in quot])
+        odd, n = _reflect(self._n)
+        return Poly._of(-self._content if odd else self._content, n)
 
     def __eq__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self.c == other.c
+        return self._n == other._n and self._content == other._content
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self._n, self._content))
 
     def __repr__(self):
-        if not self.c:
+        if not self._n:
             return "Poly(0)"
         terms = [f"{x}*h^{k}" for k, x in enumerate(self.c) if x != 0]
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def _key(r) -> tuple[int, int]:
-    """A root r = p/q as its pair (p, q), q > 0, in lowest terms."""
-    r = _frac(r)
-    return r.numerator, r.denominator
-
-
-def _split(ints: list, den: int) -> tuple[Fraction, tuple]:
-    """Split sum ints[k] hbar^k / den into (content, primitive tuple).
-
-    The integer tuple has gcd 1 and a positive leading coefficient; the
-    zero polynomial gives (0, ()).
-    """
-    while ints and not ints[-1]:
-        ints.pop()
-    if not ints:
-        return Fraction(0), ()
-    g = gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [x // g for x in ints]
-    return Fraction(g, den), tuple(ints)
-
-
-def _primitive(coeffs: tuple) -> tuple[Fraction, tuple]:
-    """``_split`` for Fraction coefficients."""
-    den = lcm(*(x.denominator for x in coeffs))
-    return _split([x.numerator * (den // x.denominator) for x in coeffs], den)
-
-
-def _conv(a: tuple, b: tuple) -> tuple:
-    """Product of two primitive integer coefficient tuples."""
-    if len(a) == 1:             # the only primitive constant is (1,)
-        return b
-    if len(b) == 1:
-        return a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return tuple(out)
 
 
 def _mul_roots(c: tuple, roots: dict) -> tuple:
@@ -336,10 +350,9 @@ def _q_power(roots: dict) -> int:
 class RatFunc:
     """content * N / prod (q hbar - p)^k in lowest terms.
 
-    ``N`` is a primitive integer coefficient tuple (gcd 1, positive leading
-    coefficient), ``content`` a Fraction carrying the sign and the scale,
-    and ``roots`` the denominator's root multiset {(p, q): k}, each root
-    p/q a pair in lowest terms with q > 0: every denominator the pipeline
+    ``content * N`` is a ``Poly``'s integer form, taken over as it is, and
+    ``roots`` the denominator's root multiset {(p, q): k}, each root p/q a
+    pair in lowest terms with q > 0: every denominator the pipeline
     produces is a product of linear forms.  Lowest terms means N vanishes
     at no stored root, so the triple is canonical and ``==`` compares it
     structurally.
@@ -350,8 +363,9 @@ class RatFunc:
     d hbar, the 1/hbar prefactors, the Newton-node differences).  A
     ``Poly`` of higher degree raises ``StructureError``, as does inverting
     a numerator of degree above 1: neither would split into known roots.
-    ``num`` and ``den`` are Fraction views built on demand: the numerator
-    over the monic denominator, and that denominator expanded.
+    ``num`` and ``den`` are ``Poly`` views built on demand from the same
+    integer tuples: the numerator over the monic denominator, and that
+    denominator expanded.
     """
 
     __slots__ = ("_n", "_content", "roots", "_num", "_den")
@@ -363,7 +377,7 @@ class RatFunc:
             self._n, self._content, self.roots = num, _content, den
             self._num = self._den = None
             return
-        num = num if isinstance(num, Poly) else Poly._coerce(num)
+        num = Poly._coerce(num)
         if num is None:
             raise TypeError("RatFunc components must be Poly-coercible")
         scale = Fraction(1)
@@ -373,11 +387,11 @@ class RatFunc:
             roots = {}
             for r, k in den.items():
                 if k:
-                    key = _key(r)
-                    roots[key] = k
-                    scale *= key[1] ** k
+                    r = _frac(r)
+                    roots[(r.numerator, r.denominator)] = k
+                    scale *= r.denominator ** k
         else:
-            den = den if isinstance(den, Poly) else Poly._coerce(den)
+            den = Poly._coerce(den)
             if den is None:
                 raise TypeError("RatFunc components must be Poly-coercible")
             if den.is_zero():
@@ -386,14 +400,10 @@ class RatFunc:
             if den.degree > 1:
                 raise StructureError(
                     f"denominator {den!r} is not a linear form in hbar")
-            if den.degree == 1:
-                key = _key(-den.c[0] / den.c[1])
-                roots = {key: 1}
-                scale = key[1] / den.c[1]
-            else:
-                roots = {}
-                scale = 1 / den.c[0]
-        content, n = _primitive(num.c)
+            # den = c (n1 hbar + n0), primitive with n1 > 0: root (-n0, n1).
+            roots = {(-den._n[0], den._n[1]): 1} if den.degree else {}
+            scale = 1 / den._content
+        content, n = num._content, num._n
         if not n:
             roots = {}
         elif roots:
@@ -405,17 +415,16 @@ class RatFunc:
     def num(self) -> Poly:
         """The numerator over the monic denominator ``den``."""
         if self._num is None:
-            scale = self._content / _q_power(self.roots)
-            self._num = Poly([scale * x for x in self._n])
+            self._num = Poly._of(self._content / _q_power(self.roots),
+                                 self._n)
         return self._num
 
     @property
     def den(self) -> Poly:
         """The monic denominator prod (hbar - p/q)^k, expanded."""
         if self._den is None:
-            qk = _q_power(self.roots)
-            self._den = Poly([Fraction(x, qk)
-                              for x in _mul_roots((1,), self.roots)])
+            self._den = Poly._of(Fraction(1, _q_power(self.roots)),
+                                 _mul_roots((1,), self.roots))
         return self._den
 
     @classmethod
@@ -459,13 +468,7 @@ class RatFunc:
                 roots[r] = k
         a = _mul_roots(self._n, _missing(roots, ra))
         b = _mul_roots(other._n, _missing(roots, rb))
-        # ca a + cb b = (fa a + fb b) / den over the contents' common den.
-        ca, cb = self._content, other._content
-        den = lcm(ca.denominator, cb.denominator)
-        fa = ca.numerator * (den // ca.denominator)
-        fb = cb.numerator * (den // cb.denominator)
-        content, n = _split([fa * x + fb * y for x, y in
-                             zip_longest(a, b, fillvalue=0)], den)
+        content, n = _lin(self._content, a, other._content, b)
         if not n:
             return RatFunc.const(0)
         # The sum can vanish only at a root both operands hold equally often.
@@ -551,12 +554,7 @@ class RatFunc:
         n = self._n
         if not n:
             return Fraction(0)
-        # b^deg N(a/b), by Horner in homogeneous form.
-        acc, bk = n[-1], 1
-        for c in n[-2::-1]:
-            bk *= b
-            acc = acc * a + c * bk
-        den, total = 1, 0
+        acc, den, total = _horner(n, a, b), 1, 0
         for (p, q), k in self.roots.items():
             den *= (q * a - p * b) ** k
             total += k
@@ -579,8 +577,7 @@ class RatFunc:
         n = self._n
         if not n:
             return self
-        odd = (len(n) - 1) % 2
-        neg = tuple(-x if i % 2 != odd else x for i, x in enumerate(n))
+        odd, neg = _reflect(n)
         content = self._content
         if (odd + sum(self.roots.values())) % 2:
             content = -content

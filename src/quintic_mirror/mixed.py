@@ -97,6 +97,8 @@ class HTruncPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "HTruncPoly":
+        if k < 0:
+            raise DomainError("negative powers not supported; divide instead")
         result = HTruncPoly.const(1, self.nilpotency)
         base = self
         while k:

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from euclid_ratfunc import EuclidRatFunc
-from quintic_mirror.errors import PoleError, StructureError
+from quintic_mirror.errors import DomainError, PoleError, StructureError
 from quintic_mirror.hbar import Laurent, Poly, RatFunc
 from quintic_mirror.hypergeom import HypergeomConfig, zstar_family
 from quintic_mirror.recursion import phi_double_correlator
 from quintic_mirror.sampling import sample_rational
-from quintic_mirror.verify import check_recursion_cy, check_transformations
+from quintic_mirror.verify import (check_class_p, check_phi_poly,
+                                   check_recursion_cy, check_recursion_i,
+                                   check_recursion_ii, check_transformations)
 
 
 def _linear_product(roots, scale=1) -> RatFunc:
@@ -333,6 +336,128 @@ def test_phi_correlator_never_reads_fraction_views(monkeypatch):
     assert nonzero and reads == []
     # The counter sees a read: the guard is not vacuous.
     assert nonzero[0].num is not None and reads == ["num"]
+
+
+def test_correlator_checks_never_read_poly_coefficients(monkeypatch):
+    # Poly.c is the Fraction view of the integer form; the checks' arithmetic
+    # (N_id, E_d, Phi, the recursion residuals) must never build it.
+    reads = []
+    view = vars(Poly)["c"]
+    monkeypatch.setattr(Poly, "c", property(
+        lambda self: reads.append(1) or view.fget(self)))
+    lam = (Fraction(3, 7), Fraction(-11, 5), Fraction(23, 3), Fraction(2, 9),
+           Fraction(-31, 4))
+    runs = [check_class_p(4, 5, 3, 0, lam=lam),
+            check_phi_poly(4, 5, 3, 0, lam=lam),
+            check_recursion_cy(4, 5, 2, 0, lam=lam),
+            check_recursion_i(4, 3, 3, 0, lam=lam),
+            check_recursion_ii(4, 4, 3, 0, lam=lam)]
+    for checks in runs:
+        assert checks and all(c.passed for c in checks), checks
+    assert reads == []
+    # The counter sees a read: the guard is not vacuous.
+    rf = RatFunc(Poly([1, 2]), Poly([3, 5]))
+    assert rf.num.c == (Fraction(1, 5), Fraction(2, 5)) and reads == [1]
+
+
+def _ref_trim(c) -> tuple:
+    c = [Fraction(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_add(a, b, sign=1) -> tuple:
+    return _ref_trim(x + sign * y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _ref_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for coef in reversed(a):
+        acc = acc * x + coef
+    return acc
+
+
+def _ref_repr(a) -> str:
+    terms = [f"{x}*h^{k}" for k, x in enumerate(a) if x != 0]
+    return "Poly(" + (" + ".join(terms) or "0") + ")"
+
+
+_poly_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _poly_coeffs(draw):
+    """A coefficient list, often with a large or negative common scale."""
+    c = draw(st.lists(_poly_coeff, max_size=6))
+    scale = draw(st.one_of(st.just(Fraction(1)), _scale, _big_scale))
+    return [x * scale for x in c]
+
+
+_BIG = Fraction(2**90 + 1, 3**37)
+
+
+@settings(_differential, max_examples=200)
+@given(_poly_coeffs(), _poly_coeffs(), st.integers(0, 4), _any_root)
+@example([], [3], 0, Fraction(0))                               # zero
+@example([Fraction(-7, 3)], [], 2, Fraction(1, 2))               # constants
+@example([1, 2, 3, 4], [0, 1], 3, Fraction(-2, 3))              # odd degree
+@example([1, 0, -2], [Fraction(1, 2), 0, 0, 0, 5], 2, Fraction(3))  # even
+@example([5, 0, Fraction(-1, 2)], [-1, -1], 1, Fraction(-1, 7))  # lead < 0
+@example([_BIG, -_BIG * 6, 4 * _BIG], [-1 / _BIG, 1 / _BIG], 4,
+         Fraction(2**80 - 1, 7))                                # big content
+def test_poly_matches_fraction_reference(a, b, k, x):
+    p, q = Poly(a), Poly(b)
+    ra, rb = _ref_trim(a), _ref_trim(b)
+    assert p.c == ra and all(type(v) is Fraction for v in p.c)
+    assert p.degree == len(ra) - 1 and p.is_zero() == (not ra)
+    assert all(p.coeff(i) == (ra[i] if 0 <= i < len(ra) else 0)
+               for i in range(-1, len(ra) + 2))
+    assert repr(p) == _ref_repr(ra)
+    assert (p + q).c == _ref_add(ra, rb)
+    assert (p - q).c == _ref_add(ra, rb, -1)
+    assert (-p).c == _ref_add((), ra, -1)
+    assert (p * q).c == _ref_mul(ra, rb)
+    assert (p + 3).c == _ref_add(ra, (Fraction(3),))
+    assert (Fraction(1, 3) - p).c == _ref_add((Fraction(1, 3),), ra, -1)
+    assert (p * Fraction(-2, 5)).c == _ref_mul(ra, (Fraction(-2, 5),))
+    power = (Fraction(1),)
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    assert (p ** k).c == power and (p ** 0).c == (1,)
+    value = p.eval(x)
+    assert value == _ref_eval(ra, x) and type(value) is Fraction
+    assert p(x) == value
+    assert p.subs_neg().c == tuple(-v if i % 2 else v
+                                   for i, v in enumerate(ra))
+    if ra:
+        assert p.monic().c == tuple(v / ra[-1] for v in ra)
+        assert p.leading() == ra[-1]
+    else:
+        assert p.monic().is_zero()
+    # Equal polynomials built along different routes are equal and hash
+    # equal; unequal ones are unequal.
+    for built in (Poly(list(ra) + [0, 0]), (p + q) - q, Poly(ra) * 1,
+                  p.subs_neg().subs_neg()):
+        assert built == p and hash(built) == hash(p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    assert (p == q) == (ra == rb)
+    assert (p == ra[0]) == (len(ra) == 1) if ra else p == 0
+
+
+def test_negative_power_raises():
+    with pytest.raises(DomainError):
+        Poly([1, 2]) ** -1
 
 
 def test_laurent_ring():

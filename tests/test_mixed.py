@@ -22,6 +22,11 @@ def test_h_nilpotency_is_exact():
     assert (h ** 4).c == [0, 0, 0, 0]
 
 
+def test_h_negative_power_raises():
+    with pytest.raises(DomainError):
+        HTruncPoly([1, 2], 3) ** -1
+
+
 def test_htrunc_inverse():
     rng = random.Random(1)
     for _ in range(20):
