@@ -98,6 +98,13 @@ def _reflect(n: tuple) -> tuple[int, tuple]:
     return odd, tuple(-x if i % 2 != odd else x for i, x in enumerate(n))
 
 
+def _hash(content: Fraction, n: tuple) -> int:
+    """Hash of content * n; a constant hashes like its Fraction value,
+    since ``==`` equates them (and a root-free ``RatFunc`` with its
+    ``Poly``)."""
+    return hash(content) if len(n) <= 1 else hash((n, content))
+
+
 class Poly:
     """content * N, a polynomial in hbar over Q: a ``RatFunc`` with no roots.
 
@@ -270,7 +277,7 @@ class Poly:
         return self._n == other._n and self._content == other._content
 
     def __hash__(self):
-        return hash((self._n, self._content))
+        return _hash(self._content, self._n)
 
     def __repr__(self):
         if not self._n:
@@ -630,7 +637,8 @@ class RatFunc:
                 and self.roots == other.roots)
 
     def __hash__(self):
-        return hash((self._n, self._content, frozenset(self.roots.items())))
+        h = _hash(self._content, self._n)
+        return hash((h, frozenset(self.roots.items()))) if self.roots else h
 
     def __repr__(self):
         if self.is_polynomial():
@@ -745,6 +753,9 @@ class Laurent:
         return self.c == other.c
 
     def __hash__(self):
+        # A constant hashes like its value, since == equates them.
+        if self.c.keys() <= {0}:
+            return hash(self.c.get(0, 0))
         return hash(tuple(sorted(self.c.items())))
 
     def __repr__(self):

@@ -15,10 +15,18 @@ is cleared to integer numerators over its least common denominator and
 packed into one Python ``int``, a fixed-width slot per coefficient
 (Kronecker substitution).  One big-integer multiply then does the whole
 Cauchy product; the low slots are read back as signed digits and divided
-by the product of the two denominators.  ``TruncSeries.__mul__`` (and so
-``powers``, ``__pow__`` and ``series_reversion``), ``TruncSeries.compose``
-and ``MixedSeries.mul_qseries`` use it; any other coefficient ring
-(``RatFunc``, ``HTruncPoly``, ``Laurent``) keeps the term-by-term loop.
+by the product of the two denominators.  Over Q, these run on integer
+numerators:
+
+* ``TruncSeries.__mul__`` (and so ``powers`` and ``__pow__``),
+  ``TruncSeries.compose`` and ``MixedSeries.mul_qseries`` take ``q_mul``
+  or its packed linear combination;
+* ``TruncSeries.__truediv__`` runs the long division's recurrence on
+  integers (``_q_div``);
+* ``series_reversion`` forms its dot products of powers.
+
+Any other coefficient ring (``RatFunc``, ``HTruncPoly``, ``Laurent``)
+keeps the term-by-term loops.
 
 The quintic pipeline gains most because the series it raises to powers
 are integral.  The mirror map q exp(g(q)) has integer coefficients
@@ -31,7 +39,8 @@ of bits (532 in w at order 50).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DomainError, OrderMismatch
@@ -125,6 +134,27 @@ def q_mul(a: Sequence, b: Sequence, n: int) -> list | None:
     width = _slot_bytes(_bits(a_nums), _bits(b_nums), n)
     packed = _pack(a_nums, width) * _pack(b_nums, width)
     return _rationals(_unpack(packed, n, width), a_den * b_den)
+
+
+def _q_div(a: list[int], a_den: int, b: list[int], b_den: int) -> list:
+    """(a/a_den) / (b/b_den) through the order of ``a``, one ``Fraction``
+    per coefficient, from integer numerators ``a`` and ``b`` (b[0] != 0).
+
+    With b0 = b[0], x_k = b0^(k+1) [q^k](a/b) is an integer: the long
+    division's recurrence times b0^(k+1) reads
+    x_k = a_k b0^k - sum_(j<k) x_j b_(k-j) b0^(k-j-1).
+    The quotient is x_k b_den / (a_den b0^(k+1)).
+    """
+    n = len(a)
+    b0 = b[0]
+    pw = [1]
+    for _ in range(n):
+        pw.append(pw[-1] * b0)
+    scaled = [b[i] * pw[i - 1] for i in range(1, n)]   # b_i b0^(i-1)
+    x: list[int] = []
+    for k in range(n):
+        x.append(a[k] * pw[k] - sum(map(mul, x, reversed(scaled[:k]))))
+    return [Fraction(xk * b_den, a_den * pw[k + 1]) for k, xk in enumerate(x)]
 
 
 def _q_compose(a: Sequence, powers: list["TruncSeries"], n: int) -> list | None:
@@ -241,12 +271,21 @@ class TruncSeries:
         return TruncSeries([scalar * a for a in self.coeffs], self.order)
 
     def __truediv__(self, other):
-        """Long division: c with other * c == self through the order."""
+        """Long division: c with other * c == self through the order.
+
+        Over Q the recurrence runs on the integer numerators of both
+        operands (``_q_div``); every coefficient of the quotient is a
+        ``Fraction``, as the loop over any other ring gives.
+        """
         self._check(other)
         b0 = other.coeffs[0]
         if b0 == 0:
             raise DomainError("division by series with zero constant term")
         D = self.order
+        a = _over_z(self.coeffs)
+        b = None if a is None else _over_z(other.coeffs)
+        if b is not None:
+            return TruncSeries(_q_div(*a, *b), D)
         out: list = []
         for k in range(D + 1):
             acc = self.coeffs[k]
@@ -273,14 +312,25 @@ class TruncSeries:
         return TruncSeries([0] + self.coeffs[: self.order], self.order)
 
     def powers(self, n: int) -> list["TruncSeries"]:
-        """[1, s, s^2, ..., s^n] for this series s, each at its order.
+        """[1, s, s^2, ..., s^n] for this series s, each at its order D.
 
         The list is what ``compose`` takes, so several outer series
-        substituted into the same inner one share its powers.
+        substituted into the same inner one share its powers.  With s of
+        valuation v, s = q^v t and s^k = q^(kv) t^k, so t^k is built by
+        products only through order D - kv: the ladder shrinks as k
+        grows, and every power with kv > D is zero.
         """
-        out = [TruncSeries.one(self.order), self][: n + 1]
-        while len(out) <= n:
-            out.append(out[-1] * self)
+        D = self.order
+        out = [TruncSeries.one(D), self][: n + 1]
+        v = next((i for i, c in enumerate(self.coeffs) if c != 0), D + 1)
+        t = tk = TruncSeries(self.coeffs[v:], D - v) if v <= D else None
+        for k in range(2, n + 1):
+            top = D - k * v
+            if top < 0:
+                out.append(TruncSeries.zero(D))
+                continue
+            tk = TruncSeries(tk.coeffs, top) * TruncSeries(t.coeffs, top)
+            out.append(TruncSeries([0] * (k * v) + tk.coeffs, D))
         return out
 
     def compose(self, powers: list["TruncSeries"]) -> "TruncSeries":
@@ -391,12 +441,28 @@ def series_reversion(v: TruncSeries) -> TruncSeries:
 
     Returns w with w(0) = 1 such that substituting q = q'*w(q') into
     q*v(q) gives back q' through the truncation order.  By Lagrange
-    inversion w_j = [q^j] v^-(j+1) / (j+1): one series division and the
-    powers of 1/v, O(D^3) ring operations.
+    inversion w_j = [q^j] u^(j+1) / (j+1) with u = 1/v.  Each power is
+    split by baby steps and giant steps (Brent-Kung, J. ACM 1978): with
+    B = isqrt(D+1), u^(aB+b) = (u^B)^a * u^b for 0 <= b < B, so the
+    B baby steps u^b and the (D+1)//B giant steps (u^B)^a cost about
+    2 sqrt(D) series products, and each w_j is one dot product of length
+    j+1: O(D^(5/2)) ring operations in all, where the full ladder of
+    D + 2 powers took O(D^3).  Over Q the dot products run on the powers'
+    integer numerators.
     """
     if v.coeffs[0] != 1:
         raise DomainError("series_reversion requires v(0) = 1")
     D = v.order
-    inv_pows = (TruncSeries.one(D) / v).powers(D + 1)
-    return TruncSeries([_exact_div(inv_pows[j + 1].coeffs[j], j + 1)
-                        for j in range(D + 1)], D)
+    B = isqrt(D + 1)
+    baby = (TruncSeries.one(D) / v).powers(B)
+    giant = baby[B].powers((D + 1) // B)
+    # Each power as (numerators, denominator) over Q, else (coeffs, 1).
+    baby = [_over_z(s.coeffs) or (s.coeffs, 1) for s in baby]
+    giant = [_over_z(s.coeffs) or (s.coeffs, 1) for s in giant]
+    out = []
+    for j in range(D + 1):
+        a, b = divmod(j + 1, B)
+        (g, g_den), (s, s_den) = giant[a], baby[b]
+        dot = sum(map(mul, g[:j + 1], reversed(s[:j + 1])))
+        out.append(_exact_div(dot, g_den * s_den * (j + 1)))
+    return TruncSeries(out, D)

@@ -2,9 +2,11 @@
 
 A ``Boxed`` value behaves like the ``int``/``Fraction`` it wraps, but it
 is neither, so series over ``Boxed`` take the term-by-term loops of
-``TruncSeries.__mul__``, ``TruncSeries.compose`` and
-``MixedSeries.mul_qseries``.  The differential tests compare the integer
-kernel against those loops on the same rationals.
+``TruncSeries.__mul__``, ``TruncSeries.__truediv__``,
+``TruncSeries.compose`` and ``MixedSeries.mul_qseries``, and
+``series_reversion`` takes its dot products over the ring.  The
+differential tests compare the integer kernel against those loops on the
+same rationals.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ class Boxed:
         return Boxed(self.v * unbox(other))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return Boxed(Fraction(self.v) / unbox(other))
+
+    def __rtruediv__(self, other):
+        return Boxed(Fraction(unbox(other)) / self.v)
 
     def __neg__(self):
         return Boxed(-self.v)

@@ -68,6 +68,18 @@ def test_scalar_comparison_builds_no_ratfunc(monkeypatch):
     assert RatFunc(Poly([1])) == RatFunc(Poly([1]))
 
 
+def test_equal_scalars_hash_equal():
+    # Every hbar scalar type equates a constant with its value, so sets
+    # and dicts must see one element.
+    for x in (3, 0, Fraction(-1, 2)):
+        assert len({x, Fraction(x), Poly([x]), RatFunc.const(x),
+                    RatFunc(Poly([x])), Laurent.const(x)}) == 1
+    assert len({Poly([1, 2]), RatFunc(Poly([1, 2])),
+                RatFunc(Poly([2, 4]), Poly([2]))}) == 1
+    assert len({RatFunc(Poly([3]), Poly([1, 1])),
+                RatFunc(Poly([6]), Poly([2, 2]))}) == 1
+
+
 def test_eval_direct_substitution():
     assert RatFunc(Poly([0, 1]), Poly([2, 1])).eval(2) == Fraction(1, 2)
 

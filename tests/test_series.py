@@ -10,9 +10,11 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from boxed_ring import box_all, rationals, unbox_all
+from boxed_ring import Boxed, box_all, rationals, unbox_all
+from lagrange_reversion import lagrange_reversion
 from quintic_mirror.errors import DomainError, OrderMismatch
 from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.mirror import build_mirror_map
 from quintic_mirror.sampling import sample_series_coeffs
 from quintic_mirror.series import (TruncSeries, q_mul, series_exp, series_log,
                                    series_reversion)
@@ -261,3 +263,115 @@ def test_ratfunc_coefficients_keep_the_loop():
             for k in range(4)]
     assert (TruncSeries(a, 3) * TruncSeries(b, 3)).coeffs == want
     assert (TruncSeries(b, 3) * TruncSeries(a, 3)).coeffs == want
+
+
+@st.composite
+def _q_quotient(draw):
+    n = draw(st.integers(1, 8))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    a, b = draw(row), draw(row)
+    b[0] = draw(st.sampled_from([1, 3, -2, F(7, 5)])
+                | rationals.filter(lambda c: c != 0))
+    return a, b
+
+
+@settings(_differential, max_examples=150)
+@given(_q_quotient())
+@example(([F(2, 3)], [-2])).via("order 0")
+@example(([0, 0, 0, 0], [3, 1, -1, 2])).via("zero numerator")
+@example(([1, 0, 0, 0, 0], [-2, 1, 0, 0, 0])).via("geometric, b0 = -2")
+@example(([F(1, 2), F(-1, 3), 5], [F(7, 5), F(1, 7), F(-2, 9)])).via(
+    "denominators on both sides")
+@example(([2 ** 70, -1, 3], [3, 2 ** 70, -(2 ** 70)])).via("wide numerators")
+def test_kernel_div_matches_loop(pair):
+    a, b = pair
+    D = len(a) - 1
+    got = (TruncSeries(a, D) / TruncSeries(b, D)).coeffs
+    want = TruncSeries(box_all(a), D) / TruncSeries(box_all(b), D)
+    _same(got, unbox_all(want.coeffs))
+    # The quotient prints as the loop's does: every coefficient a Fraction.
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_div_ratfunc_divisor_keeps_the_loop():
+    rng = random.Random(17)
+    b = TruncSeries([RatFunc.const(3)] + [_random_ratfunc(rng)
+                                          for _ in range(3)], 3)
+    a = TruncSeries([F(1, 2), F(-3), 0, F(5, 7)], 3)
+    quotient = a / b
+    assert all(isinstance(c, RatFunc) for c in quotient)
+    assert quotient * b == a
+
+
+@pytest.mark.parametrize("ring", ["fraction", "boxed", "ratfunc"])
+def test_div_zero_constant_term_raises(ring):
+    b = [0, F(1, 2), 3]
+    if ring == "boxed":
+        b = box_all(b)
+    elif ring == "ratfunc":
+        b = [RatFunc.const(c) for c in b]
+    with pytest.raises(DomainError):
+        TruncSeries([F(1), 2, 3], 2) / TruncSeries(b, 2)
+
+
+def _naive_powers(s: TruncSeries, n: int) -> list[TruncSeries]:
+    out = [TruncSeries.one(s.order)]
+    for _ in range(n):
+        out.append(out[-1] * s)
+    return out
+
+
+def _series_of_valuation(rng, ring, v, D):
+    """A series q^v t(q), t(0) != 0, at order D (zero when v > D)."""
+    draw = {"fraction": lambda: F(rng.randint(-9, 9), rng.randint(1, 4)),
+            "boxed": lambda: Boxed(F(rng.randint(-9, 9), rng.randint(1, 4))),
+            "ratfunc": lambda: _random_ratfunc(rng)}[ring]
+    lead = draw()
+    while lead == 0:
+        lead = draw()
+    return TruncSeries([0] * v + [lead] + [draw() for _ in range(D)], D)
+
+
+@pytest.mark.parametrize("ring", ["fraction", "boxed", "ratfunc"])
+@pytest.mark.parametrize("valuation", [0, 1, 2, 3, "zero"])
+@pytest.mark.parametrize("D", [0, 1, 2, 5, 9])
+def test_powers_truncated_by_valuation(ring, valuation, D):
+    rng = random.Random(f"{ring}-{valuation}-{D}")
+    if valuation == "zero":
+        s, v = TruncSeries.zero(D), D + 1
+    else:
+        s, v = _series_of_valuation(rng, ring, valuation, D), valuation
+    for n in (0, 1, 2, D, D + 3):
+        got, want = s.powers(n), _naive_powers(s, n)
+        assert len(got) == n + 1
+        assert all(p.order == D for p in got)
+        assert got == want
+        assert all(got[k].is_zero() for k in range(1, n + 1) if k * v > D)
+        if ring == "fraction":
+            for p, q in zip(got, want):
+                _same(p.coeffs, q.coeffs)
+    if valuation != 0:
+        outer = _series_of_valuation(rng, ring, 0, D)
+        assert outer.compose(s.powers(D)) == outer.compose(_naive_powers(s, D))
+
+
+@pytest.mark.parametrize("D", range(21))
+@settings(_differential, max_examples=6)
+@given(data=st.data())
+def test_reversion_matches_lagrange_oracle(D, data):
+    # D + 1 runs over 1..21, so the block size isqrt(D + 1) takes every
+    # boundary D + 1 in {1, 4, 9, 16}, on both the Q and the ring path.
+    tail = data.draw(st.lists(rationals, min_size=D, max_size=D))
+    v = TruncSeries([1] + tail, D)
+    want = lagrange_reversion(v).coeffs
+    _same(series_reversion(v).coeffs, want)
+    boxed = series_reversion(TruncSeries(box_all(v.coeffs), D))
+    assert all(isinstance(c, Boxed) for c in boxed)
+    _same(unbox_all(boxed.coeffs), want)
+
+
+def test_reversion_of_quintic_exp_g_matches_lagrange_oracle():
+    mm = build_mirror_map(4, 40)
+    v = series_exp(mm.g)
+    _same(series_reversion(v).coeffs, lagrange_reversion(v).coeffs)
+    assert all(c.denominator == 1 for c in mm.w)
