@@ -18,6 +18,19 @@ gcd pass over its coefficients.
   and their images under hbar -> -hbar.  A missing root p/q multiplies N
   by (q hbar - p), a cancellation is exact top-down integer division by
   it, and no polynomial gcd is ever needed.
+
+  Every sum of ``RatFunc`` values goes through one n-ary kernel
+  (``RatFunc.lincomb``; ``+`` is its two-term call).  It brings each term
+  to the common root multiset, which holds every root at the largest
+  multiplicity of any term, accumulates the integer numerators over the
+  common denominator of the contents and makes one ``_split``.  A term
+  holding only a few of the common roots gets its cofactor as the exact
+  quotient of the expanded common denominator by its own factors, so a
+  sum of many one-root terms over n roots costs O(n^2).  Reduction rule:
+  the sum can vanish at a root only if two or more terms hold it at the
+  largest multiplicity (a term alone there is nonzero at the root, and
+  every other term carries the factor), so ``_reduce`` tries those roots
+  and no others.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
   sign), used for the ambient fundamental solution where every
   coefficient is a polynomial in 1/hbar.
@@ -339,12 +352,6 @@ def _reduce(c: tuple, roots: dict, candidates) -> tuple:
     return c
 
 
-def _missing(common: dict, roots: dict) -> dict:
-    """The factors of common that roots lacks, as a root multiset."""
-    return {r: k - roots.get(r, 0) for r, k in common.items()
-            if k > roots.get(r, 0)}
-
-
 def _q_power(roots: dict) -> int:
     """prod q^k: the scale between prod (q hbar - p)^k and its monic form."""
     out = 1
@@ -352,6 +359,57 @@ def _q_power(roots: dict) -> int:
         if q != 1:
             out *= q ** k
     return out
+
+
+def _sum(terms) -> "RatFunc":
+    """sum content * N / prod (q hbar - p)^k over (content, N, roots) triples.
+
+    Two or more terms, each nonzero and in lowest terms; the module
+    docstring gives the method and the reduction rule.
+    """
+    common = dict(terms[0][2])
+    tied: dict = {}             # root -> a multiplicity two terms hold
+    for _, _, roots in terms[1:]:
+        for r, k in roots.items():
+            top = common.get(r, 0)
+            if k > top:
+                common[r] = k
+            elif k == top:
+                tied[r] = k
+    den = lcm(*[c.denominator for c, _, _ in terms])
+    wide = len(terms) > 2
+    total = sum(common.values()) if wide else 0
+    expanded = None
+    lifted = []
+    for c, n, roots in terms:
+        # A term holding own of the total common factors lacks total - own.
+        # When own + len(n) is below that, dividing its own factors out of
+        # the expanded common denominator costs less than multiplying the
+        # missing ones in.  Two terms share no expansion: they multiply.
+        if wide and 2 * sum(roots.values()) + len(n) < total:
+            if expanded is None:
+                expanded = _mul_roots((1,), common)
+            cofactor = expanded
+            for (p, q), k in roots.items():
+                for _ in range(k):
+                    cofactor = _div_root(cofactor, p, q)
+            n = _conv(n, cofactor)
+        elif common:
+            n = _mul_roots(n, {r: k - roots.get(r, 0)
+                               for r, k in common.items()
+                               if k > roots.get(r, 0)})
+        lifted.append((c.numerator * (den // c.denominator), n))
+    (fa, a), (fb, b) = lifted[0], lifted[1]
+    acc = [fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)]
+    for f, n in lifted[2:]:
+        acc = [x + f * y for x, y in zip_longest(acc, n, fillvalue=0)]
+    content, n = _split(acc, den)
+    if not n:
+        return RatFunc.const(0)
+    candidates = [r for r, k in common.items() if tied.get(r) == k]
+    if candidates:
+        n = _reduce(n, common, candidates)
+    return RatFunc(n, common, _content=content)
 
 
 class RatFunc:
@@ -370,6 +428,8 @@ class RatFunc:
     d hbar, the 1/hbar prefactors, the Newton-node differences).  A
     ``Poly`` of higher degree raises ``StructureError``, as does inverting
     a numerator of degree above 1: neither would split into known roots.
+    ``from_factors`` takes both numerator and denominator as products of
+    linear forms, given as pair-keyed root multisets.
     ``num`` and ``den`` are ``Poly`` views built on demand from the same
     integer tuples: the numerator over the monic denominator, and that
     denominator expanded.
@@ -439,6 +499,31 @@ class RatFunc:
         x = _frac(x)
         return cls((1,) if x else (), {}, _content=x)
 
+    @classmethod
+    def from_factors(cls, content, zeros: dict, poles: dict) -> "RatFunc":
+        """content * prod (q hbar - p)^k over ``zeros``, divided by the same
+        product over ``poles``.
+
+        Both are root multisets keyed like ``roots``: integer pairs (p, q)
+        in lowest terms with q > 0.  Two such factors are equal exactly
+        when their pairs are, so cancelling the pairs both hold leaves
+        lowest terms without a division.
+        """
+        content = _frac(content)
+        if not content:
+            return cls.const(0)
+        poles = dict(poles)
+        shared = zeros.keys() & poles.keys()
+        if shared:
+            zeros = dict(zeros)
+            for r in shared:
+                k = min(zeros[r], poles[r])
+                zeros[r] -= k
+                poles[r] -= k
+                if not poles[r]:
+                    del poles[r]
+        return cls(_mul_roots((1,), zeros), poles, _content=content)
+
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFunc):
@@ -464,25 +549,29 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero():
+        if not self._n:
             return other
-        if other.is_zero():
+        if not other._n:
             return self
-        ra, rb = self.roots, other.roots
-        roots = dict(ra)
-        for r, k in rb.items():
-            if k > roots.get(r, 0):
-                roots[r] = k
-        a = _mul_roots(self._n, _missing(roots, ra))
-        b = _mul_roots(other._n, _missing(roots, rb))
-        content, n = _lin(self._content, a, other._content, b)
-        if not n:
-            return RatFunc.const(0)
-        # The sum can vanish only at a root both operands hold equally often.
-        tied = [r for r, k in ra.items() if rb.get(r) == k]
-        return RatFunc(_reduce(n, roots, tied), roots, _content=content)
+        return _sum(((self._content, self._n, self.roots),
+                     (other._content, other._n, other.roots)))
 
     __radd__ = __add__
+
+    @staticmethod
+    def lincomb(pairs) -> "RatFunc":
+        """sum c * f over (c, f) pairs of a scalar and a ``RatFunc``.
+
+        One pass of the sum kernel: a scalar only scales the content.
+        """
+        terms = [(c * f._content, f._n, f.roots) for c, f in pairs
+                 if c and f._n]
+        if not terms:
+            return RatFunc.const(0)
+        if len(terms) == 1:
+            c, n, roots = terms[0]
+            return RatFunc(n, roots, _content=c)
+        return _sum(terms)
 
     def __sub__(self, other):
         other = RatFunc._coerce(other)

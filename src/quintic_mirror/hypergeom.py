@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import DomainError
-from .hbar import Laurent, Poly, RatFunc
+from .hbar import Laurent, RatFunc
 from .mixed import HTruncPoly, MixedSeries
 from .series import TruncSeries
 
@@ -181,29 +181,40 @@ def zstar_family(cfg: HypergeomConfig,
 
     Z*_i(q, hbar) = sum_d q^d prod_{r<=ld}(l lam_i + r hbar)
                               / prod_a prod_{r<=d}(lam_i - lam_a + r hbar).
+
+    Built on integers, incrementally in d.  With Lam = L lam cleared,
+    l lam_i + r hbar = h (a1 hbar + a0)/L with a1 hbar + a0 primitive, and
+    lam_i - lam_a + r hbar = g (q hbar - p)/L with p/q = (Lam_a - Lam_i)/(rL)
+    in lowest terms.  The factors grow as root multisets, and the scales h,
+    g and L collect into one content per entry.
     """
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != cfg.m + 1:
         raise DomainError(f"need {cfg.m + 1} weights, got {len(lam)}")
     if len(set(lam)) != len(lam):
         raise DomainError("weights must be pairwise distinct")
+    m, l = cfg.m, cfg.l
+    L = lcm(*[x.denominator for x in lam])
+    Lam = [x.numerator * (L // x.denominator) for x in lam]
     entries = []
-    for i in range(cfg.m + 1):
+    for i in range(m + 1):
         coeffs: list = [RatFunc.const(1)]
+        top, bottom, zeros, poles = 1, 1, {}, {}
         for d in range(1, cfg.order + 1):
-            # lam_i - lam_a + r hbar = r (hbar - (lam_a - lam_i)/r): the
-            # scale prod r = (d!)^(m+1) moves into the numerator.
-            num = Poly([Fraction(1, factorial(d) ** (cfg.m + 1))])
-            for r in range(1, cfg.l * d + 1):
-                num = num * Poly([cfg.l * lam[i], r])
-            roots: dict = {}
-            for a in range(cfg.m + 1):
-                for r in range(1, d + 1):
-                    root = (lam[a] - lam[i]) / r
-                    roots[root] = roots.get(root, 0) + 1
-            coeffs.append(RatFunc(num, roots))
+            for r in range(l * (d - 1) + 1, l * d + 1):
+                h = gcd(l * Lam[i], r * L)
+                zero = (-l * Lam[i] // h, r * L // h)
+                zeros[zero] = zeros.get(zero, 0) + 1
+                top *= h
+            for a in range(m + 1):
+                g = gcd(Lam[a] - Lam[i], d * L)
+                pole = ((Lam[a] - Lam[i]) // g, d * L // g)
+                poles[pole] = poles.get(pole, 0) + 1
+                bottom *= g
+            coeffs.append(RatFunc.from_factors(
+                Fraction(top * L ** ((m + 1 - l) * d), bottom), zeros, poles))
         entries.append(TruncSeries(coeffs, cfg.order))
-    return CorrelatorFamily(lam, entries, cfg.m, cfg.l, cfg.order)
+    return CorrelatorFamily(lam, entries, m, l, cfg.order)
 
 
 def hypersurface_operator_residual(series: MixedSeries, m: int,

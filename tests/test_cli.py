@@ -226,7 +226,7 @@ def test_planted_error_in_graph_sum_is_internal_error(capsys, monkeypatch):
 ])
 def test_planted_error_in_recursion_coefficient_is_internal_error(
         capsys, monkeypatch, weights):
-    monkeypatch.setattr(recursion, "_cy_coefficient_direct", _planted)
+    monkeypatch.setattr(recursion, "_coefficient", _planted)
     code, out, err = run_cli(capsys, "verify", "recursion-cy", "--order", "2",
                              *weights)
     assert code == 3

@@ -318,6 +318,64 @@ def test_eval_matches_num_over_den(x, points):
             assert a.eval(point) == a.num.eval(point) / a.den.eval(point)
 
 
+def _fold(pairs) -> RatFunc:
+    acc = RatFunc.const(0)
+    for c, f in pairs:
+        acc = acc + f * c
+    return acc
+
+
+@st.composite
+def _sum_terms(draw):
+    """(scalar, RatFunc) pairs: shared and repeated roots from one small
+    pool, often one term over many roots, cancelling pairs, zero terms and
+    constants."""
+    root = draw(st.sampled_from([_root, _wide_root]))
+    pairs = [(draw(_scale), x) for x, _ in
+             draw(st.lists(_split_pair(root=root), max_size=6))]
+    if pairs and draw(st.booleans()):
+        wide = pairs[0][1]
+        for _, f in pairs[1:3]:
+            wide = wide * f
+        pairs.append((draw(_scale), wide))
+    if pairs and draw(st.booleans()):
+        c, f = draw(st.sampled_from(pairs))
+        pairs.append((-c, f))
+    if draw(st.booleans()):
+        pairs.append((0, draw(_split_pair())[0]))
+    if draw(st.booleans()):
+        pairs.append((draw(_scale), RatFunc.const(0)))
+    for x in draw(st.lists(_scale, max_size=2)):
+        pairs.append((draw(st.sampled_from([1, Fraction(-3, 2)])),
+                      RatFunc.const(x)))
+    return draw(st.permutations(pairs))
+
+
+@settings(_differential, max_examples=100)
+@given(_sum_terms())
+def test_lincomb_matches_a_fold_of_add(pairs):
+    got, want = RatFunc.lincomb(pairs), _fold(pairs)
+    assert got == want and hash(got) == hash(want)
+    assert RatFunc.lincomb([(1, f) for _, f in pairs]) == _fold(
+        [(1, f) for _, f in pairs])
+
+
+def test_lincomb_of_one_root_terms_over_many_roots():
+    # The shape of a recursion residual: one term over many roots, and many
+    # terms that each hold one of them.  Those take their cofactor from the
+    # expanded common denominator.
+    roots = [Fraction(p, q) for p in (-3, -1, 2, 5) for q in (1, 2, 3)]
+    wide = RatFunc(Poly([1, 2, 3]), _multiset(roots + roots[:2]))
+    pairs = [(1, wide), (Fraction(-7, 4), RatFunc.const(1))]
+    for k, r in enumerate(roots):
+        pairs.append((Fraction(k + 1, 3), RatFunc(Poly([0, 1]), Poly([-r, 1]))))
+    got = RatFunc.lincomb(pairs)
+    assert got == _fold(pairs)
+    assert got.roots == wide.roots
+    # Terms that cancel the wide term exactly leave the rest.
+    assert RatFunc.lincomb(pairs + [(-1, wide)]) == _fold(pairs[1:])
+
+
 def test_pipeline_never_calls_euclidean_division(monkeypatch):
     def forbidden(self, other):
         raise AssertionError("Euclidean polynomial division on the pipeline")

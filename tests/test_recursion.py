@@ -7,26 +7,36 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from quintic_mirror.errors import ClassPViolation, DomainError
+from quintic_mirror.errors import ClassPViolation, DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import (CorrelatorFamily, HypergeomConfig,
                                       f_and_g, zstar_family)
 from quintic_mirror.recursion import (classP_extract, closed_form_E,
                                       composite_inverse_of_zstar,
-                                      _cy_coefficient_cleared,
-                                      _cy_coefficient_direct, forward_solve,
                                       mod_hbar2, phi_double_correlator,
                                       phi_law_a, phi_law_b, phi_law_c,
-                                      recursion_coeffs, transform_family,
-                                      verify_recursion, z_normalize)
+                                      recursion_coeffs, regime_of,
+                                      transform_family, verify_recursion,
+                                      z_normalize)
 from quintic_mirror.sampling import (sample_lambda, sample_series_coeffs,
                                      sample_until)
 from quintic_mirror.series import TruncSeries
+from recursion_oracle import (cy_coefficient_cleared, cy_coefficient_direct,
+                              forward_solve, oracle_coeffs,
+                              zstar_family_fraction)
 
 
 def F(p, q=1):
     return Fraction(p, q)
+
+
+# Fixed examples, and no shrinking: a kernel that raises on every example
+# is reported at once instead of after minutes of shrinking.
+_differential = settings(deadline=None, derandomize=True, database=None,
+                         phases=(Phase.explicit, Phase.generate))
 
 
 def cy_setup(rng, m=4, order=3, lam=None):
@@ -39,19 +49,79 @@ def cy_setup(rng, m=4, order=3, lam=None):
 
 
 def test_cy_coefficient_dual_path():
-    # Literal and denominator-cleared derivations of the same coefficient
-    # must agree, including at the grid point of the reference example.
+    # The integer kernel and both literal derivations of the same
+    # coefficient agree, including at the grid point of the reference
+    # example.
     lam = tuple(F(i) for i in range(5))
-    direct = _cy_coefficient_direct(4, lam, 0, 1, 1)
-    cleared = _cy_coefficient_cleared(4, lam, 0, 1, 1)
-    assert direct == cleared
-    assert direct.eval(7) == cleared.eval(7)
+    kernel = recursion_coeffs("calabi_yau", 4, 5, lam, 1).C[(0, 1, 1)]
+    direct = cy_coefficient_direct(4, lam, 0, 1, 1)
+    cleared = cy_coefficient_cleared(4, lam, 0, 1, 1)
+    assert kernel == direct == cleared
+    assert kernel.eval(7) == direct.eval(7) == cleared.eval(7)
     rng = random.Random(31)
     lam = sample_lambda(4, rng)
+    C = recursion_coeffs("calabi_yau", 4, 5, lam, 3).C
     for d in (1, 2, 3):
         for j in (1, 3):
-            assert (_cy_coefficient_direct(4, lam, 0, j, d)
-                    == _cy_coefficient_cleared(4, lam, 0, j, d))
+            assert (C[(0, j, d)] == cy_coefficient_direct(4, lam, 0, j, d)
+                    == cy_coefficient_cleared(4, lam, 0, j, d))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except DegenerateLambda as exc:
+        return str(exc)
+
+
+# Weights of small height, so the coefficient denominators vanish often,
+# and the sampler's weights, which the checks use.
+_mixed_weights = st.one_of(
+    st.lists(st.integers(-5, 5).map(Fraction), min_size=2, max_size=6,
+             unique=True).map(tuple),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3),
+             min_size=2, max_size=6, unique=True).map(tuple),
+    st.integers(1, 5).flatmap(lambda m: st.builds(
+        sample_lambda, st.just(m), st.randoms(use_true_random=False))))
+
+
+def _same_coefficients(m, l, lam, order):
+    regime = regime_of(m, l)
+    got = _outcome(lambda: recursion_coeffs(regime, m, l, lam, order).C)
+    want = _outcome(lambda: oracle_coeffs(regime, m, l, lam, order))
+    # Equal dicts, or DegenerateLambda at the same first (i, j, d).
+    assert got == want, (regime, lam)
+    if isinstance(got, dict):
+        assert all(hash(got[k]) == hash(want[k]) for k in got)
+    return got
+
+
+@settings(_differential, max_examples=100)
+@given(_mixed_weights, st.integers(2, 3), st.data())
+def test_integer_coefficients_match_fraction_oracle(lam, order, data):
+    m = len(lam) - 1
+    _same_coefficients(m, data.draw(st.integers(1, m + 1), label="l"),
+                       lam, order)
+
+
+def test_grid_weights_are_degenerate_in_every_regime():
+    lam = tuple(F(i) for i in range(5))
+    for l in (3, 4, 5):
+        assert isinstance(_same_coefficients(4, l, lam, 2), str)
+
+
+@settings(_differential, max_examples=100)
+@given(_mixed_weights, st.integers(1, 4), st.data())
+def test_integer_zstar_matches_fraction_oracle(lam, order, data):
+    m = len(lam) - 1
+    l = data.draw(st.integers(1, m + 1), label="l")
+    cfg = HypergeomConfig(m, l, order, m)
+    got, want = zstar_family(cfg, lam), zstar_family_fraction(cfg, lam)
+    assert got.lam == want.lam
+    for i in range(m + 1):
+        for d in range(order + 1):
+            a, b = got.coeff(i, d), want.coeff(i, d)
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 def test_initial_terms_by_regime():
@@ -120,6 +190,24 @@ def test_recursion_equal_m_fails_without_prefactor():
         return ok
 
     assert sample_until(rng, build) is False
+
+
+@pytest.mark.parametrize("regime, m, l", [("sub_m", 5, 3),
+                                          ("calabi_yau", 4, 5)])
+def test_recursion_fails_with_one_scaled_coefficient(regime, m, l):
+    # One coefficient doubled must show in a residual: nonzero below the
+    # Calabi-Yau case, non-polynomial in it.  At d = d' the term reads
+    # z_j[0] = 1, so the scaled coefficient always enters its residual.
+    lam = (F(3, 7), F(-11, 5), F(23, 3), F(2, 9), F(-31, 4), F(5, 2))[:m + 1]
+    fam = zstar_family(HypergeomConfig(m, l, 3, m), lam)
+    z = z_normalize(fam)
+    for key in ((0, 1, 1), (2, 0, 2), (m, 1, 3)):
+        coeffs = recursion_coeffs(regime, m, l, lam, 3)
+        assert verify_recursion(z, coeffs)[0]
+        coeffs.C[key] = coeffs.C[key] * 2
+        ok, detail, _ = verify_recursion(z, coeffs)
+        assert not ok
+        assert f"(i={key[0]}, Q^{key[2]})" in detail, detail
 
 
 def test_recursion_cy_initial_terms_bounded():
