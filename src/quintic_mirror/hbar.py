@@ -19,18 +19,28 @@ gcd pass over its coefficients.
   by (q hbar - p), a cancellation is exact top-down integer division by
   it, and no polynomial gcd is ever needed.
 
-  Every sum of ``RatFunc`` values goes through one n-ary kernel
-  (``RatFunc.lincomb``; ``+`` is its two-term call).  It brings each term
-  to the common root multiset, which holds every root at the largest
-  multiplicity of any term, accumulates the integer numerators over the
-  common denominator of the contents and makes one ``_split``.  A term
-  holding only a few of the common roots gets its cofactor as the exact
-  quotient of the expanded common denominator by its own factors, so a
-  sum of many one-root terms over n roots costs O(n^2).  Reduction rule:
-  the sum can vanish at a root only if two or more terms hold it at the
-  largest multiplicity (a term alone there is nonzero at the root, and
-  every other term carries the factor), so ``_reduce`` tries those roots
-  and no others.
+  Every sum of ``RatFunc`` values goes through one kernel in two steps.
+  *Lift* (``Lifted(terms)``, once): bring each term to the common root
+  multiset, which holds every root at the largest multiplicity of any
+  term, as an integer numerator over one common denominator of the
+  contents.  A term holding only a few of the common roots gets its
+  cofactor as the exact quotient of the expanded common denominator by
+  its own factors, so a sum of many one-root terms over n roots costs
+  O(n^2); when it differs from the term before in fewer factors than it
+  holds, the cofactor steps from that term's instead.  *Combine* (``Lifted.combine(row)``, once per row): multiply
+  each lifted numerator by its multiplier in the row (a scalar or a
+  ``Poly``), accumulate one integer sum, make one ``_split`` and one
+  ``_reduce``.  ``RatFunc.lincomb`` is a lift with one row of scalars and
+  ``+`` its two-term call; the double correlator combines the same lift
+  with one row of ``Poly`` multipliers per z-power.
+
+  Reduction rule: the combination can vanish at a root only if two or
+  more terms hold it at the largest multiplicity (a term alone there is
+  nonzero at the root, and every other term carries the factor), so
+  ``_reduce`` tries those roots and no others.  The exception is a term
+  alone at a root whose multiplier vanishes there (a zero, or a ``Poly``
+  with that root, such as lam_i + d hbar at the pole (lam_a - lam_i)/d
+  when lam_a = 0): that root is tried too.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
   sign), used for the ambient fundamental solution where every
   coefficient is a polynomial in 1/hbar.
@@ -45,7 +55,7 @@ from typing import Iterable
 
 from .errors import DomainError, PoleError, StructureError
 
-__all__ = ["Poly", "RatFunc", "Laurent"]
+__all__ = ["Poly", "RatFunc", "Lifted", "Laurent"]
 
 
 def _frac(x) -> Fraction:
@@ -361,55 +371,117 @@ def _q_power(roots: dict) -> int:
     return out
 
 
-def _sum(terms) -> "RatFunc":
-    """sum content * N / prod (q hbar - p)^k over (content, N, roots) triples.
+def _cofactor(roots: dict, own: int, expanded: tuple, last: tuple) -> tuple:
+    """The expanded common denominator with a term's own factors divided out.
 
-    Two or more terms, each nonzero and in lowest terms; the module
-    docstring gives the method and the reduction rule.
+    ``roots`` holds ``own`` factors in all.  ``last`` is the (cofactor,
+    roots) pair of the term done before; when fewer factors differ between
+    the two terms than this one holds (consecutive terms of the double
+    correlator share most of theirs), the cofactor steps from that one.
     """
-    common = dict(terms[0][2])
-    tied: dict = {}             # root -> a multiplicity two terms hold
-    for _, _, roots in terms[1:]:
-        for r, k in roots.items():
-            top = common.get(r, 0)
-            if k > top:
-                common[r] = k
-            elif k == top:
-                tied[r] = k
-    den = lcm(*[c.denominator for c, _, _ in terms])
-    wide = len(terms) > 2
-    total = sum(common.values()) if wide else 0
-    expanded = None
-    lifted = []
-    for c, n, roots in terms:
-        # A term holding own of the total common factors lacks total - own.
-        # When own + len(n) is below that, dividing its own factors out of
-        # the expanded common denominator costs less than multiplying the
-        # missing ones in.  Two terms share no expansion: they multiply.
-        if wide and 2 * sum(roots.values()) + len(n) < total:
-            if expanded is None:
-                expanded = _mul_roots((1,), common)
-            cofactor = expanded
-            for (p, q), k in roots.items():
-                for _ in range(k):
-                    cofactor = _div_root(cofactor, p, q)
-            n = _conv(n, cofactor)
-        elif common:
-            n = _mul_roots(n, {r: k - roots.get(r, 0)
-                               for r, k in common.items()
-                               if k > roots.get(r, 0)})
-        lifted.append((c.numerator * (den // c.denominator), n))
-    (fa, a), (fb, b) = lifted[0], lifted[1]
-    acc = [fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)]
-    for f, n in lifted[2:]:
-        acc = [x + f * y for x, y in zip_longest(acc, n, fillvalue=0)]
-    content, n = _split(acc, den)
-    if not n:
-        return RatFunc.const(0)
-    candidates = [r for r, k in common.items() if tied.get(r) == k]
-    if candidates:
-        n = _reduce(n, common, candidates)
-    return RatFunc(n, common, _content=content)
+    cofactor, extra, lacking = expanded, roots, {}
+    if own > 1:                 # one factor is one division from the expansion
+        prev, held = last
+        up = {r: k - held.get(r, 0) for r, k in roots.items()
+              if k > held.get(r, 0)}
+        down = {r: k - roots.get(r, 0) for r, k in held.items()
+                if k > roots.get(r, 0)}
+        if sum(up.values()) + sum(down.values()) < own:
+            cofactor, extra, lacking = prev, up, down
+    for (p, q), k in extra.items():
+        for _ in range(k):
+            cofactor = _div_root(cofactor, p, q)
+    return _mul_roots(cofactor, lacking)
+
+
+class Lifted:
+    """Nonzero ``RatFunc`` terms over their common denominator, for one or
+    many linear combinations of them.
+
+    The lift is done once: ``roots`` is the common root multiset (every
+    root at the largest multiplicity any term holds), and each term's
+    content and numerator become an integer and an integer tuple over it,
+    both over the one integer ``den``.  ``combine`` then forms one linear
+    combination per row of multipliers, each an integer sum, one ``_split``
+    and one ``_reduce``.  The module docstring gives the reduction rule.
+    """
+
+    __slots__ = ("roots", "den", "terms", "holder")
+
+    def __init__(self, fs):
+        common: dict = {}
+        # root -> the one term holding it at the common multiplicity, or
+        # None when two or more do
+        holder: dict = {}
+        for t, f in enumerate(fs):
+            for r, k in f.roots.items():
+                top = common.get(r, 0)
+                if k > top:
+                    common[r] = k
+                    holder[r] = t
+                elif k == top:
+                    holder[r] = None
+        den = lcm(*[f._content.denominator for f in fs])
+        wide = len(fs) > 2
+        total = sum(common.values()) if wide else 0
+        expanded = last = None
+        terms = []
+        for f in fs:
+            n, roots = f._n, f.roots
+            # A term holding own of the total common factors lacks total - own.
+            # When own + len(n) is below that, dividing its own factors out of
+            # the expanded common denominator costs less than multiplying the
+            # missing ones in.  Two terms share no expansion: they multiply.
+            if wide and 2 * (own := sum(roots.values())) + len(n) < total:
+                if expanded is None:
+                    expanded = _mul_roots((1,), common)
+                    last = expanded, {}
+                cofactor = _cofactor(roots, own, expanded, last)
+                last = cofactor, roots
+                n = _conv(n, cofactor)
+            elif common:
+                n = _mul_roots(n, {r: k - roots.get(r, 0)
+                                   for r, k in common.items()
+                                   if k > roots.get(r, 0)})
+            c = f._content
+            terms.append((c.numerator * (den // c.denominator), n))
+        self.roots, self.den, self.terms, self.holder = (common, den, terms,
+                                                         holder)
+
+    def combine(self, row) -> "RatFunc":
+        """sum x_t f_t over the terms f_t and a row of multipliers x_t, each
+        an int, a Fraction or a ``Poly`` (zeros allowed), in lowest terms."""
+        parts = []
+        vanish = {}             # term -> integer tuple of a multiplier with
+        #                         roots; () for a zero multiplier
+        for t, ((a, n), x) in enumerate(zip(self.terms, row)):
+            if isinstance(x, Poly):
+                if len(x._n) != 1:
+                    vanish[t] = x._n
+                    n = _conv(x._n, n) if x._n else ()
+                x = x._content
+            elif not x:
+                vanish[t] = ()
+            if x:
+                parts.append((a * x.numerator, x.denominator, n))
+        scale = lcm(*[v for _, v, _ in parts])
+        scaled = [(u * (scale // v), n) for u, v, n in parts]
+        if len(scaled) % 2:
+            scaled.append((0, ()))
+        acc: list = []
+        for (fa, a), (fb, b) in zip(scaled[::2], scaled[1::2]):
+            acc = [x + fa * y + fb * z          # two terms per pass
+                   for x, y, z in zip_longest(acc, a, b, fillvalue=0)]
+        content, n = _split(acc, self.den * scale)
+        if not n:
+            return RatFunc.const(0)
+        candidates = [r for r, t in self.holder.items()
+                      if t is None or (t in vanish and (
+                          not vanish[t] or not _horner(vanish[t], *r)))]
+        roots = dict(self.roots)
+        if candidates:
+            n = _reduce(n, roots, candidates)
+        return RatFunc(n, roots, _content=content)
 
 
 class RatFunc:
@@ -553,8 +625,7 @@ class RatFunc:
             return other
         if not other._n:
             return self
-        return _sum(((self._content, self._n, self.roots),
-                     (other._content, other._n, other.roots)))
+        return Lifted((self, other)).combine((1, 1))
 
     __radd__ = __add__
 
@@ -562,16 +633,11 @@ class RatFunc:
     def lincomb(pairs) -> "RatFunc":
         """sum c * f over (c, f) pairs of a scalar and a ``RatFunc``.
 
-        One pass of the sum kernel: a scalar only scales the content.
+        One row of the sum kernel: the terms are lifted and combined with
+        the scalars as the row.
         """
-        terms = [(c * f._content, f._n, f.roots) for c, f in pairs
-                 if c and f._n]
-        if not terms:
-            return RatFunc.const(0)
-        if len(terms) == 1:
-            c, n, roots = terms[0]
-            return RatFunc(n, roots, _content=c)
-        return _sum(terms)
+        pairs = [(c, f) for c, f in pairs if c and f._n]
+        return Lifted([f for _, f in pairs]).combine([c for c, _ in pairs])
 
     def __sub__(self, other):
         other = RatFunc._coerce(other)

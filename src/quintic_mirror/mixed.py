@@ -145,7 +145,7 @@ class HTruncPoly:
         return all(a == b for a, b in zip(self.c, other.c))
 
     def __hash__(self):
-        return hash((self.nilpotency, tuple(str(x) for x in self.c)))
+        return hash((self.nilpotency, tuple(self.c)))
 
     def __repr__(self):
         terms = [f"({a})*H^{i}" for i, a in enumerate(self.c) if a != 0]

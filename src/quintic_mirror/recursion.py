@@ -7,8 +7,9 @@ fixed numeric weight tuple.  This module:
 * verifies that the hypergeometric correlators satisfy their recursions
   (residuals exactly zero below the Calabi-Yau case; hbar-polynomials of
   bounded degree in it),
-* extracts the class-P data: numerator polynomials N_id, the interpolated
-  two-variable polynomials E_d, and the double correlator Phi (a
+* extracts the class-P data: numerator polynomials N_id, the two-variable
+  interpolants E_d (decided against their closed form by the node values,
+  interpolated only where one misses), and the double correlator Phi (a
   ``MixedSeries`` with z in its t slot),
 * implements the three admissible transformations and their predicted
   effect on Phi.
@@ -17,11 +18,12 @@ fixed numeric weight tuple.  This module:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import ClassPViolation, DegenerateLambda, DomainError
-from .hbar import Poly, RatFunc
+from .hbar import Lifted, Poly, RatFunc
 from .hypergeom import CorrelatorFamily, exp_prefactor, f_and_g
 from .mixed import MixedSeries
 from .series import TruncSeries, series_exp, series_reversion
@@ -250,36 +252,57 @@ def verify_recursion(z_entries: list[TruncSeries],
 
 @dataclass
 class ClassPData:
-    """Numerator polynomials and interpolated E_d at a fixed weight tuple."""
+    """Numerator polynomials and the interpolants E_d at a fixed weight tuple.
+
+    ``E_polys`` maps d to the P-coefficients of E_d (``Poly`` values, P^0
+    first).  It is built on first read: E_d is the unique interpolant of
+    P-degree below its (m+1)(d+1) nodes, and the closed form
+    prod_{r<=(m+1)d}((m+1)P - r hbar) has P-degree (m+1)d + 1, which is
+    below that for m >= 1.  So where the closed form takes every node
+    value, E_d is the closed form, and ``classP_extract`` only interpolated
+    (and stored in ``interpolated``) the degrees where some node missed.
+    """
 
     m: int
     lam: tuple[Fraction, ...]
     N_table: dict          # (i, d) -> Poly in hbar
-    E_polys: dict          # d -> list of Poly (coefficients of P^0, P^1, ...)
+    order: int
+    interpolated: dict     # d -> E_d, for the degrees where a node missed
+
+    @cached_property
+    def E_polys(self) -> dict:
+        return {d: self.interpolated[d] if d in self.interpolated
+                else closed_form_E(self.m, d) for d in range(self.order + 1)}
 
 
 def classP_extract(family: CorrelatorFamily, order: int | None = None,
                    entries: list[TruncSeries] | None = None) -> ClassPData:
-    """N_id extraction and E_d interpolation for a recursion-form family.
+    """N_id extraction and the class-P verdict on E_d for a recursion-form family.
 
     N_id = (Q^d coefficient of y_i) d! prod_{j!=i} prod_{r<=d}
            (lam_i - lam_j + r hbar), asserted polynomial of hbar-degree
     at most (m+1)d; E_d is the unique P-interpolant of degree at most
     (m+1)d + m through the values (m+1) lam_i N_ir(hbar) N_i(d-r)(-hbar)
     at P = lam_i + r hbar, asserted to have hbar-polynomial coefficients.
+
+    Each node value is compared with the closed form's value there, a
+    product of (m+1)d + 1 linear forms in hbar that grows by m + 1 factors
+    per degree.  Where every node matches, E_d is the closed form (see
+    ``ClassPData``) and the bounds hold; only a degree with a mismatch is
+    interpolated (``_newton_interpolation``) and checked against the bounds.
     """
     m, lam = family.m, family.lam
     D = family.order if order is None else order
     y = entries if entries is not None else z_normalize(family)
     N_table: dict = {}
     for i in range(m + 1):
+        clear = Poly([1])
         for d in range(D + 1):
-            clear = Poly([factorial(d)])
-            for j in range(m + 1):
-                if j == i:
-                    continue
-                for r in range(1, d + 1):
-                    clear = clear * Poly([lam[i] - lam[j], r])
+            if d:
+                clear = clear * d
+                for j in range(m + 1):
+                    if j != i:
+                        clear = clear * Poly([lam[i] - lam[j], d])
             nid = RatFunc._coerce(y[i][d]) * clear
             if not nid.is_polynomial():
                 raise ClassPViolation(
@@ -290,17 +313,36 @@ def classP_extract(family: CorrelatorFamily, order: int | None = None,
                     f"N_(i={i}, d={d}) has hbar-degree {poly.degree} "
                     f"> {(m + 1) * d}")
             N_table[(i, d)] = poly
-    E_polys: dict = {}
+    # closed[i][r] is the closed form at P = lam_i + r hbar for the current
+    # d: prod_{j=(m+1)(r-d)..(m+1)r}((m+1)lam_i + j hbar); head[i] is
+    # prod_{j=0..(m+1)d}, the start of the node r = d.
+    closed: list = [[] for _ in range(m + 1)]
+    head = [Poly([(m + 1) * x]) for x in lam]
+    interpolated: dict = {}
     for d in range(D + 1):
         nodes = []
         values = []
+        matched = m >= 1
         for i in range(m + 1):
+            base = (m + 1) * lam[i]
+            row = closed[i]
+            if d:
+                for r in range(d):
+                    for j in range((m + 1) * (r - d), (m + 1) * (r - d + 1)):
+                        row[r] = row[r] * Poly([base, j])
+                for j in range((m + 1) * (d - 1) + 1, (m + 1) * d + 1):
+                    head[i] = head[i] * Poly([base, j])
+            row.append(head[i])
             for r in range(d + 1):
                 nodes.append(Poly([lam[i], r]))
-                v = (Poly([(m + 1) * lam[i]]) * N_table[(i, r)]
+                v = (Poly([base]) * N_table[(i, r)]
                      * N_table[(i, d - r)].subs_neg())
-                values.append(RatFunc._coerce(v))
-        coeffs = _newton_interpolation(nodes, values)
+                values.append(v)
+                matched = matched and v == row[r]
+        if matched:
+            continue
+        coeffs = _newton_interpolation(nodes, [RatFunc._coerce(v)
+                                               for v in values])
         polys = []
         for k, c in enumerate(coeffs):
             if not c.is_polynomial():
@@ -312,8 +354,9 @@ def classP_extract(family: CorrelatorFamily, order: int | None = None,
         if len(polys) - 1 > (m + 1) * d + m:
             raise ClassPViolation(
                 f"E_{d} has P-degree {len(polys) - 1} > {(m + 1) * d + m}")
-        E_polys[d] = polys
-    return ClassPData(m=m, lam=lam, N_table=N_table, E_polys=E_polys)
+        interpolated[d] = polys
+    return ClassPData(m=m, lam=lam, N_table=N_table, order=D,
+                      interpolated=interpolated)
 
 
 def _newton_interpolation(nodes: list[Poly],
@@ -346,15 +389,17 @@ def _newton_interpolation(nodes: list[Poly],
 
 
 def closed_form_E(m: int, d: int) -> list[Poly]:
-    """prod_{r=0..(m+1)d}((m+1)P - r hbar) as P-coefficients over Poly."""
-    coeffs = [Poly([1])]
-    for r in range((m + 1) * d + 1):
-        new = [Poly() for _ in range(len(coeffs) + 1)]
-        for k, c in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + c * (m + 1)
-            new[k] = new[k] + c * Poly([0, -r])
-        coeffs = new
-    return coeffs
+    """prod_{r=0..(m+1)d}((m+1)P - r hbar) as P-coefficients over Poly.
+
+    The product is homogeneous of degree n = (m+1)d + 1 in (P, hbar), so
+    the coefficient of P^k is e_k hbar^(n-k), with e_k the coefficient of
+    x^k in the integer polynomial prod_r ((m+1)x - r).
+    """
+    n = (m + 1) * d + 1
+    e = [1]
+    for r in range(n):
+        e = [(m + 1) * a - r * b for a, b in zip([0] + e, e + [0])]
+    return [Poly.hbar(n - k) * x for k, x in enumerate(e)]
 
 
 def phi_double_correlator(family: CorrelatorFamily, z_order: int,
@@ -371,6 +416,13 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
 
     Returned as a ``MixedSeries`` with h_top = 0 and z in the t slot:
     ``c[0][k][e]`` is the z^k q^e coefficient.
+
+    For a q-order e the terms Y_i[d1](hbar) Y_i[e-d1](-hbar) are the same
+    for every z-power; only their multipliers w_i (lam_i + d1 hbar)^k
+    change.  So the terms are lifted to their common denominator once per
+    e (``Lifted``), and each z-power is one combination of that lift with
+    its row of multipliers.  A multiplier can vanish at a pole that its
+    term alone holds, which the combination's reduction tries as well.
     """
     m, lam = family.m, family.lam
     if q_order > family.order:
@@ -383,33 +435,24 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
             if j != i:
                 denom *= lam[i] - lam[j]
         weights.append((m + 1) * lam[i] / denom)
-    neg = [[RatFunc._coerce(Y[i][d]).subs_neg() for d in range(q_order + 1)]
-           for i in range(m + 1)]
-    pos = [[RatFunc._coerce(Y[i][d]) for d in range(q_order + 1)]
-           for i in range(m + 1)]
-    # Y_i[d1](hbar) Y_i[d2](-hbar) is reused for every z-power: hoist it.
-    pairs = {}
-    for i in range(m + 1):
-        if weights[i] == 0:
-            continue
-        for e in range(q_order + 1):
-            for d1 in range(e + 1):
-                pairs[(i, e, d1)] = pos[i][d1] * neg[i][e - d1]
+    live = [i for i in range(m + 1) if weights[i] != 0]
+    pos = {i: [RatFunc._coerce(Y[i][d]) for d in range(q_order + 1)]
+           for i in live}
+    neg = {i: [y.subs_neg() for y in pos[i]] for i in live}
     out = MixedSeries(0, z_order, q_order)
     for e in range(q_order + 1):
+        terms, lins, row = [], [], []
+        for i in live:
+            for d1 in range(e + 1):
+                prod = pos[i][d1] * neg[i][e - d1]
+                if not prod.is_zero():
+                    terms.append(prod)
+                    lins.append(Poly([lam[i], d1]))
+                    row.append(Poly.const(weights[i]))
+        lifted = Lifted(terms)
         for k in range(z_order + 1):
-            acc = RatFunc.const(0)
-            for i in range(m + 1):
-                if weights[i] == 0:
-                    continue
-                inner = RatFunc.const(0)
-                for d1 in range(e + 1):
-                    prod = pairs[(i, e, d1)]
-                    if prod.is_zero():
-                        continue
-                    inner = inner + prod * Poly([lam[i], d1]) ** k
-                acc = acc + inner * weights[i]
-            out.c[0][k][e] = acc / factorial(k)
+            out.c[0][k][e] = lifted.combine(row) / factorial(k)
+            row = [x * lin for x, lin in zip(row, lins)]
     return out
 
 

@@ -377,7 +377,7 @@ class TruncSeries:
             a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.order, tuple(str(c) for c in self.coeffs)))
+        return hash((self.order, tuple(self.coeffs)))
 
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r})"

@@ -10,7 +10,9 @@ recursion stage ran on cleared integer weights:
 * ``zstar_family_fraction`` builds each Z*_i entry as a ``Poly`` product
   over a Fraction root mapping;
 * ``forward_solve`` solves the Calabi-Yau recursion from its initial data
-  with pairwise ``RatFunc`` sums.
+  with pairwise ``RatFunc`` sums;
+* ``phi_pairwise`` builds the double correlator Phi with one pairwise
+  ``RatFunc`` sum per term, each lifting its operands afresh.
 
 They share no integer kernel with the code under test beyond ``RatFunc``'s
 constructor and arithmetic.
@@ -24,6 +26,7 @@ from math import factorial
 from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import CorrelatorFamily, HypergeomConfig
+from quintic_mirror.mixed import MixedSeries
 from quintic_mirror.recursion import RecursionCoefficients
 from quintic_mirror.series import TruncSeries
 
@@ -164,3 +167,37 @@ def forward_solve(initial: dict, coeffs: RecursionCoefficients,
                         acc = acc + coeffs.C[(i, j, dprime)] * val
             cols[i].append(acc)
     return [TruncSeries(col, order) for col in cols]
+
+
+def phi_pairwise(family: CorrelatorFamily, z_order: int,
+                 q_order: int) -> MixedSeries:
+    """Phi(z, q) = sum_i w_i e^(lam_i z) Y_i(q e^(z hbar), hbar) Y_i(q, -hbar),
+
+    w_i = (m+1) lam_i / prod_{j != i}(lam_i - lam_j), term by term: the
+    z^k q^e coefficient is sum_i w_i sum_{d1+d2=e} (lam_i + d1 hbar)^k / k!
+    Y_i[d1](hbar) Y_i[d2](-hbar), each term added to the running sum.
+    """
+    m, lam, Y = family.m, family.lam, family.entries
+    weights = []
+    for i in range(m + 1):
+        denom = Fraction(1)
+        for j in range(m + 1):
+            if j != i:
+                denom *= lam[i] - lam[j]
+        weights.append((m + 1) * lam[i] / denom)
+    out = MixedSeries(0, z_order, q_order)
+    for e in range(q_order + 1):
+        for k in range(z_order + 1):
+            acc = RatFunc.const(0)
+            for i, weight in enumerate(weights):
+                if weight == 0:
+                    continue
+                inner = RatFunc.const(0)
+                for d1 in range(e + 1):
+                    prod = (RatFunc._coerce(Y[i][d1])
+                            * RatFunc._coerce(Y[i][e - d1]).subs_neg())
+                    if not prod.is_zero():
+                        inner = inner + prod * Poly([lam[i], d1]) ** k
+                acc = acc + inner * weight
+            out.c[0][k][e] = acc / factorial(k)
+    return out

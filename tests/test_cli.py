@@ -290,6 +290,48 @@ def test_class_p_violation_is_a_failed_check(capsys, monkeypatch):
     assert "N_(i=2, d=1) is not an hbar-polynomial" in out
 
 
+# What the check printed when every degree was interpolated; a wrong node
+# value must still be reported through the interpolant, word for word.
+WRONG_NODE_DETAIL = (
+    "E_1 coefficient of P^1 is not polynomial: RatFunc(Poly("
+    "-5055156250000/851067*h^1 + 30868935156250/2553201*h^2 + "
+    "26762224609375/2553201*h^3 + 847120468750/40527*h^4 + "
+    "7505158951225/729486*h^5 + -368103343750/94563*h^6 + "
+    "-246865326200/94563*h^7 + 1488031250/10507*h^8 + "
+    "2298184225/21014*h^9 + -11700000/10507*h^10 + -12784200/10507*h^11) / "
+    "Poly(-110397049/11664*h^0 + 473639/216*h^2 + -4267/48*h^4 + 1*h^6))")
+
+
+def test_class_p_wrong_node_value_is_interpolated(capsys, monkeypatch):
+    # Doubling Y_2[1] keeps N_(2,1) a polynomial within its bound, but the
+    # node values of E_1 miss the closed form: E_1 alone is interpolated.
+    real = verify.zstar_family
+    interpolate = recursion._newton_interpolation
+    node_counts = []
+
+    def corrupted(cfg, weights):
+        fam = real(cfg, weights)
+        fam.entries[2] = TruncSeries(
+            [fam.coeff(2, 0), fam.coeff(2, 1) * 2]
+            + list(fam.entry(2).coeffs[2:]), fam.order)
+        return fam
+
+    def counted(nodes, values):
+        node_counts.append(len(nodes))
+        return interpolate(nodes, values)
+
+    monkeypatch.setattr(verify, "zstar_family", corrupted)
+    monkeypatch.setattr(recursion, "_newton_interpolation", counted)
+    code, out, err = run_cli(capsys, "verify", "class-p", "--order", "2")
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "FAIL  class-p-bounds: N_id are hbar-polynomials of degree <= "
+        "(m+1)d; E_d has P-degree <= (m+1)d + m with polynomial "
+        f"coefficients  [{WRONG_NODE_DETAIL}]\n")
+    assert node_counts == [10]
+
+
 def test_class_p_names_the_first_differing_degree(capsys, monkeypatch):
     real = verify.closed_form_E
     monkeypatch.setattr(verify, "closed_form_E", lambda m, d: (

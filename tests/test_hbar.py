@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from euclid_ratfunc import EuclidRatFunc
 from quintic_mirror.errors import DomainError, PoleError, StructureError
-from quintic_mirror.hbar import Laurent, Poly, RatFunc
+from quintic_mirror.hbar import Laurent, Lifted, Poly, RatFunc
 from quintic_mirror.hypergeom import HypergeomConfig, zstar_family
 from quintic_mirror.recursion import phi_double_correlator
 from quintic_mirror.sampling import sample_rational
@@ -374,6 +374,49 @@ def test_lincomb_of_one_root_terms_over_many_roots():
     assert got.roots == wide.roots
     # Terms that cancel the wide term exactly leave the rest.
     assert RatFunc.lincomb(pairs + [(-1, wide)]) == _fold(pairs[1:])
+
+
+@st.composite
+def _multiplier_rows(draw):
+    """Nonzero terms and rows of multipliers for one lift: scalars, zeros
+    and Polys whose roots come from the terms' root pool, so a multiplier
+    often vanishes at a root that one term alone holds."""
+    root = draw(st.sampled_from([_root, _wide_root]))
+    terms = [x for x, _ in draw(st.lists(_split_pair(root=root), min_size=1,
+                                         max_size=5)) if not x.is_zero()]
+    poly = st.builds(lambda c, rs: Poly([c]) * _linear_poly(rs), _scale,
+                     st.lists(root, max_size=2))
+    multiplier = st.one_of(_scale, st.just(0), poly, poly.map(lambda p: 0 * p))
+    rows = draw(st.lists(st.lists(multiplier, min_size=len(terms),
+                                  max_size=len(terms)), min_size=1, max_size=3))
+    return terms, rows
+
+
+def _linear_poly(roots) -> Poly:
+    out = Poly([1])
+    for r in roots:
+        out = out * Poly([-r, 1])
+    return out
+
+
+@settings(_differential, max_examples=100)
+@given(_multiplier_rows())
+def test_lifted_rows_match_a_fold_of_products(case):
+    terms, rows = case
+    lifted = Lifted(terms)
+    for row in rows:
+        got = lifted.combine(row)
+        want = _fold([(x, f) for x, f in zip(row, terms)])
+        assert got == want and hash(got) == hash(want)
+
+
+def test_lifted_row_cancels_a_root_where_its_multiplier_vanishes():
+    # Only the first term holds the root -1, and the multiplier hbar + 1
+    # vanishes there: the combination has no pole at -1.
+    terms = [RatFunc(Poly([3]), Poly([1, 1])), RatFunc(Poly([1]), Poly([-2, 1]))]
+    got = Lifted(terms).combine([Poly([1, 1]), 5])
+    assert got == RatFunc(Poly([3])) + 5 * terms[1]
+    assert got.roots == terms[1].roots
 
 
 def test_pipeline_never_calls_euclidean_division(monkeypatch):

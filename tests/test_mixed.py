@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from boxed_ring import box_all, rationals, unbox_all
 from quintic_mirror.errors import DomainError
+from quintic_mirror.hbar import RatFunc
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
 from quintic_mirror.sampling import sample_series_coeffs
 from quintic_mirror.series import TruncSeries
@@ -20,6 +21,13 @@ def test_h_nilpotency_is_exact():
     h = HTruncPoly.h(4)
     assert (h ** 3).c == [0, 0, 0, 1]
     assert (h ** 4).c == [0, 0, 0, 0]
+
+
+def test_equal_htrunc_polys_hash_equal_across_coefficient_types():
+    a = HTruncPoly([RatFunc.const(1), 0], 2)
+    b = HTruncPoly([1, Fraction(0)], 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_h_negative_power_raises():

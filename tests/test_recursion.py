@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from quintic_mirror import recursion
 from quintic_mirror.errors import ClassPViolation, DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import (CorrelatorFamily, HypergeomConfig,
@@ -24,8 +25,9 @@ from quintic_mirror.recursion import (classP_extract, closed_form_E,
 from quintic_mirror.sampling import (sample_lambda, sample_series_coeffs,
                                      sample_until)
 from quintic_mirror.series import TruncSeries
+from quintic_mirror.verify import check_class_p
 from recursion_oracle import (cy_coefficient_cleared, cy_coefficient_direct,
-                              forward_solve, oracle_coeffs,
+                              forward_solve, oracle_coeffs, phi_pairwise,
                               zstar_family_fraction)
 
 
@@ -233,6 +235,68 @@ def test_classP_numerators_and_interpolant():
         assert len(data.E_polys[d]) - 1 == 5 * d + 1   # degree (m+1)d + 1
 
 
+def test_classP_lazy_E_polys_equal_the_closed_form():
+    # Sampled families at several m: the verdict by node values leaves
+    # E_polys to the closed form, and interpolating the same node values
+    # gives it too (the interpolant is unique).
+    rng = random.Random(48)
+    for m in (1, 2, 4):
+        lam, _, fam = cy_setup(rng, m=m, order=3)
+        data = classP_extract(fam)
+        assert data.interpolated == {}
+        for d in range(4):
+            assert data.E_polys[d] == closed_form_E(m, d)
+        nodes, values = [], []
+        for i in range(m + 1):
+            for r in range(3):
+                nodes.append(Poly([lam[i], r]))
+                values.append(RatFunc(Poly([(m + 1) * lam[i]])
+                                      * data.N_table[(i, r)]
+                                      * data.N_table[(i, 2 - r)].subs_neg()))
+        interpolant = [c.as_poly() for c in
+                       recursion._newton_interpolation(nodes, values)]
+        while interpolant and interpolant[-1].is_zero():
+            interpolant.pop()
+        assert interpolant == closed_form_E(m, 2)
+
+
+def test_classP_without_the_uniqueness_bound_interpolates():
+    # At m = 0 each degree has d + 1 nodes and the closed form P-degree
+    # d + 1: E_0 = P takes the one node value lam_0, but the interpolant
+    # through one node is the constant lam_0.
+    fam = CorrelatorFamily(
+        (F(3),), [TruncSeries([RatFunc.const(1), RatFunc.const(0)], 1)],
+        0, 1, 1)
+    data = classP_extract(fam)
+    assert data.E_polys[0] == [Poly([3])] != closed_form_E(0, 0)
+
+
+def test_classP_passing_path_never_interpolates(monkeypatch):
+    def forbidden(nodes, values):
+        raise AssertionError("interpolation on the passing path")
+
+    monkeypatch.setattr(recursion, "_newton_interpolation", forbidden)
+    rng = random.Random(49)
+    _, _, fam = cy_setup(rng, order=4)
+    data = classP_extract(fam)
+    assert all(data.E_polys[d] == closed_form_E(4, d) for d in range(5))
+    checks = check_class_p(4, 5, 4, 0)
+    assert checks and all(c.passed for c in checks), checks
+
+
+def test_classP_interpolates_the_degrees_whose_nodes_miss():
+    # q -> 2q multiplies E_d by 2^d: polynomial, within the bounds, and off
+    # the closed form from d = 1 on.
+    rng = random.Random(50)
+    _, _, fam = cy_setup(rng, order=2)
+    fam.entries = [TruncSeries([c * 2 ** d for d, c in enumerate(e.coeffs)],
+                               2) for e in fam.entries]
+    data = classP_extract(fam)
+    assert sorted(data.interpolated) == [1, 2]
+    for d in range(3):
+        assert data.E_polys[d] == [c * 2 ** d for c in closed_form_E(4, d)]
+
+
 def test_classP_detects_corrupted_family():
     rng = random.Random(38)
     lam, _, fam = cy_setup(rng, order=2)
@@ -280,6 +344,53 @@ def test_phi_zstar_polynomial_and_fault_detection():
         [fam.coeff(1, 0), broken, fam.coeff(1, 2)], 2)
     phi_bad = phi_double_correlator(fam, 2, 2)
     assert any(not v.is_polynomial() for row in phi_bad.c[0] for v in row)
+
+
+def _same_phi(got, want) -> None:
+    assert (got.t_top, got.order) == (want.t_top, want.order)
+    for row_got, row_want in zip(got.c[0], want.c[0]):
+        for a, b in zip(row_got, row_want):
+            assert a == b and hash(a) == hash(b)
+
+
+@settings(_differential, max_examples=20)
+@given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
+def test_phi_matches_pairwise_oracle(seed, z_cap, q_order):
+    # Z* and its image under each transformation: one lift per q-order
+    # gives the same coefficients as adding the terms one at a time.
+    rng = random.Random(seed)
+    order = max(q_order, 1)
+    lam = sample_lambda(4, rng)
+    fam = zstar_family(HypergeomConfig(4, 5, order, 4), lam)
+    f = TruncSeries([F(1)] + sample_series_coeffs(rng, order - 1, span=4,
+                                                  max_den=3), order)
+    g = TruncSeries([F(0)] + sample_series_coeffs(rng, order - 1, span=4,
+                                                  max_den=3), order)
+    for family in (fam, transform_family(fam, "a", f),
+                   transform_family(fam, "b", g),
+                   transform_family(fam, "c", g, C=sum(lam))):
+        _same_phi(phi_double_correlator(family, z_cap, q_order),
+                  phi_pairwise(family, z_cap, q_order))
+
+
+def test_phi_cancels_a_pole_where_a_multiplier_vanishes():
+    # Z* never has this pole: with lam_a = 0 the factor (lam_i + r hbar) of
+    # its numerator cancels the pole (lam_a - lam_i)/r.  Planted here:
+    # Y_1[1] = 1/(1 + hbar) has the pole hbar = -1 = (lam_0 - lam_1)/1 and
+    # the family has no other pole but its image +1, so the term
+    # Y_1[1](hbar) Y_1[0](-hbar) holds it alone.  That term's z^k
+    # multiplier (lam_1 + hbar)^k vanishes there: the pole cancels for
+    # k >= 1.
+    lam = (F(0), F(1), F(2), F(5), F(-3))
+    entries = [TruncSeries([RatFunc.const(1), RatFunc.const(0)], 1)
+               for _ in lam]
+    entries[1] = TruncSeries([RatFunc.const(1),
+                              RatFunc(Poly([1]), Poly([1, 1]))], 1)
+    fam = CorrelatorFamily(lam, entries, 4, 5, 1)
+    phi = phi_double_correlator(fam, 3, 1)
+    _same_phi(phi, phi_pairwise(fam, 3, 1))
+    assert (-1, 1) in phi.coeff(0, 0, 1).roots
+    assert all((-1, 1) not in phi.coeff(0, k, 1).roots for k in (1, 2, 3))
 
 
 def test_transformations_identity_cases():

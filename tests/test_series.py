@@ -55,6 +55,17 @@ def test_mul_order_mismatch_rejected():
         TruncSeries.one(2) * TruncSeries.one(3)
 
 
+def test_equal_series_hash_equal_across_coefficient_types():
+    # == compares the coefficients, whose types hash consistently with ==,
+    # so the series hash must read the coefficients and not their strings.
+    pairs = [(TruncSeries([RatFunc.const(1), 0], 1), TruncSeries([1, 0], 1)),
+             (TruncSeries([F(3), Poly([F(1, 2)])], 1),
+              TruncSeries([RatFunc.const(3), F(1, 2)], 1))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 def test_exp_frozen_values():
     assert series_exp(TruncSeries.zero(3)) == TruncSeries.one(3)
     e = series_exp(TruncSeries([0, 1, 0, 0], 3))
