@@ -13,15 +13,18 @@ picard-fuchs and mirror-identity read --order; case-i and case-ii read
 --m --l --order; recursion-i/-ii/-cy, class-p, phi-poly and transformations
 also read --seed and --lambda.  An option not given takes its ``DEFAULTS``
 value; without --lambda, weights are sampled from --seed.
+
+Every process imports this module, so its start-up is part of every
+run.  No stdlib module is imported only for annotations, and ``json`` and
+``csv`` are imported on the output paths that use them.  Everything a
+command runs is imported at module top: deferring it would only move its
+cost from start-up into the command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -114,20 +117,24 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _csv(rows: list[list]) -> str:
+    import csv
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _format_invariants(table, m: int, l: int, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(
             {"m": m, "l": l,
              "rows": [{"d": d, "N": str(N), "n": str(n)}
                       for d, N, n in table.rows()]},
             indent=2, sort_keys=True)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "N_d", "n_d"])
-        for d, N, n in table.rows():
-            writer.writerow([d, str(N), str(n)])
-        return buf.getvalue().rstrip("\n")
+        return _csv([["d", "N_d", "n_d"]]
+                    + [[d, str(N), str(n)] for d, N, n in table.rows()])
     lines = [f"{'d':>3}  {'N_d':>28}  {'n_d':>20}"]
     for d, N, n in table.rows():
         lines.append(f"{d:>3}  {str(N):>28}  {str(n):>20}")
@@ -138,13 +145,9 @@ def _format_checks(checks: list[Check], fmt: str) -> str:
     if fmt == "json":
         return report_json(checks)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "identity", "passed", "detail"])
-        for c in checks:
-            writer.writerow([c.name, c.identity,
-                             "pass" if c.passed else "fail", c.detail])
-        return buf.getvalue().rstrip("\n")
+        return _csv([["check", "identity", "passed", "detail"]]
+                    + [[c.name, c.identity, "pass" if c.passed else "fail",
+                        c.detail] for c in checks])
     return report_text(checks)
 
 
@@ -172,7 +175,10 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     check = CHECKS[args.check]
-    reads = inspect.signature(check).parameters
+    # The check's parameter names (through a functools.wraps wrapper too),
+    # read from its code object: importing inspect would slow every start.
+    code = getattr(check, "__wrapped__", check).__code__
+    reads = code.co_varnames[:code.co_argcount]
     given = {k: v for k, v in vars(args).items() if k in VERIFY_FLAGS}
     unread = [VERIFY_FLAGS[name] for name in given if name not in reads]
     if unread:

@@ -48,10 +48,10 @@ gcd pass over its coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable
 
 from .errors import DomainError, PoleError, StructureError
 

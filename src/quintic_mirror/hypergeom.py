@@ -13,7 +13,7 @@ For a degree-l hypersurface in P^m this module builds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -36,32 +36,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HypergeomConfig:
+class HypergeomConfig(namedtuple("HypergeomConfig",
+                                 "m l order h_nilpotent")):
     """Ambient dimension m, hypersurface degree l, q-order, H-nilpotency."""
 
-    m: int
-    l: int
-    order: int
-    h_nilpotent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, l: int, order: int, h_nilpotent: int):
+        if m < 1:
             raise DomainError(f"need m >= 1 for a hypersurface in P^m, "
-                              f"got m={self.m}")
-        if not 1 <= self.l <= self.m + 1:
-            raise DomainError(f"need 1 <= l <= m+1, got l={self.l}, m={self.m}")
-        if self.order < 1:
+                              f"got m={m}")
+        if not 1 <= l <= m + 1:
+            raise DomainError(f"need 1 <= l <= m+1, got l={l}, m={m}")
+        if order < 1:
             raise DomainError("q-order must be >= 1")
-        if self.h_nilpotent not in (self.m, self.m + 1):
+        if h_nilpotent not in (m, m + 1):
             raise DomainError("H-nilpotency must be m or m+1")
+        return super().__new__(cls, m, l, order, h_nilpotent)
 
     @classmethod
     def quintic(cls, order: int) -> "HypergeomConfig":
         return cls(m=4, l=5, order=order, h_nilpotent=4)
 
 
-@dataclass
 class CorrelatorFamily:
     """Indexed family {Y_i} of q-series with hbar-rational coefficients.
 
@@ -70,11 +67,13 @@ class CorrelatorFamily:
     family produced here and preserved by all transformations.
     """
 
-    lam: tuple[Fraction, ...]
-    entries: list[TruncSeries]
-    m: int
-    l: int
-    order: int
+    def __init__(self, lam: tuple[Fraction, ...], entries: list[TruncSeries],
+                 m: int, l: int, order: int):
+        self.lam = lam
+        self.entries = entries
+        self.m = m
+        self.l = l
+        self.order = order
 
     def entry(self, i: int) -> TruncSeries:
         return self.entries[i]

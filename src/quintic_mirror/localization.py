@@ -27,7 +27,7 @@ sum_F w_F^-1 = 0 at a vertex of valence 2, raises ``DegenerateLambda``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -48,13 +48,16 @@ __all__ = [
 MAX_DEGREE = 3      # d = 4 has ~200k labelled trees: too slow to canonicalize
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
-    """Fixed-locus label: a tree with vertex images and edge degrees."""
+class DecoratedGraph(namedtuple("DecoratedGraph",
+                                "vertices edges automorphisms")):
+    """Fixed-locus label: a tree with vertex images and edge degrees.
 
-    vertices: tuple[int, ...]         # fixed-point labels mu(v)
-    edges: tuple[tuple[int, int, int], ...]  # (v, v', delta) as vertex indices
-    automorphisms: int                # decoration-preserving vertex bijections
+    ``vertices`` holds the fixed-point labels mu(v), ``edges`` the triples
+    (v, v', delta) as vertex indices, and ``automorphisms`` the number of
+    decoration-preserving vertex bijections.
+    """
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

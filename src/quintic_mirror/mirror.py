@@ -14,7 +14,6 @@ All arithmetic is exact; every identity is checked coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class MirrorMap:
     """The change of variables T = t + g(q) and its reversion.
 
@@ -50,8 +48,9 @@ class MirrorMap:
     q' = q*exp(g(q)).
     """
 
-    g: TruncSeries
-    w: TruncSeries
+    def __init__(self, g: TruncSeries, w: TruncSeries):
+        self.g = g
+        self.w = w
 
     def roundtrip_residual(self) -> TruncSeries:
         D = self.g.order
@@ -60,13 +59,13 @@ class MirrorMap:
         return q_of * expg - TruncSeries.variable(D)
 
 
-@dataclass
 class InvariantTable:
     """Genus-0 invariants N_d and virtual curve counts n_d, d = 1..degree_max."""
 
-    degree_max: int
-    N: list[Fraction]
-    n: list[Fraction]
+    def __init__(self, degree_max: int, N: list[Fraction], n: list[Fraction]):
+        self.degree_max = degree_max
+        self.N = N
+        self.n = n
 
     def rows(self):
         for d in range(1, self.degree_max + 1):

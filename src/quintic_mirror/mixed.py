@@ -14,9 +14,9 @@ is not d/dz.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .errors import DomainError, OrderMismatch
 from .series import TruncSeries, q_mul

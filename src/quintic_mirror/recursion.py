@@ -17,7 +17,6 @@ fixed numeric weight tuple.  This module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -48,15 +47,16 @@ __all__ = [
 REGIMES = ("sub_m", "equal_m", "calabi_yau")
 
 
-@dataclass
 class RecursionCoefficients:
-    regime: str
-    m: int
-    l: int
-    lam: tuple[Fraction, ...]
-    order: int
-    C: dict = field(default_factory=dict)         # (i, j, d) -> RatFunc
-    initial: dict = field(default_factory=dict)   # i -> TruncSeries over QQ
+    def __init__(self, regime: str, m: int, l: int, lam: tuple[Fraction, ...],
+                 order: int):
+        self.regime = regime
+        self.m = m
+        self.l = l
+        self.lam = lam
+        self.order = order
+        self.C = {}           # (i, j, d) -> RatFunc
+        self.initial = {}     # i -> TruncSeries over QQ
 
 
 def regime_of(m: int, l: int) -> str:
@@ -250,7 +250,6 @@ def verify_recursion(z_entries: list[TruncSeries],
     return True, "", extracted
 
 
-@dataclass
 class ClassPData:
     """Numerator polynomials and the interpolants E_d at a fixed weight tuple.
 
@@ -263,11 +262,13 @@ class ClassPData:
     (and stored in ``interpolated``) the degrees where some node missed.
     """
 
-    m: int
-    lam: tuple[Fraction, ...]
-    N_table: dict          # (i, d) -> Poly in hbar
-    order: int
-    interpolated: dict     # d -> E_d, for the degrees where a node missed
+    def __init__(self, m: int, lam: tuple[Fraction, ...], N_table: dict,
+                 order: int, interpolated: dict):
+        self.m = m
+        self.lam = lam
+        self.N_table = N_table          # (i, d) -> Poly in hbar
+        self.order = order
+        self.interpolated = interpolated    # d -> E_d where a node missed
 
     @cached_property
     def E_polys(self) -> dict:

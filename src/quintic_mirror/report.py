@@ -3,22 +3,26 @@
 A ``Check`` names the verified identity in mathematical terms and carries
 the first offending coefficient when it fails.  Reports are lists of
 checks; serialization is deterministic and free of floating point.
+
+Import rule, kept for the CLI's start-up: no stdlib module is imported
+only for annotations, and ``json`` is imported inside ``report_json``,
+the one output path that uses it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-
 __all__ = ["Check", "report_text", "report_json", "all_passed"]
 
 
-@dataclass
 class Check:
-    name: str
-    identity: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "identity", "passed", "detail")
+
+    def __init__(self, name: str, identity: str, passed: bool,
+                 detail: str = ""):
+        self.name = name
+        self.identity = identity
+        self.passed = passed
+        self.detail = detail
 
 
 def all_passed(checks: list[Check]) -> bool:
@@ -37,6 +41,9 @@ def report_text(checks: list[Check]) -> str:
 
 
 def report_json(checks: list[Check]) -> str:
-    return json.dumps({"checks": [asdict(c) for c in checks],
+    import json
+    return json.dumps({"checks": [{"name": c.name, "identity": c.identity,
+                                   "passed": c.passed, "detail": c.detail}
+                                  for c in checks],
                        "passed": all_passed(checks)},
                       indent=2, sort_keys=True)

@@ -38,10 +38,10 @@ of bits (532 in w at order 50).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Callable, Sequence
 
 from .errors import DomainError, OrderMismatch
 

@@ -108,6 +108,25 @@ def test_descendent_examples():
     assert descendent_value(2, 2) == F(1, 8)
 
 
+def test_configs_with_the_same_fields_are_equal_values():
+    a = HypergeomConfig(4, 5, 2, 4)
+    b = HypergeomConfig(m=4, l=5, order=2, h_nilpotent=4)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != HypergeomConfig(4, 5, 3, 4)
+    assert HypergeomConfig.quintic(2) == a
+    assert repr(a) == "HypergeomConfig(m=4, l=5, order=2, h_nilpotent=4)"
+    with pytest.raises(AttributeError):
+        a.order = 3
+
+
+@pytest.mark.parametrize("fields", [(0, 1, 2, 0), (4, 6, 2, 4), (4, 5, 0, 4),
+                                    (4, 5, 2, 3)])
+def test_config_rejects_fields_outside_the_domain(fields):
+    with pytest.raises(DomainError):
+        HypergeomConfig(*fields)
+
+
 def test_zstar_constant_terms_and_example_value():
     cfg = HypergeomConfig(4, 5, 2, 4)
     fam = zstar_family(cfg, tuple(F(i) for i in range(5)))

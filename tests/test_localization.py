@@ -83,6 +83,21 @@ def test_classes_cover_every_labelled_tree(m, d, labelled):
     assert all(g.degree == d for g in graphs)
 
 
+def test_equal_graphs_built_apart_are_equal_values():
+    # The set in test_classes_cover_every_labelled_tree would count
+    # distinct objects, not distinct graphs, if graphs hashed by identity.
+    graphs = enumerate_graphs(3, 3)
+    copies = [DecoratedGraph(tuple(list(g.vertices)),
+                             tuple(tuple(list(e)) for e in g.edges),
+                             g.automorphisms) for g in graphs]
+    for g, copy in zip(graphs, copies):
+        assert copy is not g
+        assert copy == g and hash(copy) == hash(g)
+        assert copy != DecoratedGraph(g.vertices, g.edges,
+                                      g.automorphisms + 1)
+    assert set(copies) == set(graphs)
+
+
 def test_unsupported_degree():
     with pytest.raises(DomainError):
         enumerate_graphs(4, 4)

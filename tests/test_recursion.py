@@ -416,20 +416,25 @@ def test_transformation_preconditions():
 
 
 def test_phi_transformation_laws_small():
+    # At m = 4 the rows z^0..z^2 of Phi vanish, so the z-cap is 4: the
+    # laws' corrections reach the z^4 row through the z^3 row.
     rng = random.Random(43)
     lam, _, fam = cy_setup(rng, order=2)
-    phi = phi_double_correlator(fam, 2, 2)
+    phi = phi_double_correlator(fam, 4, 2)
+    assert not any(v.is_zero() for v in phi.c[0][3] + phi.c[0][4])
     f = TruncSeries([F(1)] + sample_series_coeffs(rng, 1, span=3, max_den=2),
                     2)
     g = TruncSeries([F(0)] + sample_series_coeffs(rng, 1, span=3, max_den=2),
                     2)
     C = sum(lam)
-    fam_a = transform_family(fam, "a", f)
-    assert phi_double_correlator(fam_a, 2, 2) == phi_law_a(phi, f)
-    fam_b = transform_family(fam, "b", g)
-    assert phi_double_correlator(fam_b, 2, 2) == phi_law_b(phi, g)
-    fam_c = transform_family(fam, "c", g, C=C)
-    assert phi_double_correlator(fam_c, 2, 2) == phi_law_c(phi, g, C)
+    for kind, series, predicted in (
+            ("a", f, phi_law_a(phi, f)),
+            ("b", g, phi_law_b(phi, g)),
+            ("c", g, phi_law_c(phi, g, C))):
+        assert predicted != phi, kind
+        transformed = transform_family(fam, kind, series,
+                                       C=C if kind == "c" else None)
+        assert phi_double_correlator(transformed, 4, 2) == predicted, kind
 
 
 def test_phi_transformation_laws_use_every_z_power():
