@@ -3,7 +3,7 @@
 For a degree-l hypersurface in P^m this module builds:
 
 * the hypersurface series  sum_d e^((H+d)t) prod(lH+r) / prod(H+r)^(m+1)
-  with H nilpotent, whose H^b components are the classical periods I_b(t);
+  with H^m = 0, whose H^b components are the classical periods I_b(t);
 * the ambient fundamental solution  sum_d e^((H/hbar+d)t) / prod(H+r*hbar)^(m+1)
   of the small quantum differential equation of P^m;
 * the two-point descendent values read off that solution;
@@ -36,13 +36,12 @@ __all__ = [
 ]
 
 
-class HypergeomConfig(namedtuple("HypergeomConfig",
-                                 "m l order h_nilpotent")):
-    """Ambient dimension m, hypersurface degree l, q-order, H-nilpotency."""
+class HypergeomConfig(namedtuple("HypergeomConfig", "m l order")):
+    """Ambient dimension m, hypersurface degree l, q-order."""
 
     __slots__ = ()
 
-    def __new__(cls, m: int, l: int, order: int, h_nilpotent: int):
+    def __new__(cls, m: int, l: int, order: int):
         if m < 1:
             raise DomainError(f"need m >= 1 for a hypersurface in P^m, "
                               f"got m={m}")
@@ -50,13 +49,11 @@ class HypergeomConfig(namedtuple("HypergeomConfig",
             raise DomainError(f"need 1 <= l <= m+1, got l={l}, m={m}")
         if order < 1:
             raise DomainError("q-order must be >= 1")
-        if h_nilpotent not in (m, m + 1):
-            raise DomainError("H-nilpotency must be m or m+1")
-        return super().__new__(cls, m, l, order, h_nilpotent)
+        return super().__new__(cls, m, l, order)
 
     @classmethod
     def quintic(cls, order: int) -> "HypergeomConfig":
-        return cls(m=4, l=5, order=order, h_nilpotent=4)
+        return cls(m=4, l=5, order=order)
 
 
 class CorrelatorFamily:
@@ -90,26 +87,27 @@ class CorrelatorFamily:
 def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     """The series sum_d e^((H+d)t) prod(lH+r)/prod(H+r)^(m+1), q = e^t.
 
-    Returned as a MixedSeries with h_top = cfg.h_nilpotent - 1 and
-    t_top = h_top (the t-degree never exceeds the H-degree because t only
-    enters through e^(Ht)).  The degree-d block
-    prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1) is the degree-(d-1) block
-    times prod_{l(d-1)<r<=ld}(lH+r) / (H+d)^(m+1).
+    On the hypersurface H^m = 0, so each degree's block is a power series
+    in H truncated at h_top = m - 1: a ``TruncSeries`` in H, whose
+    products and quotient over Q take the integer kernels of ``series``.
+    Returned as a MixedSeries with that h_top and t_top = h_top (the
+    t-degree never exceeds the H-degree because t only enters through
+    e^(Ht)).  The degree-d block prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1)
+    is the degree-(d-1) block times prod_{l(d-1)<r<=ld}(lH+r) / (H+d)^(m+1).
     """
-    h_top = cfg.h_nilpotent - 1
-    nil = cfg.h_nilpotent
+    m, l = cfg.m, cfg.l
+    h_top = m - 1
     out = MixedSeries(h_top, h_top, cfg.order)
-    block = HTruncPoly.const(Fraction(1), nil)
+    block = TruncSeries.constant(Fraction(1), h_top)
     for d in range(cfg.order + 1):
         if d:
-            for r in range(cfg.l * (d - 1) + 1, cfg.l * d + 1):
-                block = block * HTruncPoly([Fraction(r), Fraction(cfg.l)], nil)
-            block = block / HTruncPoly([Fraction(d), Fraction(1)],
-                                       nil) ** (cfg.m + 1)
+            for r in range(l * (d - 1) + 1, l * d + 1):
+                block = block * TruncSeries([r, l], h_top)
+            block = block / TruncSeries([d, 1], h_top) ** (m + 1)
         # e^(Ht) * block: coefficient of H^i t^k is block[i-k]/k!.
         for i in range(h_top + 1):
             for k in range(i + 1):
-                v = block.coeff(i - k)
+                v = block[i - k]
                 if v != 0:
                     out.c[i][k][d] = v / factorial(k)
     return out

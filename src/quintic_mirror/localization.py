@@ -35,7 +35,7 @@ from math import factorial
 
 from .errors import DegenerateLambda, DomainError
 from .report import Check
-from .sampling import sample_lambda
+from .sampling import sample_lambda, sample_until
 
 __all__ = [
     "DecoratedGraph",
@@ -175,18 +175,6 @@ def bott_sum(m: int, l: int, d: int, lam: tuple[Fraction, ...]) -> Fraction:
                 for g in enumerate_graphs(m, d)), Fraction(0))
 
 
-def bott_sum_random(m: int, l: int, d: int, rng,
-                    attempts: int = 50) -> tuple[Fraction, tuple]:
-    """Bott sum at a freshly sampled weight tuple, resampling degeneracies."""
-    for _ in range(attempts):
-        lam = sample_lambda(m, rng)
-        try:
-            return bott_sum(m, l, d, lam), lam
-        except DegenerateLambda:
-            continue
-    raise DegenerateLambda("could not sample a nondegenerate weight tuple")
-
-
 def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0,
                       pipeline_value: Fraction | None = None) -> Check:
     """Graph sums at independent weight tuples vs the series pipeline."""
@@ -200,7 +188,9 @@ def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0,
         from .mirror import quintic_invariants
         pipeline_value = quintic_invariants(d).N[d - 1]
     rng = random.Random(seed)
-    values = [bott_sum_random(4, 5, d, rng)[0] for _ in range(trials)]
+    values = [sample_until(rng,
+                           lambda r: bott_sum(4, 5, d, sample_lambda(4, r)))
+              for _ in range(trials)]
     distinct = set(values)
     if len(distinct) != 1:
         return Check(

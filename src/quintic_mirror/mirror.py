@@ -52,12 +52,6 @@ class MirrorMap:
         self.g = g
         self.w = w
 
-    def roundtrip_residual(self) -> TruncSeries:
-        D = self.g.order
-        q_of = self.w.mul_q()
-        expg = series_exp(self.g.compose(q_of.powers(D)))
-        return q_of * expg - TruncSeries.variable(D)
-
 
 class InvariantTable:
     """Genus-0 invariants N_d and virtual curve counts n_d, d = 1..degree_max."""

@@ -2,6 +2,9 @@
 
 ``HTruncPoly`` models the cohomology presentation with H nilpotent:
 multiplication simply discards every term of H-degree above the cap.
+It now serves only the ambient solution ``fundamental_solution``, whose
+coefficients are ``Laurent`` polynomials in hbar; the hypersurface
+series builds its H-blocks as ``TruncSeries`` in H.
 
 ``MixedSeries`` models elements of H*[t][[q]] with q = e^t: a finite
 array of coefficients ``c[i][k][d]`` for H^i t^k q^d.  The derivative
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, OrderMismatch
-from .series import TruncSeries, q_mul
+from .series import TruncSeries
 
 __all__ = ["HTruncPoly", "MixedSeries"]
 
@@ -152,6 +155,13 @@ class HTruncPoly:
         return "HTruncPoly(" + (" + ".join(terms) or "0") + ")"
 
 
+def _add_row(acc: list, row, scale=1) -> None:
+    """acc += scale * row entry by entry, skipping the zeros of ``row``."""
+    for e, b in enumerate(row):
+        if b != 0:
+            acc[e] = acc[e] + (b if scale == 1 else scale * b)
+
+
 class MixedSeries:
     """Triple-graded truncated element: sum c[i][k][d] H^i t^k q^d.
 
@@ -205,28 +215,24 @@ class MixedSeries:
             raise OrderMismatch(
                 f"caps mismatch: {self.caps()} vs {other.caps()}")
 
+    def _rows(self):
+        """(i, k, row) for every (H^i, t^k) row with a nonzero entry."""
+        return [(i, k, row) for i, plane in enumerate(self.c)
+                for k, row in enumerate(plane)
+                if any(x != 0 for x in row)]
+
     def __add__(self, other):
         self._check(other)
         out = self.clone()
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                row = out.c[i][k]
-                orow = other.c[i][k]
-                for d in range(self.order + 1):
-                    if orow[d] != 0:
-                        row[d] = row[d] + orow[d]
+        for i, k, row in other._rows():
+            _add_row(out.c[i][k], row)
         return out
 
     def __sub__(self, other):
         self._check(other)
         out = self.clone()
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                row = out.c[i][k]
-                orow = other.c[i][k]
-                for d in range(self.order + 1):
-                    if orow[d] != 0:
-                        row[d] = row[d] - orow[d]
+        for i, k, row in other._rows():
+            _add_row(out.c[i][k], row, -1)
         return out
 
     def __neg__(self):
@@ -237,23 +243,16 @@ class MixedSeries:
         return out
 
     def __mul__(self, other):
+        """Each pair of nonzero rows is one ``TruncSeries`` product in q."""
         self._check(other)
-        out = MixedSeries(self.h_top, self.t_top, self.order)
-        for i1 in range(self.h_top + 1):
-            for k1 in range(self.t_top + 1):
-                for d1 in range(self.order + 1):
-                    a = self.c[i1][k1][d1]
-                    if a == 0:
-                        continue
-                    for i2 in range(self.h_top + 1 - i1):
-                        for k2 in range(self.t_top + 1 - k1):
-                            orow = other.c[i2][k2]
-                            row = out.c[i1 + i2][k1 + k2]
-                            for d2 in range(self.order + 1 - d1):
-                                b = orow[d2]
-                                if b == 0:
-                                    continue
-                                row[d1 + d2] = row[d1 + d2] + a * b
+        D = self.order
+        out = MixedSeries(self.h_top, self.t_top, D)
+        right = [(i, k, TruncSeries(row, D)) for i, k, row in other._rows()]
+        for i1, k1, row1 in self._rows():
+            a = TruncSeries(row1, D)
+            for i2, k2, b in right:
+                if i1 + i2 <= self.h_top and k1 + k2 <= self.t_top:
+                    _add_row(out.c[i1 + i2][k1 + k2], (a * b).coeffs)
         return out
 
     def scale(self, scalar) -> "MixedSeries":
@@ -266,30 +265,14 @@ class MixedSeries:
     def mul_qseries(self, s: TruncSeries) -> "MixedSeries":
         """Multiply by a pure q-series (Cauchy product in q only).
 
-        A row over Q times a series over Q is one call of the integer
-        kernel ``series.q_mul`` (see the ``series`` module docstring).
+        Each nonzero row is one ``TruncSeries`` product with ``s``.
         """
         if s.order != self.order:
             raise OrderMismatch(
                 f"q-order mismatch: {self.order} vs {s.order}")
         out = MixedSeries(self.h_top, self.t_top, self.order)
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                row = self.c[i][k]
-                fast = q_mul(row, s.coeffs, self.order + 1)
-                if fast is not None:
-                    out.c[i][k] = fast
-                    continue
-                orow = out.c[i][k]
-                for d1 in range(self.order + 1):
-                    a = row[d1]
-                    if a == 0:
-                        continue
-                    for d2 in range(self.order + 1 - d1):
-                        b = s.coeffs[d2]
-                        if b == 0:
-                            continue
-                        orow[d1 + d2] = orow[d1 + d2] + a * b
+        for i, k, row in self._rows():
+            out.c[i][k] = (TruncSeries(row, self.order) * s).coeffs
         return out
 
     def div_qseries(self, s: TruncSeries) -> "MixedSeries":
@@ -374,16 +357,10 @@ class MixedSeries:
         q_pows = w.mul_q().powers(D)                # q(q') = q' w(q')
         g_pows = g.compose(q_pows).powers(self.t_top)
         out = MixedSeries(self.h_top, self.t_top, D)
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                if all(a == 0 for a in self.c[i][k]):
-                    continue
-                row = TruncSeries(self.c[i][k], D).compose(q_pows)
-                for j in range(k + 1):
-                    term = row * g_pows[k - j] if j < k else row
-                    coef = comb(k, j) * (-1) ** (k - j)
-                    out_row = out.c[i][j]
-                    for e, b in enumerate(term.coeffs):
-                        if b != 0:
-                            out_row[e] = out_row[e] + coef * b
+        for i, k, row in self._rows():
+            row = TruncSeries(row, D).compose(q_pows)
+            for j in range(k + 1):
+                term = row * g_pows[k - j] if j < k else row
+                _add_row(out.c[i][j], term.coeffs,
+                         comb(k, j) * (-1) ** (k - j))
         return out

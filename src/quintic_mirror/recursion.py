@@ -485,21 +485,22 @@ def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
     """Predicted Phi after the argument twist:
 
     Phi(z + (g(q e^(z hbar)) - g(q))/hbar, q e^(g(q))).
+
+    Each z-row of Phi is composed with q e^(g(q)) once, then multiplied
+    by its power of (z + delta).
     """
     z_top, order = phi.t_top, phi.order
     z_plus = _delta_series(g, z_top)
     if z_top:
         z_plus.c[0][1][0] = RatFunc.const(1)   # delta has no q^0 term
-    # powers of q e^g(q) and of (z + delta)
     qpow = series_exp(g).mul_q().powers(order)
-    zpow = [MixedSeries.constant(RatFunc.const(1), 0, z_top, order)]
-    for _ in range(z_top):
-        zpow.append(zpow[-1] * z_plus)
+    zpow = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
     out = MixedSeries(0, z_top, order)
     for k, row in enumerate(phi.c[0]):
-        for e, v in enumerate(row):
-            if v != 0:
-                out = out + zpow[k].mul_qseries(qpow[e]).scale(v)
+        if k:
+            zpow = zpow * z_plus
+        if any(v != 0 for v in row):
+            out = out + zpow.mul_qseries(TruncSeries(row, order).compose(qpow))
     return out
 
 

@@ -3,7 +3,7 @@
 A ``TruncSeries`` holds coefficients ``c0..cD`` of a series in one formal
 variable, truncated at a fixed order ``D``.  Coefficients may be any ring
 elements that support ``+``, ``-``, ``*`` among themselves and with plain
-``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``HTruncPoly``, ...).
+``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``Laurent``, ...).
 Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of one series into another goes through
@@ -18,15 +18,17 @@ Cauchy product; the low slots are read back as signed digits and divided
 by the product of the two denominators.  Over Q, these run on integer
 numerators:
 
-* ``TruncSeries.__mul__`` (and so ``powers`` and ``__pow__``),
-  ``TruncSeries.compose`` and ``MixedSeries.mul_qseries`` take ``q_mul``
-  or its packed linear combination;
+* ``TruncSeries.__mul__`` takes ``q_mul``, and so do ``powers``,
+  ``__pow__``, the row products of ``MixedSeries.__mul__`` and
+  ``MixedSeries.mul_qseries``, and the H-blocks of
+  ``hypergeom.hypersurface_series`` (series in H, truncated by H^m = 0);
+* ``TruncSeries.compose`` takes its packed linear combination;
 * ``TruncSeries.__truediv__`` runs the long division's recurrence on
   integers (``_q_div``);
 * ``series_reversion`` forms its dot products of powers.
 
-Any other coefficient ring (``RatFunc``, ``HTruncPoly``, ``Laurent``)
-keeps the term-by-term loops.
+Any other coefficient ring (``RatFunc``, ``Laurent``) keeps the
+term-by-term loops.
 
 The quintic pipeline gains most because the series it raises to powers
 are integral.  The mirror map q exp(g(q)) has integer coefficients
@@ -295,16 +297,17 @@ class TruncSeries:
         return TruncSeries(out, D)
 
     def __pow__(self, n: int) -> "TruncSeries":
+        """Left-to-right binary powering, started from the base itself,
+        so no product is a multiply by 1."""
         if n < 0:
             raise DomainError("negative powers not supported; divide instead")
-        result = TruncSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        if n == 0:
+            return TruncSeries.one(self.order)
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def mul_q(self) -> "TruncSeries":

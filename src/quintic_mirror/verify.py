@@ -40,11 +40,11 @@ def check_picard_fuchs(order: int) -> list[Check]:
 
 
 def check_case_i(m: int, l: int, order: int) -> list[Check]:
-    return [case_i_check(HypergeomConfig(m, l, order, m))]
+    return [case_i_check(HypergeomConfig(m, l, order))]
 
 
 def check_case_ii(m: int, l: int, order: int) -> list[Check]:
-    _, check = case_ii_check(HypergeomConfig(m, l, order, m))
+    _, check = case_ii_check(HypergeomConfig(m, l, order))
     return [check]
 
 
@@ -62,7 +62,7 @@ def _recursion_checks(name: str, regime: str, identity: str, done: str,
                       modified: bool = False) -> list[Check]:
     """One check per weight tuple: the family satisfies ``regime``'s
     recursion; ``done`` words the detail of a pass."""
-    cfg = HypergeomConfig(m, l, order, m)
+    cfg = HypergeomConfig(m, l, order)
 
     def build(weights):
         return (recursion_coeffs(regime, m, l, weights, order),
@@ -115,7 +115,7 @@ def check_class_p(m: int, l: int, order: int, seed: int,
                   lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("class-P extraction is a Calabi-Yau-regime check")
-    cfg = HypergeomConfig(m, l, order, m)
+    cfg = HypergeomConfig(m, l, order)
     bounds = ("N_id are hbar-polynomials of degree <= (m+1)d; E_d has "
               "P-degree <= (m+1)d + m with polynomial coefficients")
     try:
@@ -141,7 +141,7 @@ def check_phi_poly(m: int, l: int, order: int, seed: int,
                    lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("the double correlator check is Calabi-Yau-regime")
-    cfg = HypergeomConfig(m, l, order, m)
+    cfg = HypergeomConfig(m, l, order)
     phi = _at_weights(m, lam, random.Random(seed), lambda weights:
                       phi_double_correlator(zstar_family(cfg, weights),
                                             PHI_POLY_Z_ORDER, order))
@@ -160,7 +160,7 @@ def check_transformations(m: int, l: int, order: int, seed: int,
                           lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("transformation laws are a Calabi-Yau-regime check")
-    cfg = HypergeomConfig(m, l, order, m)
+    cfg = HypergeomConfig(m, l, order)
     rng = random.Random(seed)
 
     def build(weights):

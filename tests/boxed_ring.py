@@ -2,8 +2,9 @@
 
 A ``Boxed`` value behaves like the ``int``/``Fraction`` it wraps, but it
 is neither, so series over ``Boxed`` take the term-by-term loops of
-``TruncSeries.__mul__``, ``TruncSeries.__truediv__``,
-``TruncSeries.compose`` and ``MixedSeries.mul_qseries``, and
+``TruncSeries.__mul__`` (and so of the row products in
+``MixedSeries.__mul__`` and ``MixedSeries.mul_qseries``),
+``TruncSeries.__truediv__`` and ``TruncSeries.compose``, and
 ``series_reversion`` takes its dot products over the ring.  The
 differential tests compare the integer kernel against those loops on the
 same rationals.

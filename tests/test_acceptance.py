@@ -79,13 +79,13 @@ def test_criterion_3_picard_fuchs_order_8():
 
 def test_criterion_4_operator_identities_order_5():
     for m, l in ((5, 3), (4, 2), (6, 5)):
-        check = case_i_check(HypergeomConfig(m, l, 5, m))
+        check = case_i_check(HypergeomConfig(m, l, 5))
         assert check.passed, f"(m, l) = ({m}, {l}): {check.detail}"
     for m in (3, 4):
-        _, check = case_ii_check(HypergeomConfig(m, m, 5, m))
+        _, check = case_ii_check(HypergeomConfig(m, m, 5))
         assert check.passed, f"(m, l) = ({m}, {m}): {check.detail}"
     # Fault injection: a single perturbed coefficient must be caught.
-    S = hypersurface_series(HypergeomConfig(5, 3, 5, 5))
+    S = hypersurface_series(HypergeomConfig(5, 3, 5))
     S.c[2][0][3] = S.c[2][0][3] + F(1, 3)
     assert not hypersurface_operator_residual(S, 5, 3).is_zero()
     _announce(4, "regime operator identities hold through q-order 5 "
@@ -99,7 +99,7 @@ def test_criterion_5_recursion_verification():
         def build_sub(r):
             lam = sample_lambda(5, r)
             coeffs = recursion_coeffs("sub_m", 5, 3, lam, 4)
-            fam = zstar_family(HypergeomConfig(5, 3, 4, 5), lam)
+            fam = zstar_family(HypergeomConfig(5, 3, 4), lam)
             return verify_recursion(z_normalize(fam), coeffs)
 
         ok, detail, _ = sample_until(rng, build_sub)
@@ -108,7 +108,7 @@ def test_criterion_5_recursion_verification():
         def build_eq(r):
             lam = sample_lambda(4, r)
             coeffs = recursion_coeffs("equal_m", 4, 4, lam, 4)
-            fam = zstar_family(HypergeomConfig(4, 4, 4, 4), lam)
+            fam = zstar_family(HypergeomConfig(4, 4, 4), lam)
             return verify_recursion(z_normalize(fam, modified=True), coeffs)
 
         ok, detail, _ = sample_until(rng, build_eq)
@@ -117,7 +117,7 @@ def test_criterion_5_recursion_verification():
         def build_cy(r):
             lam = sample_lambda(4, r)
             coeffs = recursion_coeffs("calabi_yau", 4, 5, lam, 4)
-            fam = zstar_family(HypergeomConfig(4, 5, 4, 4), lam)
+            fam = zstar_family(HypergeomConfig(4, 5, 4), lam)
             return verify_recursion(z_normalize(fam), coeffs)
 
         ok, detail, extracted = sample_until(rng, build_cy)
@@ -133,7 +133,7 @@ def _cy_family(seed: int, order: int):
     def build(r):
         lam = sample_lambda(4, r)
         recursion_coeffs("calabi_yau", 4, 5, lam, order)  # degeneracy probe
-        fam = zstar_family(HypergeomConfig(4, 5, order, 4), lam)
+        fam = zstar_family(HypergeomConfig(4, 5, order), lam)
         classP_extract(fam, order=1)                      # pole probe
         return lam, fam
 

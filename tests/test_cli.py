@@ -193,14 +193,17 @@ def test_oracle_rejects_options_it_does_not_read(capsys):
 
 
 def test_oracle_reports_the_tuples_it_computed(capsys, monkeypatch):
+    # A tuple counts once its graph sum is computed; a degenerate tuple
+    # raises and is resampled.
     sums = []
-    real = localization.bott_sum_random
+    real = localization.bott_sum
 
     def counted(*args, **kwargs):
+        value = real(*args, **kwargs)
         sums.append(args)
-        return real(*args, **kwargs)
+        return value
 
-    monkeypatch.setattr(localization, "bott_sum_random", counted)
+    monkeypatch.setattr(localization, "bott_sum", counted)
     code, out, _ = run_cli(capsys, "oracle", "--degree", "1", "--trials", "2")
     assert code == 0
     assert len(sums) == 2

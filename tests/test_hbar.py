@@ -443,7 +443,7 @@ def test_phi_correlator_never_reads_fraction_views(monkeypatch):
             or view.fget(self)))
     lam = (Fraction(3, 7), Fraction(-11, 5), Fraction(23, 3), Fraction(2, 9),
            Fraction(-31, 4))
-    family = zstar_family(HypergeomConfig(4, 5, 2, 4), lam)
+    family = zstar_family(HypergeomConfig(4, 5, 2), lam)
     phi = phi_double_correlator(family, 3, 2)   # z^0..z^2 vanish
     nonzero = [v for row in phi.c[0] for v in row if not v.is_zero()]
     assert nonzero and reads == []

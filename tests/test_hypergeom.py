@@ -42,7 +42,7 @@ def test_f_and_g_frozen_values():
 
 def test_period_zero_is_factorial_series():
     for m in (3, 4):
-        cfg = HypergeomConfig(m, m + 1, 5, m)
+        cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
         Fq, _ = f_and_g(m, m + 1, 5)
         assert S.t_zero_part(0) == Fq
@@ -54,7 +54,7 @@ def test_period_zero_is_factorial_series():
 def test_period_ratio_identity():
     # I_1/I_0 = t + (m+1)(G_{m+1} - G_1)/F coefficientwise.
     for m in (3, 4):
-        cfg = HypergeomConfig(m, m + 1, 5, m)
+        cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
         Fq, G_top = f_and_g(m, m + 1, 5)
         _, G_1 = f_and_g(m, 1, 5)
@@ -109,26 +109,26 @@ def test_descendent_examples():
 
 
 def test_configs_with_the_same_fields_are_equal_values():
-    a = HypergeomConfig(4, 5, 2, 4)
-    b = HypergeomConfig(m=4, l=5, order=2, h_nilpotent=4)
+    a = HypergeomConfig(4, 5, 2)
+    b = HypergeomConfig(m=4, l=5, order=2)
     assert a is not b
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != HypergeomConfig(4, 5, 3, 4)
+    assert a != HypergeomConfig(4, 5, 3)
     assert HypergeomConfig.quintic(2) == a
-    assert repr(a) == "HypergeomConfig(m=4, l=5, order=2, h_nilpotent=4)"
+    assert repr(a) == "HypergeomConfig(m=4, l=5, order=2)"
     with pytest.raises(AttributeError):
         a.order = 3
 
 
-@pytest.mark.parametrize("fields", [(0, 1, 2, 0), (4, 6, 2, 4), (4, 5, 0, 4),
-                                    (4, 5, 2, 3)])
+@pytest.mark.parametrize("fields", [(0, 1, 2), (4, 6, 2), (4, 5, 0),
+                                    (4, 0, 2)])
 def test_config_rejects_fields_outside_the_domain(fields):
     with pytest.raises(DomainError):
         HypergeomConfig(*fields)
 
 
 def test_zstar_constant_terms_and_example_value():
-    cfg = HypergeomConfig(4, 5, 2, 4)
+    cfg = HypergeomConfig(4, 5, 2)
     fam = zstar_family(cfg, tuple(F(i) for i in range(5)))
     assert all(fam.coeff(i, 0) == 1 for i in range(5))
     # Direct product oracle: num = prod(10r) = 12,000,000,
@@ -137,7 +137,7 @@ def test_zstar_constant_terms_and_example_value():
 
 
 def test_zstar_rejects_repeated_weights():
-    cfg = HypergeomConfig(4, 5, 2, 4)
+    cfg = HypergeomConfig(4, 5, 2)
     with pytest.raises(DomainError):
         zstar_family(cfg, (F(0), F(0), F(1), F(2), F(3)))
 
@@ -146,7 +146,7 @@ def test_zstar_pole_containment():
     # Every pole of the q^d coefficient lies in {(lam_a - lam_i)/r, r <= d}.
     rng = random.Random(12)
     lam = sample_lambda(4, rng)
-    cfg = HypergeomConfig(4, 5, 3, 4)
+    cfg = HypergeomConfig(4, 5, 3)
     fam = zstar_family(cfg, lam)
     for i in range(5):
         for d in range(1, 4):
@@ -183,7 +183,7 @@ def test_hypersurface_series_matches_equivariant_route():
     # r = 0 numerator factor lH, and compare H^(b+1) against l * I_b.
     for m, l in ((5, 3), (4, 2)):
         order = 3
-        cfg = HypergeomConfig(m, l, order, m)
+        cfg = HypergeomConfig(m, l, order)
         S = hypersurface_series(cfg)
         nil = m + 1
         for d in range(order + 1):
@@ -204,7 +204,7 @@ def _coeff_block(S: MixedSeries, b: int, d: int):
 
 
 def test_operator_residual_detects_fault_injection():
-    S = hypersurface_series(HypergeomConfig(5, 3, 3, 5))
+    S = hypersurface_series(HypergeomConfig(5, 3, 3))
     S.c[1][0][2] = S.c[1][0][2] + 1     # perturb one coefficient
     res = hypersurface_operator_residual(S, 5, 3)
     assert not res.is_zero()

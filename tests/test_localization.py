@@ -11,9 +11,10 @@ import pytest
 from quintic_mirror import localization
 from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.localization import (DecoratedGraph, bott_sum,
-                                         bott_sum_random, enumerate_graphs,
+                                         enumerate_graphs,
                                          graph_contribution,
                                          oracle_crosscheck)
+from quintic_mirror.sampling import sample_lambda, sample_until
 
 GOOD_LAMBDA = (Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(8),
                Fraction(-1, 4))
@@ -126,8 +127,8 @@ def test_weight_independence_random_tuples():
     rng = random.Random(50)
     seen = set()
     for _ in range(3):
-        value, _ = bott_sum_random(4, 5, 1, rng)
-        seen.add(value)
+        seen.add(sample_until(
+            rng, lambda r: bott_sum(4, 5, 1, sample_lambda(4, r))))
     assert seen == {Fraction(2875)}
 
 

@@ -143,3 +143,44 @@ def test_mul_qseries_kernel_matches_loop(case):
             want_row = unbox_all(want.c[i][k])
             assert got.c[i][k] == want_row
             assert [str(c) for c in got.c[i][k]] == [str(c) for c in want_row]
+
+
+def _boxed(rows, order):
+    return MixedSeries(1, 1, order, [[box_all(r) for r in rows[:2]],
+                                     [box_all(r) for r in rows[2:]]])
+
+
+@st.composite
+def _two_mixed(draw):
+    """Two sets of four (H^i, t^k) rows over Q, some all zero."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    return [[draw(st.one_of(st.just([0] * n), row)) for _ in range(4)]
+            for _ in range(2)]
+
+
+@settings(deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate), max_examples=100)
+@given(_two_mixed())
+@example([[[0]] * 4, [[Fraction(-3, 7)]] * 4]).via("order 0, one zero side")
+@example([[[0, 0, 0], [1, -2, 0], [Fraction(1, 3), 0, Fraction(-1, 5)],
+           [-4, -5, -6]],
+          [[Fraction(-2, 9), 0, 7], [0, 0, 0], [5, Fraction(1, 11), -1],
+           [0, Fraction(-3, 4), 0]]]).via(
+    "zero, negative and coprime-denominator rows")
+def test_mixed_mul_kernel_matches_loop(case):
+    a, b = case
+    order = len(a[0]) - 1
+    got = (MixedSeries(1, 1, order, [a[:2], a[2:]])
+           * MixedSeries(1, 1, order, [b[:2], b[2:]]))
+    want = _boxed(a, order) * _boxed(b, order)
+    for i in range(2):
+        for k in range(2):
+            want_row = unbox_all(want.c[i][k])
+            assert [str(c) for c in got.c[i][k]] == [str(c) for c in want_row]
+            # The definition: sum over H-, t- and q-degrees that add up.
+            assert got.c[i][k] == [
+                sum(a[2 * i1 + k1][d1] * b[2 * (i - i1) + k - k1][d - d1]
+                    for i1 in range(i + 1) for k1 in range(k + 1)
+                    for d1 in range(d + 1))
+                for d in range(order + 1)]

@@ -45,7 +45,7 @@ def cy_setup(rng, m=4, order=3, lam=None):
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
         coeffs = recursion_coeffs("calabi_yau", m, m + 1, weights, order)
-        cfg = HypergeomConfig(m, m + 1, order, m)
+        cfg = HypergeomConfig(m, m + 1, order)
         return weights, coeffs, zstar_family(cfg, weights)
     return sample_until(rng, build)
 
@@ -117,7 +117,7 @@ def test_grid_weights_are_degenerate_in_every_regime():
 def test_integer_zstar_matches_fraction_oracle(lam, order, data):
     m = len(lam) - 1
     l = data.draw(st.integers(1, m + 1), label="l")
-    cfg = HypergeomConfig(m, l, order, m)
+    cfg = HypergeomConfig(m, l, order)
     got, want = zstar_family(cfg, lam), zstar_family_fraction(cfg, lam)
     assert got.lam == want.lam
     for i in range(m + 1):
@@ -156,7 +156,7 @@ def test_recursion_sub_m_residual_zero():
     def build(r):
         lam = sample_lambda(5, r)
         coeffs = recursion_coeffs("sub_m", 5, 3, lam, 3)
-        fam = zstar_family(HypergeomConfig(5, 3, 3, 5), lam)
+        fam = zstar_family(HypergeomConfig(5, 3, 3), lam)
         ok, detail, _ = verify_recursion(z_normalize(fam), coeffs)
         return ok, detail
 
@@ -170,7 +170,7 @@ def test_recursion_equal_m_residual_zero():
     def build(r):
         lam = sample_lambda(4, r)
         coeffs = recursion_coeffs("equal_m", 4, 4, lam, 3)
-        fam = zstar_family(HypergeomConfig(4, 4, 3, 4), lam)
+        fam = zstar_family(HypergeomConfig(4, 4, 3), lam)
         ok, detail, _ = verify_recursion(
             z_normalize(fam, modified=True), coeffs)
         return ok, detail
@@ -187,7 +187,7 @@ def test_recursion_equal_m_fails_without_prefactor():
     def build(r):
         lam = sample_lambda(4, r)
         coeffs = recursion_coeffs("equal_m", 4, 4, lam, 2)
-        fam = zstar_family(HypergeomConfig(4, 4, 2, 4), lam)
+        fam = zstar_family(HypergeomConfig(4, 4, 2), lam)
         ok, _, _ = verify_recursion(z_normalize(fam, modified=False), coeffs)
         return ok
 
@@ -201,7 +201,7 @@ def test_recursion_fails_with_one_scaled_coefficient(regime, m, l):
     # Calabi-Yau case, non-polynomial in it.  At d = d' the term reads
     # z_j[0] = 1, so the scaled coefficient always enters its residual.
     lam = (F(3, 7), F(-11, 5), F(23, 3), F(2, 9), F(-31, 4), F(5, 2))[:m + 1]
-    fam = zstar_family(HypergeomConfig(m, l, 3, m), lam)
+    fam = zstar_family(HypergeomConfig(m, l, 3), lam)
     z = z_normalize(fam)
     for key in ((0, 1, 1), (2, 0, 2), (m, 1, 3)):
         coeffs = recursion_coeffs(regime, m, l, lam, 3)
@@ -361,7 +361,7 @@ def test_phi_matches_pairwise_oracle(seed, z_cap, q_order):
     rng = random.Random(seed)
     order = max(q_order, 1)
     lam = sample_lambda(4, rng)
-    fam = zstar_family(HypergeomConfig(4, 5, order, 4), lam)
+    fam = zstar_family(HypergeomConfig(4, 5, order), lam)
     f = TruncSeries([F(1)] + sample_series_coeffs(rng, order - 1, span=4,
                                                   max_den=3), order)
     g = TruncSeries([F(0)] + sample_series_coeffs(rng, order - 1, span=4,
