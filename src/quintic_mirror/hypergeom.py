@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError
 from .hbar import Laurent, RatFunc
@@ -89,11 +89,14 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
 
     On the hypersurface H^m = 0, so each degree's block is a power series
     in H truncated at h_top = m - 1: a ``TruncSeries`` in H, whose
-    products and quotient over Q take the integer kernels of ``series``.
+    product and quotient over Q take the integer kernels of ``series``.
     Returned as a MixedSeries with that h_top and t_top = h_top (the
     t-degree never exceeds the H-degree because t only enters through
     e^(Ht)).  The degree-d block prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1)
-    is the degree-(d-1) block times prod_{l(d-1)<r<=ld}(lH+r) / (H+d)^(m+1).
+    is the degree-(d-1) block times the integer polynomial
+    prod_{l(d-1)<r<=ld}(lH+r), divided by the integer polynomial
+    (H+d)^(m+1) = sum_j C(m+1, j) d^(m+1-j) H^j, both truncated mod H^m:
+    one product and one division per degree.
     """
     m, l = cfg.m, cfg.l
     h_top = m - 1
@@ -101,9 +104,12 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     block = TruncSeries.constant(Fraction(1), h_top)
     for d in range(cfg.order + 1):
         if d:
+            num = [1] + [0] * h_top
             for r in range(l * (d - 1) + 1, l * d + 1):
-                block = block * TruncSeries([r, l], h_top)
-            block = block / TruncSeries([d, 1], h_top) ** (m + 1)
+                num = [r * num[0]] + [r * num[j] + l * num[j - 1]
+                                      for j in range(1, m)]
+            den = [comb(m + 1, j) * d ** (m + 1 - j) for j in range(m)]
+            block = block * TruncSeries(num, h_top) / TruncSeries(den, h_top)
         # e^(Ht) * block: coefficient of H^i t^k is block[i-k]/k!.
         for i in range(h_top + 1):
             for k in range(i + 1):

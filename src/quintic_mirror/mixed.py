@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, OrderMismatch
-from .series import TruncSeries
+from .series import TruncSeries, compose_all
 
 __all__ = ["HTruncPoly", "MixedSeries"]
 
@@ -343,9 +343,17 @@ class MixedSeries:
         MixedSeries in (T, q') with the same caps; the substitution
         preserves q-adic order and t-degree, so nothing is lost.
 
-        Each (H^i, t^k) row is a q-series, composed once with q(q')
-        through the shared powers of q(q'); the result is then multiplied
-        by t^k = (T - g(q(q')))^k expanded binomially.
+        Composing with q(q') is a ring homomorphism of series truncated
+        at the order, since q(q') has zero constant term.  So the t-shift
+        is done in q first, and each output row is composed afterwards:
+
+            row(H^i, T^j)
+                = [sum_(k>=j) C(k, j) (-g)^(k-j) row(H^i, t^k)] o q(q').
+
+        A shifted row that is zero or constant needs no composition (for
+        the quintic J, J_1 = g makes three rows vanish and four are
+        constants), and the others go through one ``compose_all`` call,
+        which packs each power of q(q') once for all of them.
         """
         if g.order != self.order or w.order != self.order:
             raise OrderMismatch("mirror substitution needs matching orders")
@@ -354,13 +362,20 @@ class MixedSeries:
         if w.coeffs[0] != 1:
             raise DomainError("reversion factor must have constant term 1")
         D = self.order
-        q_pows = w.mul_q().powers(D)                # q(q') = q' w(q')
-        g_pows = g.compose(q_pows).powers(self.t_top)
+        g_pows = g.powers(self.t_top)
         out = MixedSeries(self.h_top, self.t_top, D)
         for i, k, row in self._rows():
-            row = TruncSeries(row, D).compose(q_pows)
+            row = TruncSeries(row, D)
             for j in range(k + 1):
                 term = row * g_pows[k - j] if j < k else row
                 _add_row(out.c[i][j], term.coeffs,
                          comb(k, j) * (-1) ** (k - j))
+        pending = [(i, j, row) for i, j, row in out._rows()
+                   if any(x != 0 for x in row[1:])]
+        if pending:
+            q_pows = w.mul_q().powers(D)            # q(q') = q' w(q')
+            composed = compose_all(
+                [TruncSeries(row, D) for _, _, row in pending], q_pows)
+            for (i, j, _), row in zip(pending, composed):
+                out.c[i][j] = row.coeffs
         return out

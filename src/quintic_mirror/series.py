@@ -6,8 +6,9 @@ elements that support ``+``, ``-``, ``*`` among themselves and with plain
 ``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``Laurent``, ...).
 Binary operations require equal orders (``OrderMismatch`` otherwise).
 
-Every substitution of one series into another goes through
-``TruncSeries.compose``, fed with the inner series' ``powers``.
+Every substitution of series into another goes through ``compose_all``,
+fed with the inner series' ``powers``; ``TruncSeries.compose`` is its
+one-series call.
 
 Products over Q take one exact integer kernel (``q_mul``).  When every
 coefficient of both operands is an ``int`` or a ``Fraction``, each operand
@@ -22,7 +23,10 @@ numerators:
   ``__pow__``, the row products of ``MixedSeries.__mul__`` and
   ``MixedSeries.mul_qseries``, and the H-blocks of
   ``hypergeom.hypersurface_series`` (series in H, truncated by H^m = 0);
-* ``TruncSeries.compose`` takes its packed linear combination;
+* ``compose_all`` clears and packs each power of the inner series that
+  some outer series uses once, at one slot width that fits the widest
+  outer series, and makes each outer series one packed linear
+  combination of those shared powers (``_q_compose``);
 * ``TruncSeries.__truediv__`` runs the long division's recurrence on
   integers (``_q_div``);
 * ``series_reversion`` forms its dot products of powers.
@@ -49,6 +53,7 @@ from .errors import DomainError, OrderMismatch
 
 __all__ = [
     "TruncSeries",
+    "compose_all",
     "q_mul",
     "series_exp",
     "series_log",
@@ -159,30 +164,49 @@ def _q_div(a: list[int], a_den: int, b: list[int], b_den: int) -> list:
     return [Fraction(xk * b_den, a_den * pw[k + 1]) for k, xk in enumerate(x)]
 
 
-def _q_compose(a: Sequence, powers: list["TruncSeries"], n: int) -> list | None:
-    """a[0] + sum_k a[k] * powers[k], the first ``n`` coefficients, as one
-    packed linear combination with a single unpack; None unless ``a`` and
-    every power it uses hold only ``int`` and ``Fraction`` coefficients."""
-    cleared = _over_z(a)
-    if cleared is None:
-        return None
-    a, a_den = cleared
-    used = [k for k in range(1, n) if a[k]]
-    cleared = [_over_z(powers[k].coeffs) for k in used]
+def _q_compose(outers: Sequence[Sequence], powers: list["TruncSeries"],
+               n: int) -> list[list] | None:
+    """a[0] + sum_k a[k] * powers[k], the first ``n`` coefficients, for
+    each coefficient list ``a`` of ``outers``; None unless every outer
+    list and every power one of them uses hold only ``int`` and
+    ``Fraction`` coefficients.
+
+    Each used power is cleared and packed once, at one slot width that
+    fits the widest outer series, and every outer series is one packed
+    linear combination of those powers with a single unpack.
+    """
+    cleared = [_over_z(a) for a in outers]
     if None in cleared:
         return None
-    p_den = lcm(*[den for _, den in cleared])
-    cleared = [nums if den == p_den else [c * (p_den // den) for c in nums]
-               for nums, den in cleared]
-    # Slot e sums a[0] * p_den and one a[k] * p_k[e] per used k: at most
-    # n terms, each a product of an entry of a and one of at most the
-    # bits of p_den and of every cleared power.
-    width = _slot_bytes(_bits(a), max([p_den.bit_length()]
-                                      + [_bits(nums) for nums in cleared]), n)
-    acc = a[0] * p_den
-    for k, nums in zip(used, cleared):
-        acc += a[k] * _pack(nums, width)
-    return _rationals(_unpack(acc, n, width), a_den * p_den)
+    ks = {k for a, _ in cleared for k in range(1, n) if a[k]}
+    used = {k: _over_z(powers[k].coeffs) for k in ks}
+    if None in used.values():
+        return None
+    # Outer series a takes its powers over the lcm p_den of their
+    # denominators: its constant is a[0] p_den, and power k enters as the
+    # integer scalar a[k] p_den / den_k times the numerators of power k.
+    # Scaling the scalars, not the powers, leaves one packing of each
+    # power for every outer series.
+    scalars, dens = [], []
+    for a, a_den in cleared:
+        p_den = lcm(*[used[k][1] for k in range(1, n) if a[k]])
+        scalars.append([a[0] * p_den] + [a[k] and a[k] * (p_den // used[k][1])
+                                         for k in range(1, n)])
+        dens.append(a_den * p_den)
+    # Slot e sums the constant and one scalar times a numerator of power k
+    # per used k: at most n terms, each of at most the widest scalar's bits
+    # plus the widest numerator's.
+    width = _slot_bytes(max(_bits(b) for b in scalars),
+                        max([1] + [_bits(nums) for nums, _ in used.values()]),
+                        n)
+    accs = [b[0] for b in scalars]
+    for k, (nums, _) in used.items():
+        packed = _pack(nums, width)
+        for j, b in enumerate(scalars):
+            if b[k]:
+                accs[j] += b[k] * packed
+    return [_rationals(_unpack(acc, n, width), den)
+            for acc, den in zip(accs, dens)]
 
 
 class TruncSeries:
@@ -339,33 +363,11 @@ class TruncSeries:
     def compose(self, powers: list["TruncSeries"]) -> "TruncSeries":
         """Substitute an inner series s for the variable: self(s).
 
-        ``powers`` is ``s.powers(n)`` with n >= the order; s must have
-        zero constant term, so s^k starts at q^k and only the first
-        ``order + 1`` powers matter.  Zero coefficients of ``self`` are
-        skipped.  The coefficients of ``self`` and of s may come from any
-        ring that multiplies with the other's (``Fraction``,
-        ``RatFunc``, ...).  Over Q the sum is one packed linear
-        combination of the powers (the integer kernel of the module
-        docstring).
+        ``powers`` is ``s.powers(n)`` with n >= the order.  This is the
+        one-series call of ``compose_all``, which holds the checks and
+        both the packed and the term-by-term route.
         """
-        D = self.order
-        if D:
-            self._check(powers[1])
-            if powers[1].coeffs[0] != 0:
-                raise DomainError("composition requires inner constant term 0")
-        out = _q_compose(self.coeffs, powers, D + 1)
-        if out is not None:
-            return TruncSeries(out, D)
-        out = [self.coeffs[0]] + [0] * D
-        for k in range(1, D + 1):
-            a = self.coeffs[k]
-            if a == 0:
-                continue
-            p = powers[k].coeffs
-            for e in range(k, D + 1):
-                if p[e] != 0:
-                    out[e] = out[e] + a * p[e]
-        return TruncSeries(out, D)
+        return compose_all([self], powers)[0]
 
     def map(self, fn: Callable) -> "TruncSeries":
         return TruncSeries([fn(a) for a in self.coeffs], self.order)
@@ -392,6 +394,45 @@ class TruncSeries:
                 continue
             parts.append(f"({c})*q^{d}" if d else f"({c})")
         return " + ".join(parts) if parts else "0"
+
+
+def compose_all(outers: Sequence[TruncSeries],
+                powers: list[TruncSeries]) -> list[TruncSeries]:
+    """Substitute one inner series s into each outer series: [f(s), ...].
+
+    ``powers`` is ``s.powers(n)`` with n >= the outers' common order; s
+    must have zero constant term, so s^k starts at q^k and only the first
+    ``order + 1`` powers matter.  Zero coefficients of the outers are
+    skipped.  The coefficients of the outers and of s may come from any
+    ring that multiplies with the other's (``Fraction``, ``RatFunc``,
+    ...).  Over Q every power some outer uses is cleared and packed once,
+    and each outer is one packed linear combination of them (``_q_compose``);
+    any other ring takes the term-by-term loop.
+    """
+    first = outers[0]
+    D = first.order
+    for f in outers[1:]:
+        first._check(f)
+    if D:
+        first._check(powers[1])
+        if powers[1].coeffs[0] != 0:
+            raise DomainError("composition requires inner constant term 0")
+    out = _q_compose([f.coeffs for f in outers], powers, D + 1)
+    if out is not None:
+        return [TruncSeries(c, D) for c in out]
+    return [_loop_compose(f.coeffs, powers, D) for f in outers]
+
+
+def _loop_compose(a: list, powers: list[TruncSeries], D: int) -> TruncSeries:
+    out = [a[0]] + [0] * D
+    for k in range(1, D + 1):
+        if a[k] == 0:
+            continue
+        p = powers[k].coeffs
+        for e in range(k, D + 1):
+            if p[e] != 0:
+                out[e] = out[e] + a[k] * p[e]
+    return TruncSeries(out, D)
 
 
 def _exact_div(a, b):

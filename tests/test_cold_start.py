@@ -62,6 +62,9 @@ def test_output_formats_load_their_module(fmt):
     ("oracle --degree 1 --seed 0 --format csv", "oracle-degree-1-seed-0.csv"),
     ("invariants --order 3 --format json", "invariants-order-3.json"),
     ("invariants --order 3 --format csv", "invariants-order-3.csv"),
+    # Exactness at depth: the reversion's blocks up to size 10 and the
+    # powers of q(q') that the composition packs at about 1000 bits.
+    ("invariants --order 100", "invariants-order-100.txt"),
 ])
 def test_output_matches_golden_bytes(argv, golden):
     proc = _child("-m", "quintic_mirror.cli", *argv.split())

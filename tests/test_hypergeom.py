@@ -198,6 +198,41 @@ def test_hypersurface_series_matches_equivariant_route():
                 assert block.coeff(b + 1) == l * _coeff_block(S, b, d)
 
 
+def _five_products_route(cfg: HypergeomConfig) -> MixedSeries:
+    """The former block recurrence: one product by lH + r for each of the
+    l factors of a degree, then a division by (H + d)^(m+1) raised to its
+    power by products."""
+    m, l = cfg.m, cfg.l
+    h_top = m - 1
+    out = MixedSeries(h_top, h_top, cfg.order)
+    block = TruncSeries.constant(Fraction(1), h_top)
+    for d in range(cfg.order + 1):
+        if d:
+            for r in range(l * (d - 1) + 1, l * d + 1):
+                block = block * TruncSeries([r, l], h_top)
+            block = block / TruncSeries([d, 1], h_top) ** (m + 1)
+        for i in range(h_top + 1):
+            for k in range(i + 1):
+                v = block[i - k]
+                if v != 0:
+                    out.c[i][k][d] = v / factorial(k)
+    return out
+
+
+@pytest.mark.parametrize("m, l", [(m, l) for m in range(1, 7)
+                                  for l in range(1, m + 2)])
+def test_hypersurface_series_matches_five_products_route(m, l):
+    # The config rejects q-order 0, which the recurrence still defines
+    # (the degree-0 block alone); _make builds it without the check.
+    for order in range(9):
+        cfg = HypergeomConfig._make((m, l, order))
+        got, want = hypersurface_series(cfg), _five_products_route(cfg)
+        assert got.caps() == want.caps() == (m - 1, m - 1, order)
+        # repr, not ==: every coefficient keeps its value and its type.
+        assert [[[repr(c) for c in row] for row in plane] for plane in got.c] \
+            == [[[repr(c) for c in row] for row in plane] for plane in want.c]
+
+
 def _coeff_block(S: MixedSeries, b: int, d: int):
     # The t^0 part of the H^b component at q^d (pure coefficient block).
     return S.coeff(b, 0, d)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quintic_mirror import mirror
+from quintic_mirror import mirror, series
 from quintic_mirror.errors import ConsistencyError, DomainError
 from quintic_mirror.hypergeom import HypergeomConfig, hypersurface_series
 from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
@@ -92,17 +92,40 @@ def test_mirror_identity_passes():
 
 
 def test_quintic_invariants_series_products(monkeypatch):
-    # The powers of 1/exp(g), of q(q') and of g(q(q')) are each built once
-    # and shared by every substitution into them.  The hypersurface series
-    # makes its own products in H; it is built before counting starts.
+    # The powers of 1/exp(g) and of q(q') are each built once and shared by
+    # every substitution into them; the t-shift runs in q before composing,
+    # so no power of g(q(q')) is built.  The hypersurface series makes its
+    # own products in H; it is built before counting starts.
     S = hypersurface_series(HypergeomConfig.quintic(30))
     monkeypatch.setattr(mirror, "hypersurface_series", lambda cfg: S)
     calls = []
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda a, b: calls.append(1) or mul(a, b))
+    composed, packed, all_packed = [], [], []
+    q_compose, pack = series._q_compose, series._pack
+    monkeypatch.setattr(series, "_pack", lambda nums, width: all_packed.append(
+        tuple(nums)) or pack(nums, width))
+
+    def counting_compose(outers, powers, n):
+        composed.append([list(a) for a in outers])
+        before = len(all_packed)
+        out = q_compose(outers, powers, n)
+        packed.extend(all_packed[before:])
+        return out
+
+    monkeypatch.setattr(series, "_q_compose", counting_compose)
     quintic_invariants(30)
     assert len(calls) <= 90
+    # One composition, of exactly the 3 non-constant shifted rows of J
+    # (H^2 T^0, H^3 T^0 and H^3 T^1); it packs only powers of q(q'), each
+    # at most once.
+    assert len(composed) == 1 and len(composed[0]) == 3
+    assert all(any(a[1:]) for a in composed[0])
+    mm = build_mirror_map(4, 30)
+    q_pows = {tuple(p.coeffs) for p in mm.w.mul_q().powers(30)}
+    assert packed and all(nums in q_pows for nums in packed)
+    assert len(set(packed)) == len(packed)
 
 
 def test_mirror_identity_builds_each_stage_once(monkeypatch):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from boxed_ring import box_all, rationals, unbox_all
+from boxed_ring import box_all, rationals, unbox, unbox_all
 from quintic_mirror.errors import DomainError
 from quintic_mirror.hbar import RatFunc
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
@@ -106,6 +107,81 @@ def test_substitute_pure_q_term():
     got = M.substitute_mirror(mm.g, mm.w)
     assert got.coeff(0, 0, 1) == 1
     assert got.coeff(0, 0, 2) == -770
+
+
+def _compose_then_expand(M: MixedSeries, g: TruncSeries,
+                         w: TruncSeries) -> MixedSeries:
+    """The former route of the mirror substitution: compose every
+    (H^i, t^k) row with q(q') = q' w(q'), then multiply it by
+    t^k = (T - g(q(q')))^k expanded binomially."""
+    D = M.order
+    q_pows = w.mul_q().powers(D)
+    g_pows = g.compose(q_pows).powers(M.t_top)
+    out = MixedSeries(M.h_top, M.t_top, D)
+    for i in range(M.h_top + 1):
+        for k in range(M.t_top + 1):
+            row = TruncSeries(M.c[i][k], D).compose(q_pows)
+            for j in range(k + 1):
+                term = row * g_pows[k - j] if j < k else row
+                for e, b in enumerate(term.coeffs):
+                    out.c[i][j][e] += comb(k, j) * (-1) ** (k - j) * b
+    return out
+
+
+@st.composite
+def _mirror_case(draw):
+    """Caps h_top, t_top in 0..3, a shift g (g(0) = 0), a reversion factor
+    w (w(0) = 1) and rows over Q.  Half the cases are e^(Ht) f with
+    f_1 = f_0 g, whose shifted rows cancel as the quintic J's do."""
+    h_top, t_top, n = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                       draw(st.integers(1, 6)))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    g, w = [0] + draw(row)[1:], [1] + draw(row)[1:]
+    if draw(st.booleans()):
+        c = draw(rationals)
+        f = [[c] + [0] * (n - 1), [c * x for x in g], draw(row), draw(row)]
+        rows = [[[Fraction(x) / factorial(k) for x in f[i - k]] if k <= i
+                 else [0] * n for k in range(t_top + 1)]
+                for i in range(h_top + 1)]
+    else:
+        rows = [[draw(st.one_of(st.just([0] * n), row))
+                 for _ in range(t_top + 1)] for _ in range(h_top + 1)]
+    return rows, g, w
+
+
+def _strs(M: MixedSeries):
+    return [[[str(unbox(c)) for c in row] for row in plane] for plane in M.c]
+
+
+@settings(deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate), max_examples=100)
+@given(_mirror_case())
+@example(([[[Fraction(5, 3)]]], [0], [1])).via("order 0")
+@example(([[[1, 0, 0], [0, 0, 0]], [[0, 2, -3], [1, 0, 0]]],
+          [0, 2, -3], [1, Fraction(1, 2), 4])).via(
+    "H^1 t^0 row equal to g: the shifted row vanishes")
+def test_substitute_matches_compose_then_expand(case):
+    rows, g, w = case
+    D = len(g) - 1
+    M = MixedSeries(len(rows) - 1, len(rows[0]) - 1, D, rows)
+    want = _compose_then_expand(M, TruncSeries(g, D), TruncSeries(w, D))
+    got = M.substitute_mirror(TruncSeries(g, D), TruncSeries(w, D))
+    assert got.caps() == want.caps() and _strs(got) == _strs(want)
+    boxed = MixedSeries(M.h_top, M.t_top, D,
+                        [[box_all(r) for r in plane] for plane in rows])
+    looped = boxed.substitute_mirror(TruncSeries(box_all(g), D),
+                                     TruncSeries(box_all(w), D))
+    assert _strs(looped) == _strs(want)
+
+
+def test_substitute_quintic_matches_compose_then_expand():
+    from quintic_mirror.hypergeom import HypergeomConfig, hypersurface_series
+    from quintic_mirror.mirror import build_mirror_map
+    S = hypersurface_series(HypergeomConfig.quintic(12))
+    J = S.div_qseries(S.t_zero_part(0))
+    mm = build_mirror_map(4, 12)
+    assert _strs(J.substitute_mirror(mm.g, mm.w)) == _strs(
+        _compose_then_expand(J, mm.g, mm.w))
 
 
 def test_substitute_rejects_nonzero_shift_constant():

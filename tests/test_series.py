@@ -16,8 +16,8 @@ from quintic_mirror.errors import DomainError, OrderMismatch
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.mirror import build_mirror_map
 from quintic_mirror.sampling import sample_series_coeffs
-from quintic_mirror.series import (TruncSeries, q_mul, series_exp, series_log,
-                                   series_reversion)
+from quintic_mirror.series import (TruncSeries, compose_all, q_mul, series_exp,
+                                   series_log, series_reversion)
 
 
 def F(p, q=1):
@@ -263,6 +263,74 @@ def test_kernel_compose_matches_loop(pair):
     want = TruncSeries(box_all(outer), D).compose(
         TruncSeries(box_all(inner), D).powers(D))
     _same(got.coeffs, unbox_all(want.coeffs))
+
+
+@st.composite
+def _outers_and_inner(draw):
+    """One to four outer series of one order, each drawn wide, narrow,
+    zero or constant, and an inner series with zero constant term."""
+    n = draw(st.integers(1, 8))
+    wide = st.lists(rationals, min_size=n, max_size=n)
+    narrow = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    zero = st.just([0] * n)
+    constant = rationals.map(lambda c: [c] + [0] * (n - 1))
+    outers = draw(st.lists(st.one_of(wide, narrow, zero, constant),
+                           min_size=1, max_size=4))
+    return outers, [0] + draw(wide)[1:]
+
+
+@settings(_differential, max_examples=100)
+@given(_outers_and_inner())
+@example(([[F(3, 2)], [0], [-7]], [0])).via("order 0")
+@example(([[0, 0, 0], [5, 0, 0], [0, 1, 2]], [0, 1, -1])).via(
+    "zero and constant outers")
+@example(([[2 ** 200, -(2 ** 200), 2 ** 200, 1], [1, 0, 1, 0],
+           [0, 0, 0, F(1, 3)]], [0, 3, F(1, 7), -5])).via(
+    "200-bit outer beside 1-bit ones: the slot fits the widest")
+@example(([[0, F(1, 2), 0, 0], [0, 0, 0, F(5, 9973)]],
+          [0, F(1, 9973), F(2, 3), F(-1, 5)])).via(
+    "outers using powers with different denominators")
+def test_compose_all_matches_each_alone(case):
+    outers, inner = case
+    D = len(inner) - 1
+    powers = TruncSeries(inner, D).powers(D)
+    got = compose_all([TruncSeries(a, D) for a in outers], powers)
+    assert len(got) == len(outers)
+    boxed_powers = TruncSeries(box_all(inner), D).powers(D)
+    for a, f in zip(outers, got):
+        _same(f.coeffs, TruncSeries(a, D).compose(powers).coeffs)
+        loop = TruncSeries(box_all(a), D).compose(boxed_powers)
+        _same(f.coeffs, unbox_all(loop.coeffs))
+
+
+def test_compose_all_other_rings_take_the_loop():
+    rng = random.Random(17)
+    D = 4
+    inner = TruncSeries([F(0), F(1, 2), F(-3), F(2, 7), F(5)], D)
+    powers = inner.powers(D)
+    q_outer = TruncSeries([F(1), F(2, 3), 0, F(-1, 5), F(7)], D)
+    boxed_outer = TruncSeries(box_all([3, 0, F(1, 2), -1, 2]), D)
+    got = compose_all([q_outer, boxed_outer], powers)
+    assert isinstance(got[1][4], Boxed)
+    assert got[0] == q_outer.compose(powers) == _horner(q_outer, inner)
+    assert got[1] == boxed_outer.compose(powers)
+    ratfunc_inner = TruncSeries(
+        [RatFunc.const(0)] + [_random_ratfunc(rng) for _ in range(D)], D)
+    ratfunc_powers = ratfunc_inner.powers(D)
+    got = compose_all([q_outer, q_outer.scale(F(1, 3))], ratfunc_powers)
+    assert got == [_horner(q_outer, ratfunc_inner),
+                   _horner(q_outer.scale(F(1, 3)), ratfunc_inner)]
+
+
+def test_compose_all_checks():
+    powers = TruncSeries([0, 1, 2], 2).powers(2)
+    with pytest.raises(OrderMismatch):
+        compose_all([TruncSeries.one(2), TruncSeries.one(3)], powers)
+    with pytest.raises(OrderMismatch):
+        compose_all([TruncSeries.one(3)], powers)
+    with pytest.raises(DomainError):
+        compose_all([TruncSeries.one(2), TruncSeries.one(2)],
+                    TruncSeries([1, 1, 0], 2).powers(2))
 
 
 def test_ratfunc_coefficients_keep_the_loop():
