@@ -1,7 +1,8 @@
 """Command-line driver: invariants, verification reports, graph-sum oracle.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage or
-precondition errors (a degenerate weight configuration included), and 3
+precondition errors (a degenerate weight configuration or an unwritable
+``--out`` path included), and 3
 on an internal error: any other exception is a program bug, reported as
 "internal error: ..." rather than blamed on the input.  Output is
 deterministic for a fixed seed and never contains floating point;
@@ -109,12 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    text += "" if text.endswith("\n") else "\n"
     sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write the report to {out_path}: "
+                              f"{exc.strerror or exc}") from None
 
 
 def _csv(rows: list[list]) -> str:

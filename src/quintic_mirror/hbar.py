@@ -4,9 +4,10 @@ One integer form underlies ``Poly`` and ``RatFunc``: a polynomial is
 content * N, with N a primitive integer coefficient tuple (gcd 1, positive
 leading coefficient, lowest degree first, ``()`` for zero) and the content
 a Fraction carrying sign and scale.  Both classes run on the same
-module-level kernels over these tuples.  By Gauss's lemma, products and
-exact quotients of primitive tuples stay primitive, so only a sum needs a
-gcd pass over its coefficients.
+module-level kernels over these tuples, and multiply them with
+``intpoly.mul``, the integer product the series over Q share.  By Gauss's
+lemma, products and exact quotients of primitive tuples stay primitive,
+so only a sum needs a gcd pass over its coefficients.
 
 * ``Poly``    -- content * N; ``c`` is its Fraction coefficient view.
 * ``RatFunc`` -- content * N / prod (q hbar - p)^k in lowest terms, the
@@ -54,6 +55,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import DomainError, PoleError, StructureError
+from .intpoly import clear, mul, mul_linear
 
 __all__ = ["Poly", "RatFunc", "Lifted", "Laurent"]
 
@@ -86,24 +88,9 @@ def _split(ints: list, den: int) -> tuple[Fraction, tuple]:
 
 def _lin(ca: Fraction, a: tuple, cb: Fraction, b: tuple) -> tuple:
     """ca a + cb b as (content, primitive tuple), over a common denominator."""
-    den = lcm(ca.denominator, cb.denominator)
-    fa = ca.numerator * (den // ca.denominator)
-    fb = cb.numerator * (den // cb.denominator)
+    (fa, fb), den = clear((ca, cb))
     return _split([fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)],
                   den)
-
-
-def _conv(a: tuple, b: tuple) -> tuple:
-    """Product of two primitive integer coefficient tuples."""
-    if len(a) == 1:             # the only primitive constant is (1,)
-        return b
-    if len(b) == 1:
-        return a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return tuple(out)
 
 
 def _horner(n: tuple, a: int, b: int) -> int:
@@ -139,10 +126,7 @@ class Poly:
     __slots__ = ("_n", "_content")
 
     def __init__(self, coeffs: Iterable = ()):
-        c = [_frac(x) for x in coeffs]
-        den = lcm(*(x.denominator for x in c))
-        self._content, self._n = _split(
-            [x.numerator * (den // x.denominator) for x in c], den)
+        self._content, self._n = _split(*clear([_frac(x) for x in coeffs]))
 
     @classmethod
     def _of(cls, content: Fraction, n: tuple) -> "Poly":
@@ -228,7 +212,7 @@ class Poly:
         if not self._n or not other._n:
             return Poly._of(Fraction(0), ())
         return Poly._of(self._content * other._content,
-                        _conv(self._n, other._n))
+                        mul(self._n, other._n))
 
     __rmul__ = __mul__
 
@@ -309,15 +293,6 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _mul_roots(c: tuple, roots: dict) -> tuple:
-    """c * prod (q hbar - p)^k over the pairs (p, q) of roots."""
-    for (p, q), k in roots.items():
-        for _ in range(k):
-            c = (-p * c[0], *[q * a - p * b for a, b in zip(c, c[1:])],
-                 q * c[-1])
-    return c
-
-
 def _div_root(c: tuple, p: int, q: int) -> tuple | None:
     """Exact quotient of c by (q hbar - p), or None if it does not divide.
 
@@ -391,7 +366,7 @@ def _cofactor(roots: dict, own: int, expanded: tuple, last: tuple) -> tuple:
     for (p, q), k in extra.items():
         for _ in range(k):
             cofactor = _div_root(cofactor, p, q)
-    return _mul_roots(cofactor, lacking)
+    return mul_linear(cofactor, lacking)
 
 
 class Lifted:
@@ -421,12 +396,12 @@ class Lifted:
                     holder[r] = t
                 elif k == top:
                     holder[r] = None
-        den = lcm(*[f._content.denominator for f in fs])
+        scales, den = clear([f._content for f in fs])
         wide = len(fs) > 2
         total = sum(common.values()) if wide else 0
         expanded = last = None
         terms = []
-        for f in fs:
+        for f, scale in zip(fs, scales):
             n, roots = f._n, f.roots
             # A term holding own of the total common factors lacks total - own.
             # When own + len(n) is below that, dividing its own factors out of
@@ -434,17 +409,16 @@ class Lifted:
             # missing ones in.  Two terms share no expansion: they multiply.
             if wide and 2 * (own := sum(roots.values())) + len(n) < total:
                 if expanded is None:
-                    expanded = _mul_roots((1,), common)
+                    expanded = mul_linear((1,), common)
                     last = expanded, {}
                 cofactor = _cofactor(roots, own, expanded, last)
                 last = cofactor, roots
-                n = _conv(n, cofactor)
+                n = mul(n, cofactor)
             elif common:
-                n = _mul_roots(n, {r: k - roots.get(r, 0)
-                                   for r, k in common.items()
-                                   if k > roots.get(r, 0)})
-            c = f._content
-            terms.append((c.numerator * (den // c.denominator), n))
+                n = mul_linear(n, {r: k - roots.get(r, 0)
+                                    for r, k in common.items()
+                                    if k > roots.get(r, 0)})
+            terms.append((scale, n))
         self.roots, self.den, self.terms, self.holder = (common, den, terms,
                                                          holder)
 
@@ -458,7 +432,7 @@ class Lifted:
             if isinstance(x, Poly):
                 if len(x._n) != 1:
                     vanish[t] = x._n
-                    n = _conv(x._n, n) if x._n else ()
+                    n = mul(x._n, n)
                 x = x._content
             elif not x:
                 vanish[t] = ()
@@ -563,7 +537,7 @@ class RatFunc:
         """The monic denominator prod (hbar - p/q)^k, expanded."""
         if self._den is None:
             self._den = Poly._of(Fraction(1, _q_power(self.roots)),
-                                 _mul_roots((1,), self.roots))
+                                 mul_linear((1,), self.roots))
         return self._den
 
     @classmethod
@@ -594,7 +568,7 @@ class RatFunc:
                 poles[r] -= k
                 if not poles[r]:
                     del poles[r]
-        return cls(_mul_roots((1,), zeros), poles, _content=content)
+        return cls(mul_linear((1,), zeros), poles, _content=content)
 
     @staticmethod
     def _coerce(x):
@@ -667,7 +641,7 @@ class RatFunc:
         # Cross-reduce: a numerator can only cancel the other's roots.
         n1 = _reduce(self._n, roots, [r for r in rb if r not in ra])
         n2 = _reduce(other._n, roots, [r for r in ra if r not in rb])
-        return RatFunc(_conv(n1, n2), roots,
+        return RatFunc(mul(n1, n2), roots,
                        _content=self._content * other._content)
 
     __rmul__ = __mul__
@@ -682,7 +656,7 @@ class RatFunc:
         # A primitive linear numerator n1 hbar + n0 is the factor of the
         # root -n0/n1, already in lowest terms with n1 > 0.
         roots = {(-n[0], n[1]): 1} if len(n) == 2 else {}
-        return RatFunc(_mul_roots((1,), self.roots), roots,
+        return RatFunc(mul_linear((1,), self.roots), roots,
                        _content=1 / self._content)
 
     def __truediv__(self, other):
@@ -704,7 +678,7 @@ class RatFunc:
             return RatFunc.const(self._content ** n)
         out = self._n
         for _ in range(n - 1):
-            out = _conv(out, self._n)
+            out = mul(out, self._n)
         return RatFunc(out, {r: k * n for r, k in self.roots.items()},
                        _content=self._content ** n)
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .errors import DomainError
 from .hbar import Laurent, RatFunc
+from .intpoly import clear, mul_linear
 from .mixed import HTruncPoly, MixedSeries
 from .series import TruncSeries
 
@@ -104,10 +105,8 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     block = TruncSeries.constant(Fraction(1), h_top)
     for d in range(cfg.order + 1):
         if d:
-            num = [1] + [0] * h_top
-            for r in range(l * (d - 1) + 1, l * d + 1):
-                num = [r * num[0]] + [r * num[j] + l * num[j - 1]
-                                      for j in range(1, m)]
+            rs = range(l * (d - 1) + 1, l * d + 1)
+            num = mul_linear((1,), {(-r, l): 1 for r in rs})[:m]
             den = [comb(m + 1, j) * d ** (m + 1 - j) for j in range(m)]
             block = block * TruncSeries(num, h_top) / TruncSeries(den, h_top)
         # e^(Ht) * block: coefficient of H^i t^k is block[i-k]/k!.
@@ -197,8 +196,7 @@ def zstar_family(cfg: HypergeomConfig,
     if len(set(lam)) != len(lam):
         raise DomainError("weights must be pairwise distinct")
     m, l = cfg.m, cfg.l
-    L = lcm(*[x.denominator for x in lam])
-    Lam = [x.numerator * (L // x.denominator) for x in lam]
+    Lam, L = clear(lam)
     entries = []
     for i in range(m + 1):
         coeffs: list = [RatFunc.const(1)]

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .errors import ClassPViolation, DegenerateLambda, DomainError
 from .hbar import Lifted, Poly, RatFunc
 from .hypergeom import CorrelatorFamily, exp_prefactor, f_and_g
+from .intpoly import clear, mul_linear
 from .mixed import MixedSeries
-from .series import TruncSeries, series_exp, series_reversion
+from .series import TruncSeries, compose_all, series_exp, series_reversion
 
 __all__ = [
     "RecursionCoefficients",
@@ -67,7 +68,7 @@ def regime_of(m: int, l: int) -> str:
     return "calabi_yau"
 
 
-def _coefficient(calabi_yau: bool, m: int, l: int, Lam: tuple, L: int,
+def _coefficient(calabi_yau: bool, m: int, l: int, Lam: list, L: int,
                  i: int, j: int, d: int) -> RatFunc:
     """C_i^j(d) from the cleared weights Lam = L lam, on integers.
 
@@ -126,8 +127,7 @@ def recursion_coeffs(regime: str, m: int, l: int, lam,
     if len(set(lam)) != len(lam):
         raise DegenerateLambda("weights must be pairwise distinct")
     out = RecursionCoefficients(regime, m, l, lam, order)
-    L = lcm(*[x.denominator for x in lam])
-    Lam = tuple(x.numerator * (L // x.denominator) for x in lam)
+    Lam, L = clear(lam)
     cy = regime == "calabi_yau"
     for i in range(m + 1):
         for j in range(m + 1):
@@ -397,9 +397,7 @@ def closed_form_E(m: int, d: int) -> list[Poly]:
     x^k in the integer polynomial prod_r ((m+1)x - r).
     """
     n = (m + 1) * d + 1
-    e = [1]
-    for r in range(n):
-        e = [(m + 1) * a - r * b for a, b in zip([0] + e, e + [0])]
+    e = mul_linear((1,), {(r, m + 1): 1 for r in range(n)})
     return [Poly.hbar(n - k) * x for k, x in enumerate(e)]
 
 
@@ -486,21 +484,22 @@ def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
 
     Phi(z + (g(q e^(z hbar)) - g(q))/hbar, q e^(g(q))).
 
-    Each z-row of Phi is composed with q e^(g(q)) once, then multiplied
-    by its power of (z + delta).
+    The z-rows of Phi are composed with q e^(g(q)) in one call, then each
+    nonzero one is multiplied by its power of (z + delta).
     """
     z_top, order = phi.t_top, phi.order
     z_plus = _delta_series(g, z_top)
     if z_top:
         z_plus.c[0][1][0] = RatFunc.const(1)   # delta has no q^0 term
-    qpow = series_exp(g).mul_q().powers(order)
+    rows = [TruncSeries(row, order) for row in phi.c[0]]
+    composed = compose_all(rows, series_exp(g).mul_q().powers(order))
     zpow = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
     out = MixedSeries(0, z_top, order)
-    for k, row in enumerate(phi.c[0]):
+    for k, (row, image) in enumerate(zip(rows, composed)):
         if k:
             zpow = zpow * z_plus
-        if any(v != 0 for v in row):
-            out = out + zpow.mul_qseries(TruncSeries(row, order).compose(qpow))
+        if not row.is_zero():
+            out = out + zpow.mul_qseries(image)
     return out
 
 
@@ -549,13 +548,12 @@ def transform_family(family: CorrelatorFamily, kind: str,
         pref = series_exp(g.map(
             lambda c: RatFunc(Poly([Fraction(C) * c]), Poly([0, 1]))))
         return family.map_entries(lambda i, e: e * pref)
-    q_pows = series_exp(g).mul_q().powers(D)     # powers of q e^(g(q))
+    composed = compose_all(family.entries, series_exp(g).mul_q().powers(D))
 
     def twist(i: int, entry: TruncSeries) -> TruncSeries:
-        substituted = entry.compose(q_pows)
         pref = series_exp(g.map(
             lambda c: RatFunc(Poly([family.lam[i] * c]), Poly([0, 1]))))
-        return pref * substituted
+        return pref * composed[i]
 
     return family.map_entries(twist)
 
@@ -593,13 +591,14 @@ def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
     g = gdiff.scale(m + 1) / F
     w = series_reversion(series_exp(g))
     sigma_pows = w.mul_q().powers(D)             # q = sigma(q') = q' w(q')
-    inv_F = TruncSeries.one(D) / F.compose(sigma_pows)
     total = sum(lam)
+    A = [(gdiff.scale((m + 1) * x) + G_1.scale(total)) / F for x in lam]
+    # F and the A_i in one call, so each power of sigma is packed once.
+    F_sigma, *A_sigma = compose_all([F, *A], sigma_pows)
+    entries = compose_all(family.entries, sigma_pows)
+    inv_F = (TruncSeries.one(D) / F_sigma).map(RatFunc.const)
     out = []
-    for i in range(m + 1):
-        A_i = (gdiff.scale((m + 1) * lam[i]) + G_1.scale(total)) / F
-        pref = series_exp(A_i.compose(sigma_pows).map(
-            lambda c: RatFunc(Poly([-c]), Poly([0, 1]))))
-        composed = family.entry(i).compose(sigma_pows)
-        out.append(composed * pref * inv_F.map(RatFunc.const))
+    for composed, A_i in zip(entries, A_sigma):
+        pref = series_exp(A_i.map(lambda c: RatFunc(Poly([-c]), Poly([0, 1]))))
+        out.append(composed * pref * inv_F)
     return out

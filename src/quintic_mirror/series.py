@@ -10,14 +10,10 @@ Every substitution of series into another goes through ``compose_all``,
 fed with the inner series' ``powers``; ``TruncSeries.compose`` is its
 one-series call.
 
-Products over Q take one exact integer kernel (``q_mul``).  When every
-coefficient of both operands is an ``int`` or a ``Fraction``, each operand
-is cleared to integer numerators over its least common denominator and
-packed into one Python ``int``, a fixed-width slot per coefficient
-(Kronecker substitution).  One big-integer multiply then does the whole
-Cauchy product; the low slots are read back as signed digits and divided
-by the product of the two denominators.  Over Q, these run on integer
-numerators:
+Products over Q take one exact integer kernel (``q_mul``): when every
+coefficient of both operands is an ``int`` or a ``Fraction``, their
+numerators over a common denominator go through ``intpoly.mul``, the
+product ``hbar`` takes too.  Over Q, these run on integer numerators:
 
 * ``TruncSeries.__mul__`` takes ``q_mul``, and so do ``powers``,
   ``__pow__``, the row products of ``MixedSeries.__mul__`` and
@@ -50,6 +46,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .errors import DomainError, OrderMismatch
+from .intpoly import bits, clear, mul as int_mul, pack, slot_bytes, unpack
 
 __all__ = [
     "TruncSeries",
@@ -62,85 +59,33 @@ __all__ = [
 
 
 def _over_z(coeffs) -> tuple[list[int], int] | None:
-    """(numerators, denominator): ``coeffs`` over their least common
-    denominator, or None when a coefficient is neither int nor Fraction."""
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return None
-    den = lcm(*[c.denominator for c in coeffs])
+    """``clear(coeffs)``, or None unless every coefficient is an int or a
+    Fraction."""
+    if all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return clear(coeffs)
+    return None
+
+
+def _rationals(nums: Sequence[int], den: int) -> list:
+    """nums[i] / den as a list, kept as ints when den is 1."""
     if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _bits(nums: list[int]) -> int:
-    return max(max(nums), -min(nums)).bit_length()
-
-
-def _slot_bytes(a_bits: int, b_bits: int, terms: int) -> int:
-    # A digit sum_i a_i b_(k-i) of at most ``terms`` products has
-    # |c| < terms * 2^a_bits * 2^b_bits <= 2^(a_bits + b_bits + bits(terms)),
-    # so a slot of a_bits + b_bits + bits(terms) + 1 bits (the extra one
-    # is the sign) holds it as a signed digit.  Rounded up to whole bytes.
-    return (a_bits + b_bits + terms.bit_length() + 1 + 7) // 8
-
-
-def _pack(nums: list[int], width: int) -> int:
-    """sum_i nums[i] * 256^(width*i), in linear time.
-
-    Each slot holds its digit minus a borrow of 1 when the slot below
-    went negative, in ``width``-byte two's complement; |nums[i]| must
-    fit the signed slot with room for the borrow.
-    """
-    parts = []
-    borrow = 0
-    for a in nums:
-        a -= borrow
-        parts.append(a.to_bytes(width, "little", signed=True))
-        borrow = a < 0
-    return int.from_bytes(b"".join(parts), "little", signed=True)
-
-
-def _unpack(packed: int, n: int, width: int) -> list[int]:
-    """The low ``n`` signed digits of ``packed`` (inverse of ``_pack``).
-
-    Reading a slot as signed leaves the borrow it lent the slot above
-    when it is negative; adding that borrow back gives the next digit.
-    Each digit must lie strictly inside the signed slot range.
-    """
-    size = n * width
-    raw = (packed & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    out = []
-    borrow = 0
-    for k in range(0, size, width):
-        s = int.from_bytes(raw[k:k + width], "little", signed=True)
-        out.append(s + borrow)
-        borrow = s < 0
-    return out
-
-
-def _rationals(nums: list[int], den: int) -> list:
-    """nums[i] / den, kept as ints when den is 1."""
-    if den == 1:
-        return nums
+        return list(nums)
     return [Fraction(c, den) for c in nums]
 
 
 def q_mul(a: Sequence, b: Sequence, n: int) -> list | None:
     """The first ``n`` coefficients of the product of coefficient lists
-    ``a`` and ``b`` (each of length ``n``), by one big-integer multiply.
-
-    None unless every coefficient is an ``int`` or a ``Fraction``; the
-    caller then falls back to its term-by-term loop.  Coefficients come
-    back as ``int`` when both denominators are 1, else as ``Fraction``.
+    ``a`` and ``b`` (each of length ``n``), by ``intpoly.mul`` on their
+    cleared numerators: ``int`` when both denominators are 1, else
+    ``Fraction``.  None unless every coefficient is an ``int`` or a
+    ``Fraction``; the caller then falls back to its term-by-term loop.
     """
     a = _over_z(a)
     b = None if a is None else _over_z(b)
     if b is None:
         return None
     (a_nums, a_den), (b_nums, b_den) = a, b
-    width = _slot_bytes(_bits(a_nums), _bits(b_nums), n)
-    packed = _pack(a_nums, width) * _pack(b_nums, width)
-    return _rationals(_unpack(packed, n, width), a_den * b_den)
+    return _rationals(int_mul(a_nums, b_nums, n), a_den * b_den)
 
 
 def _q_div(a: list[int], a_den: int, b: list[int], b_den: int) -> list:
@@ -196,16 +141,16 @@ def _q_compose(outers: Sequence[Sequence], powers: list["TruncSeries"],
     # Slot e sums the constant and one scalar times a numerator of power k
     # per used k: at most n terms, each of at most the widest scalar's bits
     # plus the widest numerator's.
-    width = _slot_bytes(max(_bits(b) for b in scalars),
-                        max([1] + [_bits(nums) for nums, _ in used.values()]),
-                        n)
+    width = slot_bytes(max(bits(b) for b in scalars),
+                       max([1] + [bits(nums) for nums, _ in used.values()]),
+                       n)
     accs = [b[0] for b in scalars]
     for k, (nums, _) in used.items():
-        packed = _pack(nums, width)
+        packed = pack(nums, width)
         for j, b in enumerate(scalars):
             if b[k]:
                 accs[j] += b[k] * packed
-    return [_rationals(_unpack(acc, n, width), den)
+    return [_rationals(unpack(acc, n, width), den)
             for acc, den in zip(accs, dens)]
 
 

@@ -400,3 +400,19 @@ def test_byte_identical_reruns():
     second = subprocess.run(cmd, capture_output=True, check=False, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--order", "2"),
+    ("verify", "descendents"),
+])
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path, argv, where):
+    path = {"in a missing directory": tmp_path / "missing" / "x.txt",
+            "a directory": tmp_path}[where]
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out                      # the report still reaches stdout
+    assert err.count("\n") == 1 and str(path) in err
+    assert "internal error" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

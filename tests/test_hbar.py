@@ -11,9 +11,11 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from euclid_ratfunc import EuclidRatFunc
+from quintic_mirror import intpoly
 from quintic_mirror.errors import DomainError, PoleError, StructureError
 from quintic_mirror.hbar import Laurent, Lifted, Poly, RatFunc
 from quintic_mirror.hypergeom import HypergeomConfig, zstar_family
+from quintic_mirror.intpoly import PACK_FROM
 from quintic_mirror.recursion import phi_double_correlator
 from quintic_mirror.sampling import sample_rational
 from quintic_mirror.verify import (check_class_p, check_phi_poly,
@@ -566,6 +568,38 @@ def test_poly_matches_fraction_reference(a, b, k, x):
     assert p * q == q * p and hash(p * q) == hash(q * p)
     assert (p == q) == (ra == rb)
     assert (p == ra[0]) == (len(ra) == 1) if ra else p == 0
+
+
+@st.composite
+def _tall_pair(draw):
+    """One element as (factored RatFunc, Euclidean oracle) whose numerator
+    has PACK_FROM + 8 or more roots and whose denominator has at most 4.
+    Cancelling leaves at least PACK_FROM + 5 numerator coefficients, and a
+    product of two at least PACK_FROM + 1 in each factor after its
+    cross-reduction, so the product takes the packed route."""
+    num = Poly([draw(_big_scale)])
+    for r in draw(st.lists(_any_root, min_size=PACK_FROM + 8,
+                           max_size=PACK_FROM + 12)):
+        num = num * Poly([-r, 1])
+    den_roots = draw(st.lists(_root, max_size=4))
+    return (RatFunc(num, _multiset(den_roots)),
+            EuclidRatFunc(num, _linear_poly(den_roots)))
+
+
+@settings(_differential, max_examples=25)
+@given(_tall_pair(), _tall_pair())
+def test_products_above_the_packing_rule_match_the_oracles(x, y):
+    (a, a_old), (b, b_old) = x, y
+    assert min(len(a._n), len(b._n)) >= PACK_FROM + 5
+    # The oracle's products all take the schoolbook route.
+    saved, intpoly.PACK_FROM = intpoly.PACK_FROM, 10 ** 9
+    try:
+        want = a_old * b_old
+    finally:
+        intpoly.PACK_FROM = saved
+    _same(a * b, want)
+    _same(a * b * a, want * a_old)
+    assert (a.num * b.num).c == _ref_mul(a.num.c, b.num.c)
 
 
 def test_negative_power_raises():

@@ -103,8 +103,8 @@ def test_quintic_invariants_series_products(monkeypatch):
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda a, b: calls.append(1) or mul(a, b))
     composed, packed, all_packed = [], [], []
-    q_compose, pack = series._q_compose, series._pack
-    monkeypatch.setattr(series, "_pack", lambda nums, width: all_packed.append(
+    q_compose, pack = series._q_compose, series.pack
+    monkeypatch.setattr(series, "pack", lambda nums, width: all_packed.append(
         tuple(nums)) or pack(nums, width))
 
     def counting_compose(outers, powers, n):
