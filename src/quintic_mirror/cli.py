@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage or
 precondition errors (a degenerate weight configuration or an unwritable
-``--out`` path included), and 3
-on an internal error: any other exception is a program bug, reported as
-"internal error: ..." rather than blamed on the input.  Output is
-deterministic for a fixed seed and never contains floating point;
-rationals print as "p/q" (or "p" for integers).
+``--out`` path included), 3 on an internal error: any other exception is
+a program bug, reported as "internal error: ..." rather than blamed on the
+input.  A reader that closes stdout early is not one: exit 141, as a shell
+reports SIGPIPE, with nothing on stderr.  Output is deterministic for a
+fixed seed and never contains floating point; rationals print as "p/q"
+(or "p" for integers).
 
 Each ``verify`` check accepts only the options it reads, its parameters
 in ``verify.py``; any other option exits 2.  descendents reads none;
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from .verify import CHECKS
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+CLOSED_STDOUT = 141     # 128 + SIGPIPE, as a shell reports it
 
 # The value an option takes when it is not given.
 DEFAULTS = {"m": 4, "l": 5, "order": 6, "seed": 0}
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     text += "" if text.endswith("\n") else "\n"
-    sys.stdout.write(text)
+    print(text, end="", flush=True)     # a closed stdout raises in main
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -205,13 +208,16 @@ def cmd_oracle(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"invariants": cmd_invariants, "verify": cmd_verify,
+                "oracle": cmd_oracle}
     try:
-        if args.command == "invariants":
-            return cmd_invariants(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
+        return commands[args.command](args)
+    except BrokenPipeError:
+        # Stdout to devnull, so the interpreter's last flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     except (DomainError, StructureError) as exc:
         sys.stderr.write(f"{exc}\n")
         return USAGE_ERROR
@@ -223,8 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return INTERNAL_ERROR
-    parser.error("no command given")
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

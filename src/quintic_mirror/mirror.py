@@ -181,8 +181,7 @@ def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> MixedSeries:
     g_pows = g.powers(3)
     # 5(t+g)^3/6 expanded in powers of t with q-series coefficients.
     rows = [g_pows[3 - j].scale(Fraction(5 * comb(3, j), 6)) for j in range(4)]
-    instantons = TruncSeries([0] + table.N, D).compose(
-        series_exp(g).mul_q().powers(D))
+    instantons = TruncSeries([0] + table.N, D).compose(series_exp(g).mul_q())
     rows[0] = rows[0] + instantons
     return MixedSeries(0, 3, D, [[row.coeffs for row in rows]])
 

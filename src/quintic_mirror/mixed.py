@@ -373,9 +373,8 @@ class MixedSeries:
         pending = [(i, j, row) for i, j, row in out._rows()
                    if any(x != 0 for x in row[1:])]
         if pending:
-            q_pows = w.mul_q().powers(D)            # q(q') = q' w(q')
-            composed = compose_all(
-                [TruncSeries(row, D) for _, _, row in pending], q_pows)
+            composed = compose_all(                 # into q(q') = q' w(q')
+                [TruncSeries(row, D) for _, _, row in pending], w.mul_q())
             for (i, j, _), row in zip(pending, composed):
                 out.c[i][j] = row.coeffs
         return out

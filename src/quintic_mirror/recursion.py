@@ -276,8 +276,8 @@ class ClassPData:
                 else closed_form_E(self.m, d) for d in range(self.order + 1)}
 
 
-def classP_extract(family: CorrelatorFamily, order: int | None = None,
-                   entries: list[TruncSeries] | None = None) -> ClassPData:
+def classP_extract(family: CorrelatorFamily,
+                   order: int | None = None) -> ClassPData:
     """N_id extraction and the class-P verdict on E_d for a recursion-form family.
 
     N_id = (Q^d coefficient of y_i) d! prod_{j!=i} prod_{r<=d}
@@ -294,7 +294,7 @@ def classP_extract(family: CorrelatorFamily, order: int | None = None,
     """
     m, lam = family.m, family.lam
     D = family.order if order is None else order
-    y = entries if entries is not None else z_normalize(family)
+    y = z_normalize(family)
     N_table: dict = {}
     for i in range(m + 1):
         clear = Poly([1])
@@ -402,8 +402,7 @@ def closed_form_E(m: int, d: int) -> list[Poly]:
 
 
 def phi_double_correlator(family: CorrelatorFamily, z_order: int,
-                          q_order: int,
-                          entries: list[TruncSeries] | None = None) -> MixedSeries:
+                          q_order: int) -> MixedSeries:
     """Phi(z, q) = sum_i w_i e^(lam_i z) Y_i(q e^(z hbar), hbar) Y_i(q, -hbar)
 
     with w_i = (m+1) lam_i / prod_{j != i}(lam_i - lam_j).  The argument
@@ -426,7 +425,7 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
     m, lam = family.m, family.lam
     if q_order > family.order:
         raise DomainError("q_order exceeds the family order")
-    Y = entries if entries is not None else family.entries
+    Y = family.entries
     weights = []
     for i in range(m + 1):
         denom = Fraction(1)
@@ -492,7 +491,7 @@ def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
     if z_top:
         z_plus.c[0][1][0] = RatFunc.const(1)   # delta has no q^0 term
     rows = [TruncSeries(row, order) for row in phi.c[0]]
-    composed = compose_all(rows, series_exp(g).mul_q().powers(order))
+    composed = compose_all(rows, series_exp(g).mul_q())
     zpow = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
     out = MixedSeries(0, z_top, order)
     for k, (row, image) in enumerate(zip(rows, composed)):
@@ -548,7 +547,7 @@ def transform_family(family: CorrelatorFamily, kind: str,
         pref = series_exp(g.map(
             lambda c: RatFunc(Poly([Fraction(C) * c]), Poly([0, 1]))))
         return family.map_entries(lambda i, e: e * pref)
-    composed = compose_all(family.entries, series_exp(g).mul_q().powers(D))
+    composed = compose_all(family.entries, series_exp(g).mul_q())
 
     def twist(i: int, entry: TruncSeries) -> TruncSeries:
         pref = series_exp(g.map(
@@ -590,12 +589,11 @@ def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
     gdiff = G_top - G_1
     g = gdiff.scale(m + 1) / F
     w = series_reversion(series_exp(g))
-    sigma_pows = w.mul_q().powers(D)             # q = sigma(q') = q' w(q')
     total = sum(lam)
     A = [(gdiff.scale((m + 1) * x) + G_1.scale(total)) / F for x in lam]
-    # F and the A_i in one call, so each power of sigma is packed once.
-    F_sigma, *A_sigma = compose_all([F, *A], sigma_pows)
-    entries = compose_all(family.entries, sigma_pows)
+    # One call for F, the A_i and the entries: q = sigma(q') = q' w(q').
+    F_sigma, *rest = compose_all([F, *A, *family.entries], w.mul_q())
+    A_sigma, entries = rest[:len(A)], rest[len(A):]
     inv_F = (TruncSeries.one(D) / F_sigma).map(RatFunc.const)
     out = []
     for composed, A_i in zip(entries, A_sigma):

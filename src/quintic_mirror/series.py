@@ -7,8 +7,8 @@ elements that support ``+``, ``-``, ``*`` among themselves and with plain
 Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of series into another goes through ``compose_all``,
-fed with the inner series' ``powers``; ``TruncSeries.compose`` is its
-one-series call.
+which takes the inner series itself and builds its ``powers`` once for all
+the outer series; ``TruncSeries.compose`` is its one-series call.
 
 Products over Q take one exact integer kernel (``q_mul``): when every
 coefficient of both operands is an ``int`` or a ``Fraction``, their
@@ -20,9 +20,9 @@ product ``hbar`` takes too.  Over Q, these run on integer numerators:
   ``MixedSeries.mul_qseries``, and the H-blocks of
   ``hypergeom.hypersurface_series`` (series in H, truncated by H^m = 0);
 * ``compose_all`` clears and packs each power of the inner series that
-  some outer series uses once, at one slot width that fits the widest
-  outer series, and makes each outer series one packed linear
-  combination of those shared powers (``_q_compose``);
+  some outer series over Q uses once, at one slot width that fits the
+  widest of them, and makes each one packed linear combination of those
+  shared powers (``_q_compose``);
 * ``TruncSeries.__truediv__`` runs the long division's recurrence on
   integers (``_q_div``);
 * ``series_reversion`` forms its dot products of powers.
@@ -58,12 +58,14 @@ __all__ = [
 ]
 
 
+def _in_q(coeffs) -> bool:
+    """Every coefficient is an int or a Fraction."""
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
 def _over_z(coeffs) -> tuple[list[int], int] | None:
-    """``clear(coeffs)``, or None unless every coefficient is an int or a
-    Fraction."""
-    if all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return clear(coeffs)
-    return None
+    """``clear(coeffs)``, or None unless ``_in_q(coeffs)``."""
+    return clear(coeffs) if _in_q(coeffs) else None
 
 
 def _rationals(nums: Sequence[int], den: int) -> list:
@@ -110,23 +112,18 @@ def _q_div(a: list[int], a_den: int, b: list[int], b_den: int) -> list:
 
 
 def _q_compose(outers: Sequence[Sequence], powers: list["TruncSeries"],
-               n: int) -> list[list] | None:
+               n: int) -> list[list]:
     """a[0] + sum_k a[k] * powers[k], the first ``n`` coefficients, for
-    each coefficient list ``a`` of ``outers``; None unless every outer
-    list and every power one of them uses hold only ``int`` and
-    ``Fraction`` coefficients.
+    each coefficient list ``a`` of ``outers``, all of them and all the
+    powers over Q.
 
     Each used power is cleared and packed once, at one slot width that
     fits the widest outer series, and every outer series is one packed
     linear combination of those powers with a single unpack.
     """
-    cleared = [_over_z(a) for a in outers]
-    if None in cleared:
-        return None
+    cleared = [clear(a) for a in outers]
     ks = {k for a, _ in cleared for k in range(1, n) if a[k]}
-    used = {k: _over_z(powers[k].coeffs) for k in ks}
-    if None in used.values():
-        return None
+    used = {k: clear(powers[k].coeffs) for k in ks}
     # Outer series a takes its powers over the lcm p_den of their
     # denominators: its constant is a[0] p_den, and power k enters as the
     # integer scalar a[k] p_den / den_k times the numerators of power k.
@@ -286,8 +283,8 @@ class TruncSeries:
     def powers(self, n: int) -> list["TruncSeries"]:
         """[1, s, s^2, ..., s^n] for this series s, each at its order D.
 
-        The list is what ``compose`` takes, so several outer series
-        substituted into the same inner one share its powers.  With s of
+        ``compose_all`` builds this list once per inner series, so every
+        outer series substituted into it shares its powers.  With s of
         valuation v, s = q^v t and s^k = q^(kv) t^k, so t^k is built by
         products only through order D - kv: the ladder shrinks as k
         grows, and every power with kv > D is zero.
@@ -305,14 +302,13 @@ class TruncSeries:
             out.append(TruncSeries([0] * (k * v) + tk.coeffs, D))
         return out
 
-    def compose(self, powers: list["TruncSeries"]) -> "TruncSeries":
-        """Substitute an inner series s for the variable: self(s).
+    def compose(self, inner: "TruncSeries") -> "TruncSeries":
+        """Substitute ``inner`` for the variable: self(inner).
 
-        ``powers`` is ``s.powers(n)`` with n >= the order.  This is the
-        one-series call of ``compose_all``, which holds the checks and
-        both the packed and the term-by-term route.
+        This is the one-series call of ``compose_all``, which holds the
+        checks and both the packed and the term-by-term route.
         """
-        return compose_all([self], powers)[0]
+        return compose_all([self], inner)[0]
 
     def map(self, fn: Callable) -> "TruncSeries":
         return TruncSeries([fn(a) for a in self.coeffs], self.order)
@@ -342,30 +338,30 @@ class TruncSeries:
 
 
 def compose_all(outers: Sequence[TruncSeries],
-                powers: list[TruncSeries]) -> list[TruncSeries]:
+                inner: TruncSeries) -> list[TruncSeries]:
     """Substitute one inner series s into each outer series: [f(s), ...].
 
-    ``powers`` is ``s.powers(n)`` with n >= the outers' common order; s
-    must have zero constant term, so s^k starts at q^k and only the first
-    ``order + 1`` powers matter.  Zero coefficients of the outers are
-    skipped.  The coefficients of the outers and of s may come from any
-    ring that multiplies with the other's (``Fraction``, ``RatFunc``,
-    ...).  Over Q every power some outer uses is cleared and packed once,
-    and each outer is one packed linear combination of them (``_q_compose``);
-    any other ring takes the term-by-term loop.
+    s must have the outers' common order D and zero constant term, so only
+    s^0..s^D matter; ``s.powers(D)`` is built once for all the outers.
+    The coefficients of the outers and of s may come from any ring that
+    multiplies with the other's (``Fraction``, ``RatFunc``, ...), and each
+    outer takes its own ring's route: when s is over Q, the outers over Q
+    are one packed linear combination each of the powers, every used
+    power packed once (``_q_compose``); the others take the term loop.
     """
-    first = outers[0]
-    D = first.order
-    for f in outers[1:]:
-        first._check(f)
-    if D:
-        first._check(powers[1])
-        if powers[1].coeffs[0] != 0:
-            raise DomainError("composition requires inner constant term 0")
-    out = _q_compose([f.coeffs for f in outers], powers, D + 1)
-    if out is not None:
-        return [TruncSeries(c, D) for c in out]
-    return [_loop_compose(f.coeffs, powers, D) for f in outers]
+    D = outers[0].order
+    for f in [*outers[1:], inner]:
+        outers[0]._check(f)
+    if inner.coeffs[0] != 0:
+        raise DomainError("composition requires inner constant term 0")
+    powers = inner.powers(D)
+    over_q = _in_q(inner.coeffs)
+    packs = [over_q and _in_q(f.coeffs) for f in outers]
+    packed = iter(_q_compose([f.coeffs for f, p in zip(outers, packs) if p],
+                             powers, D + 1) if any(packs) else ())
+    return [TruncSeries(next(packed), D) if p
+            else _loop_compose(f.coeffs, powers, D)
+            for f, p in zip(outers, packs)]
 
 
 def _loop_compose(a: list, powers: list[TruncSeries], D: int) -> TruncSeries:

@@ -402,6 +402,28 @@ def test_byte_identical_reruns():
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_without_internal_error(unbuffered):
+    # A reader that closes at once (``| head -n 0``) is not a program bug:
+    # no traceback, no "internal error", and the code a shell reports for
+    # SIGPIPE.  Buffered or not, the broken write surfaces inside main.
+    cmd = [sys.executable, "-m", "quintic_mirror.cli", "invariants",
+           "--order", "30"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(quintic_mirror.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                              check=False, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize("argv", [
     ("invariants", "--order", "2"),
     ("verify", "descendents"),

@@ -115,12 +115,12 @@ def _compose_then_expand(M: MixedSeries, g: TruncSeries,
     (H^i, t^k) row with q(q') = q' w(q'), then multiply it by
     t^k = (T - g(q(q')))^k expanded binomially."""
     D = M.order
-    q_pows = w.mul_q().powers(D)
-    g_pows = g.compose(q_pows).powers(M.t_top)
+    q_of = w.mul_q()
+    g_pows = g.compose(q_of).powers(M.t_top)
     out = MixedSeries(M.h_top, M.t_top, D)
     for i in range(M.h_top + 1):
         for k in range(M.t_top + 1):
-            row = TruncSeries(M.c[i][k], D).compose(q_pows)
+            row = TruncSeries(M.c[i][k], D).compose(q_of)
             for j in range(k + 1):
                 term = row * g_pows[k - j] if j < k else row
                 for e, b in enumerate(term.coeffs):

@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 
 from boxed_ring import Boxed, box_all, rationals, unbox_all
 from lagrange_reversion import lagrange_reversion
+from quintic_mirror import series
 from quintic_mirror.errors import DomainError, OrderMismatch
 from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.hypergeom import (HypergeomConfig, hypersurface_series,
+                                      zstar_family)
 from quintic_mirror.mirror import build_mirror_map
+from quintic_mirror.recursion import composite_inverse_of_zstar
 from quintic_mirror.sampling import sample_series_coeffs
 from quintic_mirror.series import (TruncSeries, compose_all, q_mul, series_exp,
                                    series_log, series_reversion)
@@ -141,7 +145,7 @@ def test_compose_matches_horner(ring, order):
     for _ in range(4):
         outer = TruncSeries([draw() for _ in range(order + 1)], order)
         inner = TruncSeries([0] + [draw() for _ in range(order)], order)
-        assert outer.compose(inner.powers(order)) == _horner(outer, inner)
+        assert outer.compose(inner) == _horner(outer, inner)
 
 
 def test_reversion_frozen_examples():
@@ -167,7 +171,7 @@ def test_reversion_roundtrip_random():
         v = random_series(rng, D, unit_constant=True)
         w = series_reversion(v)
         q_of = TruncSeries([0] + list(w.coeffs[:D]), D)
-        residual = q_of * v.compose(q_of.powers(D)) - TruncSeries.variable(D)
+        residual = q_of * v.compose(q_of) - TruncSeries.variable(D)
         assert residual.is_zero()
 
 
@@ -259,9 +263,9 @@ def test_kernel_mul_at_slot_width_boundary(D):
 def test_kernel_compose_matches_loop(pair):
     outer, inner = pair
     D = len(outer) - 1
-    got = TruncSeries(outer, D).compose(TruncSeries(inner, D).powers(D))
+    got = TruncSeries(outer, D).compose(TruncSeries(inner, D))
     want = TruncSeries(box_all(outer), D).compose(
-        TruncSeries(box_all(inner), D).powers(D))
+        TruncSeries(box_all(inner), D))
     _same(got.coeffs, unbox_all(want.coeffs))
 
 
@@ -293,44 +297,91 @@ def _outers_and_inner(draw):
 def test_compose_all_matches_each_alone(case):
     outers, inner = case
     D = len(inner) - 1
-    powers = TruncSeries(inner, D).powers(D)
-    got = compose_all([TruncSeries(a, D) for a in outers], powers)
+    inner = TruncSeries(inner, D)
+    got = compose_all([TruncSeries(a, D) for a in outers], inner)
     assert len(got) == len(outers)
-    boxed_powers = TruncSeries(box_all(inner), D).powers(D)
+    boxed_inner = TruncSeries(box_all(inner.coeffs), D)
     for a, f in zip(outers, got):
-        _same(f.coeffs, TruncSeries(a, D).compose(powers).coeffs)
-        loop = TruncSeries(box_all(a), D).compose(boxed_powers)
+        _same(f.coeffs, TruncSeries(a, D).compose(inner).coeffs)
+        loop = TruncSeries(box_all(a), D).compose(boxed_inner)
         _same(f.coeffs, unbox_all(loop.coeffs))
 
 
-def test_compose_all_other_rings_take_the_loop():
+def test_compose_all_other_rings_take_the_loop(monkeypatch):
     rng = random.Random(17)
     D = 4
     inner = TruncSeries([F(0), F(1, 2), F(-3), F(2, 7), F(5)], D)
-    powers = inner.powers(D)
     q_outer = TruncSeries([F(1), F(2, 3), 0, F(-1, 5), F(7)], D)
     boxed_outer = TruncSeries(box_all([3, 0, F(1, 2), -1, 2]), D)
-    got = compose_all([q_outer, boxed_outer], powers)
-    assert isinstance(got[1][4], Boxed)
-    assert got[0] == q_outer.compose(powers) == _horner(q_outer, inner)
-    assert got[1] == boxed_outer.compose(powers)
+    ratfunc_outer = TruncSeries(
+        [_random_ratfunc(rng) for _ in range(D + 1)], D)
+    # Each outer goes by its own ring: the packed route receives exactly
+    # the outers over Q, and the others take the loop in the same call.
+    packed = []
+    q_compose = series._q_compose
+    monkeypatch.setattr(series, "_q_compose", lambda outers, powers, n:
+                        packed.append(outers) or q_compose(outers, powers, n))
+    outers = [boxed_outer, q_outer, ratfunc_outer, q_outer.scale(F(1, 3))]
+    got = compose_all(outers, inner)
+    assert packed == [[q_outer.coeffs, q_outer.scale(F(1, 3)).coeffs]]
+    assert isinstance(got[0][4], Boxed)
+    assert all(isinstance(c, RatFunc) for c in got[2])
+    assert got[1] == _horner(q_outer, inner)
+    assert got == [f.compose(inner) for f in outers]
+    # An inner series that is not over Q sends every outer to the loop.
+    packed.clear()
     ratfunc_inner = TruncSeries(
         [RatFunc.const(0)] + [_random_ratfunc(rng) for _ in range(D)], D)
-    ratfunc_powers = ratfunc_inner.powers(D)
-    got = compose_all([q_outer, q_outer.scale(F(1, 3))], ratfunc_powers)
+    got = compose_all([q_outer, q_outer.scale(F(1, 3))], ratfunc_inner)
+    assert packed == []
     assert got == [_horner(q_outer, ratfunc_inner),
                    _horner(q_outer.scale(F(1, 3)), ratfunc_inner)]
 
 
+def _count_powers(monkeypatch, counted):
+    """Patch ``TruncSeries.powers`` to record each series it is called on
+    for which ``counted(series)`` holds."""
+    calls = []
+    powers = TruncSeries.powers
+
+    def counting(s, n):
+        if counted(s):
+            calls.append(s)
+        return powers(s, n)
+
+    monkeypatch.setattr(TruncSeries, "powers", counting)
+    return calls
+
+
+def test_inner_power_ladder_built_once_per_call(monkeypatch):
+    # All of a caller's outer series go into one call, which builds the
+    # inner series' powers once.  series_reversion's powers (of series
+    # with constant term 1) are not counted, nor the t-shift's powers of g.
+    S = hypersurface_series(HypergeomConfig.quintic(12))
+    J = S.div_qseries(S.t_zero_part(0))
+    mm = build_mirror_map(4, 12)
+    q_of = mm.w.mul_q()
+    calls = _count_powers(monkeypatch, lambda s: s == q_of)
+    J.substitute_mirror(mm.g, mm.w)
+    assert len(calls) == 1
+    # The inner series of composite_inverse_of_zstar is q' w(q'), the only
+    # series with zero constant term whose powers it builds.
+    family = zstar_family(HypergeomConfig(4, 5, 4),
+                          tuple(F(i, 3) for i in range(1, 6)))
+    calls = _count_powers(monkeypatch, lambda s: s[0] == 0)
+    composite_inverse_of_zstar(family)
+    assert len(calls) == 1 and calls[0][1] == 1
+
+
 def test_compose_all_checks():
-    powers = TruncSeries([0, 1, 2], 2).powers(2)
+    inner = TruncSeries([0, 1, 2], 2)
     with pytest.raises(OrderMismatch):
-        compose_all([TruncSeries.one(2), TruncSeries.one(3)], powers)
+        compose_all([TruncSeries.one(2), TruncSeries.one(3)], inner)
     with pytest.raises(OrderMismatch):
-        compose_all([TruncSeries.one(3)], powers)
+        compose_all([TruncSeries.one(3)], inner)
     with pytest.raises(DomainError):
         compose_all([TruncSeries.one(2), TruncSeries.one(2)],
-                    TruncSeries([1, 1, 0], 2).powers(2))
+                    TruncSeries([1, 1, 0], 2))
 
 
 def test_ratfunc_coefficients_keep_the_loop():
@@ -431,7 +482,10 @@ def test_powers_truncated_by_valuation(ring, valuation, D):
                 _same(p.coeffs, q.coeffs)
     if valuation != 0:
         outer = _series_of_valuation(rng, ring, 0, D)
-        assert outer.compose(s.powers(D)) == outer.compose(_naive_powers(s, D))
+        naive = _naive_powers(s, D)
+        want = sum((naive[k].scale(c) for k, c in enumerate(outer)),
+                   TruncSeries.zero(D))
+        assert outer.compose(s) == want
 
 
 @pytest.mark.parametrize("D", range(21))
