@@ -5,9 +5,9 @@ precondition errors (a degenerate weight configuration or an unwritable
 ``--out`` path included), 3 on an internal error: any other exception is
 a program bug, reported as "internal error: ..." rather than blamed on the
 input.  A reader that closes stdout early is not one: exit 141, as a shell
-reports SIGPIPE, with nothing on stderr.  Output is deterministic for a
-fixed seed and never contains floating point; rationals print as "p/q"
-(or "p" for integers).
+reports SIGPIPE, with nothing on stderr, after writing any ``--out``
+file.  Output is deterministic for a fixed seed and never contains
+floating point; rationals print as "p/q" (or "p" for integers).
 
 Each ``verify`` check accepts only the options it reads, its parameters
 in ``verify.py``; any other option exits 2.  descendents reads none;
@@ -114,7 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     text += "" if text.endswith("\n") else "\n"
-    print(text, end="", flush=True)     # a closed stdout raises in main
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull, so the
+        # interpreter's last flush cannot raise, and still write the file.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _write_out(text, out_path)
+        raise
+    _write_out(text, out_path)
+
+
+def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -213,10 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return commands[args.command](args)
     except BrokenPipeError:
-        # Stdout to devnull, so the interpreter's last flush cannot raise.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         return CLOSED_STDOUT
     except (DomainError, StructureError) as exc:
         sys.stderr.write(f"{exc}\n")

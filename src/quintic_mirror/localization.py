@@ -23,6 +23,14 @@ prod_F 1/(w_F - psi_F): w_F at val 1 and 1/(w_1 + w_2) at val 2.  The
 endpoint section weight l lam_i is kept once per vertex, never divided
 out, so a zero weight needs no special case.  A vanishing N_e, or
 sum_F w_F^-1 = 0 at a vertex of valence 2, raises ``DegenerateLambda``.
+
+The trees are enumerated over unlabelled shapes: each shape on n <= d+1
+vertices is found once among the Pruefer trees with its automorphism
+group, then decorated, and a decoration is keyed by its least image under
+that group alone.  The sum runs on integers: the weights are cleared to
+Lam = D lam, every factor above is an integer over a power of D delta,
+each edge factor and tangent product is computed once per weight tuple,
+and each tree makes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import DegenerateLambda, DomainError
 from .report import Check
@@ -45,7 +53,7 @@ __all__ = [
     "oracle_crosscheck",
 ]
 
-MAX_DEGREE = 3      # d = 4 has ~200k labelled trees: too slow to canonicalize
+MAX_DEGREE = 4      # d = 4: 2,475 classes for P^4 over 176,100 labelled trees
 
 
 class DecoratedGraph(namedtuple("DecoratedGraph",
@@ -86,35 +94,57 @@ def _prufer_tree(code: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _moved(edges, p) -> list[tuple[int, int]]:
+    """The edges' images under the vertex permutation p, ends in order."""
+    return [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
+
+
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple:
+    """Unlabelled trees on n vertices, each as (edges, automorphisms).
+
+    A shape's edges are the least relabelling of a Pruefer tree over all
+    n! permutations, and its automorphisms the permutations fixing them.
+    """
+    perms = list(permutations(range(n)))
+    shapes = {min(tuple(sorted(_moved(_prufer_tree(code, n), p)))
+                  for p in perms)
+              for code in product(range(n), repeat=n - 2)}
+    return tuple((edges, tuple(p for p in perms
+                               if sorted(_moved(edges, p)) == list(edges)))
+                 for edges in sorted(shapes))
+
+
 @lru_cache(maxsize=None)
 def _tree_classes(m: int, d: int) -> tuple[DecoratedGraph, ...]:
     """Isomorphism classes of decorated trees, each with its |Aut|.
 
-    Every labelled decorated tree is visited once and keyed by its
-    canonical form, the least relabelling over all vertex permutations;
-    a class met s times among the n! relabellings has n!/s automorphisms.
+    Each unlabelled shape T is decorated with every composition of d over
+    its edges and every labelling with adjacent labels distinct.  A
+    decoration is keyed by its least image under Aut(T); a key met s times
+    is an orbit of size s, so the class has |Aut(T)|/s automorphisms.
     """
-    orbits: dict = {}
+    classes = []
     for n in range(2, d + 2):
-        perms = [(p, tuple(p.index(k) for k in range(n)))
-                 for p in permutations(range(n))]
-        for code in product(range(n), repeat=n - 2):
-            tree = _prufer_tree(code, n)
+        for edges, automorphisms in _shapes(n):
+            moves = [(tuple(p.index(k) for k in range(n)), _moved(edges, p))
+                     for p in automorphisms]
+            met: dict = {}
             for degrees in product(range(1, d + 1), repeat=n - 1):
                 if sum(degrees) != d:         # not a composition of d
                     continue
                 images = [(inv, tuple(sorted(
-                    (min(p[u], p[v]), max(p[u], p[v]), delta)
-                    for (u, v), delta in zip(tree, degrees))))
-                    for p, inv in perms]
+                    (a, b, delta) for (a, b), delta in zip(ends, degrees))))
+                    for inv, ends in moves]
                 for labels in product(range(m + 1), repeat=n):
-                    if any(labels[u] == labels[v] for u, v in tree):
+                    if any(labels[u] == labels[v] for u, v in edges):
                         continue
-                    key = min((tuple(labels[v] for v in inv), edges)
-                              for inv, edges in images)
-                    orbits[key] = orbits.get(key, 0) + 1
-    return tuple(DecoratedGraph(*key, factorial(len(key[0])) // orbits[key])
-                 for key in sorted(orbits, key=lambda key: (len(key[0]), key)))
+                    key = min((tuple(labels[v] for v in inv), image)
+                              for inv, image in images)
+                    met[key] = met.get(key, 0) + 1
+            classes += [DecoratedGraph(*key, len(automorphisms) // s)
+                        for key, s in met.items()]
+    return tuple(sorted(classes, key=lambda g: (len(g.vertices), g[:2])))
 
 
 def enumerate_graphs(m: int, d: int) -> list[DecoratedGraph]:
@@ -125,48 +155,98 @@ def enumerate_graphs(m: int, d: int) -> list[DecoratedGraph]:
     return list(_tree_classes(m, d))
 
 
-def _product(values) -> Fraction:
-    """Product of rationals, reduced once at the end."""
-    num = den = 1
-    for v in values:
-        num *= v.numerator
-        den *= v.denominator
-    return Fraction(num, den)
+@lru_cache(maxsize=1024)
+def _edge_factor(Lam: tuple[int, ...], D: int, m: int, l: int, i: int,
+                 j: int, delta: int) -> tuple[int, int]:
+    """S_e/(delta N_e) of the edge i-j of degree delta as (num, den).
+
+    With W = Lam_i - Lam_j, every factor of S_e and N_e is an integer
+    over D delta; den is 0 where N_e vanishes.
+    """
+    li, lj = Lam[i], Lam[j]
+    W = li - lj
+    s_num = 1
+    for a in range(1, l * delta):
+        s_num *= l * delta * li - a * W
+    n_num = (-1) ** delta * factorial(delta) ** 2 * W ** (2 * delta)
+    for r in range(delta + 1):
+        point = r * li + (delta - r) * lj
+        for k in range(m + 1):
+            if k != i and k != j:
+                n_num *= point - delta * Lam[k]
+    if n_num == 0:
+        return 0, 0
+    # (D delta)^shift carries the denominators of S_e and N_e.
+    shift = 2 * delta + (delta + 1) * (m - 1) - (l * delta - 1)
+    num, den = s_num, delta * n_num
+    if shift >= 0:
+        num *= (D * delta) ** shift
+    else:
+        den *= (D * delta) ** -shift
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+@lru_cache(maxsize=256)
+def _tangent(Lam: tuple[int, ...], m: int, i: int) -> int:
+    """D^m prod_(k != i)(lam_i - lam_k)."""
+    out = 1
+    for k in range(m + 1):
+        if k != i:
+            out *= Lam[i] - Lam[k]
+    return out
 
 
 def graph_contribution(graph: DecoratedGraph, lam: tuple[Fraction, ...],
                        m: int, l: int) -> Fraction:
-    """(1/|G|) e(E_d)|_Gamma / e(N_Gamma) for one decorated tree."""
-    lam = tuple(Fraction(x) for x in lam)
+    """(1/|G|) e(E_d)|_Gamma / e(N_Gamma) for one decorated tree.
+
+    The weights are cleared to Lam = D lam, D their least common
+    denominator, so the flag weight from label i to label j over an edge
+    of degree delta is W/(D delta) with W = Lam_i - Lam_j.  The edge and
+    tangent factors are cached by the cleared tuple; every factor
+    multiplies into one integer numerator and denominator, and one
+    ``Fraction`` is made at the end.
+    """
+    D = lcm(*[x.denominator for x in lam])
+    Lam = tuple(x.numerator * (D // x.denominator) for x in lam)
     labels = graph.vertices
-    out = Fraction(1, graph.group_order)
-    flags = [[] for _ in labels]          # flag weights w_F at each vertex
+    n = len(labels)
+    # The vertex factors together carry D^-(4 + m (n - 2)).
+    num, den = 1, graph.automorphisms * D ** (4 + m * (n - 2))
+    flags = [[] for _ in labels]          # (W, delta) of each flag
     for v, u, delta in graph.edges:
         i, j = labels[v], labels[u]
-        li, lj = lam[i], lam[j]
-        w = (li - lj) / delta
-        # The r-th point (r lam_i + (delta-r) lam_j)/delta is lam_j + r w.
-        points = [lj + r * w for r in range(delta + 1)]
-        normal = ((-1) ** delta * factorial(delta) ** 2 * w ** (2 * delta)
-                  * _product(x - lam[k] for x in points
-                             for k in range(m + 1) if k != i and k != j))
-        if normal == 0:
+        e_num, e_den = _edge_factor(Lam, D, m, l, i, j, delta)
+        if not e_den:
             raise DegenerateLambda(f"vanishing normal weight for {graph}")
-        top = l * li                      # S_e factors are top - a w
-        out *= _product(top - a * w for a in range(1, l * delta)) / normal
-        flags[v].append(w)
-        flags[u].append(-w)
+        num *= e_num
+        den *= e_den
+        W = Lam[i] - Lam[j]
+        flags[v].append((W, delta))
+        flags[u].append((-W, delta))
     for i, weights in zip(labels, flags):
         val = len(weights)
-        inverse_sum = sum(1 / w for w in weights)
-        if inverse_sum == 0 and val < 3:
-            raise DegenerateLambda(f"vanishing node weight for {graph}")
-        factor = l * lam[i] * inverse_sum ** (val - 3) / _product(weights)
-        if val > 1:                       # the tangent factor is 1 at a leaf
-            factor *= _product(lam[i] - lam[k]
-                               for k in range(m + 1) if k != i) ** (val - 1)
-        out *= factor
-    return out
+        if val == 1:                      # a leaf: l lam_i w
+            (W, delta), = weights
+            num *= l * Lam[i] * W
+            den *= delta
+            continue
+        # prod_F w_F^-1 = D^val prod delta_F / P, sum_F w_F^-1 = D S / P.
+        P = deltas = 1
+        for W, delta in weights:
+            P *= W
+            deltas *= delta
+        S = sum(delta * (P // W) for W, delta in weights)
+        num *= l * Lam[i] * deltas * _tangent(Lam, m, i) ** (val - 1)
+        if val == 2:
+            if S == 0:
+                raise DegenerateLambda(f"vanishing node weight for {graph}")
+            den *= S
+        else:
+            num *= S ** (val - 3)
+            den *= P ** (val - 2)
+    return Fraction(num, den)
 
 
 def bott_sum(m: int, l: int, d: int, lam: tuple[Fraction, ...]) -> Fraction:

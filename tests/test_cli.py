@@ -121,12 +121,19 @@ def test_oracle_degree_three(capsys):
     assert "N_3 = 8564575000/27" in out
 
 
-@pytest.mark.parametrize("degree", ["0", "4"])
+def test_oracle_degree_four(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--degree", "4")
+    assert code == 0
+    assert "PASS" in out
+    assert "N_4 = 15517926796875/64" in out
+
+
+@pytest.mark.parametrize("degree", ["0", "5"])
 def test_oracle_degree_out_of_range_rejected(capsys, degree):
     code, out, err = run_cli(capsys, "oracle", "--degree", degree)
     assert code == 2
     assert out == ""
-    assert "degrees 1 to 3" in err
+    assert "degrees 1 to 4" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -402,6 +409,17 @@ def test_byte_identical_reruns():
     assert first.stdout == second.stdout
 
 
+def _run_into_closed_pipe(cmd, env) -> subprocess.CompletedProcess:
+    """Run ``cmd`` with stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                              check=False, env=env)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_exits_141_without_internal_error(unbuffered):
     # A reader that closes at once (``| head -n 0``) is not a program bug:
@@ -413,15 +431,23 @@ def test_closed_stdout_exits_141_without_internal_error(unbuffered):
     env["PYTHONPATH"] = str(Path(quintic_mirror.__file__).parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
-                              check=False, env=env)
-    finally:
-        os.close(write_end)
+    proc = _run_into_closed_pipe(cmd, env)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_closed_stdout_still_writes_the_out_file(tmp_path):
+    # The reader's closing stdout does not cancel the report file.
+    path = tmp_path / "x.txt"
+    cmd = [sys.executable, "-m", "quintic_mirror.cli", "invariants",
+           "--order", "3", "--out", str(path)]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(quintic_mirror.__file__).parents[1])}
+    proc = _run_into_closed_pipe(cmd, env)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+    assert path.read_text().splitlines()[-1].split() == [
+        "3", "8564575000/27", "317206375"]
 
 
 @pytest.mark.parametrize("argv", [

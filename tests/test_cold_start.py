@@ -60,6 +60,8 @@ def test_output_formats_load_their_module(fmt):
     ("verify descendents --format json", "verify-descendents.json"),
     ("verify descendents --format csv", "verify-descendents.csv"),
     ("oracle --degree 1 --seed 0 --format csv", "oracle-degree-1-seed-0.csv"),
+    # The trivalent vertices and degree-3 edges of the graph sum.
+    ("oracle --degree 3 --seed 0", "oracle-degree-3-seed-0.txt"),
     ("invariants --order 3 --format json", "invariants-order-3.json"),
     ("invariants --order 3 --format csv", "invariants-order-3.csv"),
     # Exactness at depth: the reversion's blocks up to size 10 and the

@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+import bott_reference
 from quintic_mirror import localization
 from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.localization import (DecoratedGraph, bott_sum,
@@ -70,7 +71,8 @@ def test_group_orders():
 
 
 @pytest.mark.parametrize("m, d, labelled", [(4, 2, 260), (4, 3, 5620),
-                                            (2, 3, 462), (3, 2, 120)])
+                                            (2, 3, 462), (3, 2, 120),
+                                            (4, 4, 176100)])
 def test_classes_cover_every_labelled_tree(m, d, labelled):
     # Cayley: (k+1)^(k-1) trees on k edges, C(d-1, k-1) degree
     # compositions, (m+1) m^k labellings with adjacent labels distinct.
@@ -101,7 +103,7 @@ def test_equal_graphs_built_apart_are_equal_values():
 
 def test_unsupported_degree():
     with pytest.raises(DomainError):
-        enumerate_graphs(4, 4)
+        enumerate_graphs(4, 5)
     with pytest.raises(DomainError):
         enumerate_graphs(4, 0)
 
@@ -121,6 +123,12 @@ def test_degree_three_invariant_frozen():
     # n_3 + n_1/27; the first tuple holds a zero weight.
     for lam in ((0, 1, 10, 100, 1000), (1, 3, 9, 27, 81)):
         assert bott_sum(4, 5, 3, tuple(map(F, lam))) == F(8564575000, 27)
+
+
+def test_degree_four_invariant_frozen():
+    # n_4 + n_2/8 + n_1/64, the pipeline's N_4; (1, 3, 9, 27, 81) and
+    # (1, 2, 4, 8, 16) are degenerate at d = 4.
+    assert bott_sum(4, 5, 4, (0, 1, 10, 100, 1000)) == F(15517926796875, 64)
 
 
 def test_weight_independence_random_tuples():
@@ -212,3 +220,71 @@ def test_oracle_crosscheck_detects_mismatch():
     check = oracle_crosscheck(1, trials=2, seed=0,
                               pipeline_value=Fraction(2874))
     assert not check.passed
+
+
+# The differential tests below hold the shape enumeration and the integer
+# sum to the full-canonicalization, Fraction-per-factor reference.
+
+@pytest.mark.parametrize("m, d", [(2, 3), (3, 2), (3, 3), (4, 1), (4, 2),
+                                  (4, 3)])
+def test_classes_match_full_canonicalization(m, d):
+    graphs = enumerate_graphs(m, d)
+    got = {(bott_reference.canonical(g), g.automorphisms) for g in graphs}
+    want = {((g.vertices, g.edges), g.automorphisms)
+            for g in bott_reference.tree_classes(m, d)}
+    assert len(got) == len(graphs) == len(want)
+    assert got == want
+
+
+# A zero weight, negative weights, and the two degenerate tuples of
+# test_degenerate_tuple_raises and test_vanishing_node_weight_raises.
+REFERENCE_TUPLES = [GOOD_LAMBDA, OTHER_LAMBDA,
+                    (F(-7, 2), F(0), F(3, 5), F(-11, 3), F(9)),
+                    (-40, F(-13, 6), 0, F(17, 4), 33),
+                    (F(0), F(1), F(1, 2), F(3), F(4)),
+                    (F(0), F(1), F(2), F(7), F(20))]
+
+
+def _outcome(contribution, graph, lam, m, l):
+    try:
+        return contribution(graph, lam, m, l)
+    except DegenerateLambda as exc:
+        return str(exc)
+
+
+# (m, l) on both signs of the (D delta) power an edge factor carries.
+@pytest.mark.parametrize("m, l, d", [(4, 5, 1), (4, 5, 2), (4, 5, 3),
+                                     (3, 4, 3), (3, 2, 3), (2, 5, 3)])
+@pytest.mark.parametrize("lam", REFERENCE_TUPLES)
+def test_contributions_match_fraction_reference(m, l, d, lam):
+    for g in enumerate_graphs(m, d):
+        assert (_outcome(graph_contribution, g, lam, m, l)
+                == _outcome(bott_reference.graph_contribution, g, lam, m, l))
+
+
+def _raised(contribution, lam):
+    """Each degree-2 graph on which ``contribution`` raises: its message."""
+    outcomes = {g: _outcome(contribution, g, lam, 4, 5)
+                for g in enumerate_graphs(4, 2)}
+    return {g: v for g, v in outcomes.items() if isinstance(v, str)}
+
+
+def test_degenerate_tuples_raise_on_the_same_graphs():
+    # The comparison above is not vacuous: both degenerate tuples raise.
+    for lam in REFERENCE_TUPLES[4:]:
+        raised = _raised(graph_contribution, lam)
+        assert raised
+        assert raised == _raised(bott_reference.graph_contribution, lam)
+
+
+def test_valence_four_contributions_match_fraction_reference():
+    # Only d = 4 has a vertex of valence 4; at (0, 1, -1, 2, -2) the flag
+    # weights of a star centred at label 0 have inverse sum 0.
+    stars = [g for g in enumerate_graphs(4, 4) if 4 in valences(g)]
+    assert stars
+    for lam in [(0, 1, 10, 100, 1000), (0, 1, -1, 2, -2)]:
+        for g in stars:
+            assert (_outcome(graph_contribution, g, lam, 4, 5) == _outcome(
+                bott_reference.graph_contribution, g, lam, 4, 5))
+    centred = next(g for g in stars if g.vertices[valences(g).index(4)] == 0)
+    assert graph_contribution(centred, (0, 1, -1, 2, -2), 4, 5) == 0
