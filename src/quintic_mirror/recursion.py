@@ -8,9 +8,9 @@ fixed numeric weight tuple.  This module:
   (residuals exactly zero below the Calabi-Yau case; hbar-polynomials of
   bounded degree in it),
 * extracts the class-P data: numerator polynomials N_id, the two-variable
-  interpolants E_d (decided against their closed form by the node values,
-  interpolated only where one misses), and the double correlator Phi (a
-  ``MixedSeries`` with z in its t slot),
+  interpolants E_d (the closed form below the first degree whose numerators
+  leave theirs, interpolated from there on), and the double correlator Phi
+  (a ``MixedSeries`` with z in its t slot),
 * implements the three admissible transformations and their predicted
   effect on Phi.
 """
@@ -258,8 +258,9 @@ class ClassPData:
     P-degree below its (m+1)(d+1) nodes, and the closed form
     prod_{r<=(m+1)d}((m+1)P - r hbar) has P-degree (m+1)d + 1, which is
     below that for m >= 1.  So where the closed form takes every node
-    value, E_d is the closed form, and ``classP_extract`` only interpolated
-    (and stored in ``interpolated``) the degrees where some node missed.
+    value, E_d is the closed form.  ``classP_extract`` interpolated (and
+    stored in ``interpolated``) every degree from the first one whose
+    numerators leave their closed form.
     """
 
     def __init__(self, m: int, lam: tuple[Fraction, ...], N_table: dict,
@@ -268,7 +269,7 @@ class ClassPData:
         self.lam = lam
         self.N_table = N_table          # (i, d) -> Poly in hbar
         self.order = order
-        self.interpolated = interpolated    # d -> E_d where a node missed
+        self.interpolated = interpolated    # d -> E_d, from the first miss on
 
     @cached_property
     def E_polys(self) -> dict:
@@ -286,24 +287,34 @@ def classP_extract(family: CorrelatorFamily,
     (m+1)d + m through the values (m+1) lam_i N_ir(hbar) N_i(d-r)(-hbar)
     at P = lam_i + r hbar, asserted to have hbar-polynomial coefficients.
 
-    Each node value is compared with the closed form's value there, a
-    product of (m+1)d + 1 linear forms in hbar that grows by m + 1 factors
-    per degree.  Where every node matches, E_d is the closed form (see
-    ``ClassPData``) and the bounds hold; only a degree with a mismatch is
-    interpolated (``_newton_interpolation``) and checked against the bounds.
+    Each N_id is compared with its closed form prod_{s=1..(m+1)d}((m+1)lam_i
+    + s hbar), which grows by m + 1 linear factors per degree.  Where N_ir
+    and N_i(d-r) both take it, the node value is the closed form of E_d at
+    that node.  So below r0, the first degree with a numerator off its
+    closed form, every E_d is the closed form (see ``ClassPData``) and the
+    bounds hold; from r0 on (from 0 when m = 0, where the nodes do not fix
+    E_d) each degree is interpolated (``_newton_interpolation``) and
+    checked against the bounds.  ``order`` must lie in 0..family.order.
     """
     m, lam = family.m, family.lam
     D = family.order if order is None else order
+    if not 0 <= D <= family.order:
+        raise DomainError(f"order {D} lies outside 0..{family.order}, "
+                          "the family order")
     y = z_normalize(family)
     N_table: dict = {}
+    r0 = D + 1 if m >= 1 else 0
     for i in range(m + 1):
-        clear = Poly([1])
+        base = (m + 1) * lam[i]
+        clear = closed = Poly([1])
         for d in range(D + 1):
             if d:
                 clear = clear * d
                 for j in range(m + 1):
                     if j != i:
                         clear = clear * Poly([lam[i] - lam[j], d])
+                for s in range((m + 1) * (d - 1) + 1, (m + 1) * d + 1):
+                    closed = closed * Poly([base, s])
             nid = RatFunc._coerce(y[i][d]) * clear
             if not nid.is_polynomial():
                 raise ClassPViolation(
@@ -314,36 +325,19 @@ def classP_extract(family: CorrelatorFamily,
                     f"N_(i={i}, d={d}) has hbar-degree {poly.degree} "
                     f"> {(m + 1) * d}")
             N_table[(i, d)] = poly
-    # closed[i][r] is the closed form at P = lam_i + r hbar for the current
-    # d: prod_{j=(m+1)(r-d)..(m+1)r}((m+1)lam_i + j hbar); head[i] is
-    # prod_{j=0..(m+1)d}, the start of the node r = d.
-    closed: list = [[] for _ in range(m + 1)]
-    head = [Poly([(m + 1) * x]) for x in lam]
+            if d < r0 and poly != closed:
+                r0 = d
     interpolated: dict = {}
-    for d in range(D + 1):
+    for d in range(r0, D + 1):
         nodes = []
         values = []
-        matched = m >= 1
         for i in range(m + 1):
-            base = (m + 1) * lam[i]
-            row = closed[i]
-            if d:
-                for r in range(d):
-                    for j in range((m + 1) * (r - d), (m + 1) * (r - d + 1)):
-                        row[r] = row[r] * Poly([base, j])
-                for j in range((m + 1) * (d - 1) + 1, (m + 1) * d + 1):
-                    head[i] = head[i] * Poly([base, j])
-            row.append(head[i])
+            base = Poly([(m + 1) * lam[i]])
             for r in range(d + 1):
                 nodes.append(Poly([lam[i], r]))
-                v = (Poly([base]) * N_table[(i, r)]
-                     * N_table[(i, d - r)].subs_neg())
-                values.append(v)
-                matched = matched and v == row[r]
-        if matched:
-            continue
-        coeffs = _newton_interpolation(nodes, [RatFunc._coerce(v)
-                                               for v in values])
+                values.append(RatFunc(base * N_table[(i, r)]
+                                      * N_table[(i, d - r)].subs_neg()))
+        coeffs = _newton_interpolation(nodes, values)
         polys = []
         for k, c in enumerate(coeffs):
             if not c.is_polynomial():

@@ -300,8 +300,8 @@ def test_class_p_violation_is_a_failed_check(capsys, monkeypatch):
     assert "N_(i=2, d=1) is not an hbar-polynomial" in out
 
 
-# What the check printed when every degree was interpolated; a wrong node
-# value must still be reported through the interpolant, word for word.
+# What the check printed when every degree was interpolated; a wrong
+# numerator must still be reported through the interpolant, word for word.
 WRONG_NODE_DETAIL = (
     "E_1 coefficient of P^1 is not polynomial: RatFunc(Poly("
     "-5055156250000/851067*h^1 + 30868935156250/2553201*h^2 + "
@@ -313,8 +313,8 @@ WRONG_NODE_DETAIL = (
 
 
 def test_class_p_wrong_node_value_is_interpolated(capsys, monkeypatch):
-    # Doubling Y_2[1] keeps N_(2,1) a polynomial within its bound, but the
-    # node values of E_1 miss the closed form: E_1 alone is interpolated.
+    # Doubling Y_2[1] keeps N_(2,1) a polynomial within its bound, but off
+    # its closed form: E_1 is interpolated first and fails the bounds.
     real = verify.zstar_family
     interpolate = recursion._newton_interpolation
     node_counts = []
@@ -340,6 +340,36 @@ def test_class_p_wrong_node_value_is_interpolated(capsys, monkeypatch):
         "(m+1)d; E_d has P-degree <= (m+1)d + m with polynomial "
         f"coefficients  [{WRONG_NODE_DETAIL}]\n")
     assert node_counts == [10]
+
+
+def test_class_p_interpolates_from_the_first_miss(capsys, monkeypatch):
+    # q -> -q keeps every E_d polynomial within its bounds: E_1 differs
+    # from the closed form, and E_2, interpolated too, still equals it.
+    real = verify.zstar_family
+    interpolate = recursion._newton_interpolation
+    node_counts = []
+
+    def flipped(cfg, weights):
+        fam = real(cfg, weights)
+        fam.entries = [TruncSeries([c * (-1) ** d for d, c in
+                                    enumerate(e.coeffs)], fam.order)
+                       for e in fam.entries]
+        return fam
+
+    def counted(nodes, values):
+        node_counts.append(len(nodes))
+        return interpolate(nodes, values)
+
+    monkeypatch.setattr(verify, "zstar_family", flipped)
+    monkeypatch.setattr(recursion, "_newton_interpolation", counted)
+    code, out, _ = run_cli(capsys, "verify", "class-p", "--order", "4")
+    assert code == 1
+    status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+    assert status["class-p-bounds"].startswith("PASS")
+    assert status["class-p-closed-form"].startswith("FAIL")
+    assert status["class-p-closed-form"].endswith(
+        "[E_1 differs from the closed form]")
+    assert node_counts == [10, 15, 20, 25]
 
 
 def test_class_p_names_the_first_differing_degree(capsys, monkeypatch):

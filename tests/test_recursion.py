@@ -26,6 +26,7 @@ from quintic_mirror.sampling import (sample_lambda, sample_series_coeffs,
                                      sample_until)
 from quintic_mirror.series import TruncSeries
 from quintic_mirror.verify import check_class_p
+import classp_reference
 from recursion_oracle import (cy_coefficient_cleared, cy_coefficient_direct,
                               forward_solve, oracle_coeffs, phi_pairwise,
                               zstar_family_fraction)
@@ -236,9 +237,9 @@ def test_classP_numerators_and_interpolant():
 
 
 def test_classP_lazy_E_polys_equal_the_closed_form():
-    # Sampled families at several m: the verdict by node values leaves
-    # E_polys to the closed form, and interpolating the same node values
-    # gives it too (the interpolant is unique).
+    # Sampled families at several m: every numerator takes its closed
+    # form, which leaves E_polys to the closed form, and interpolating the
+    # node values gives it too (the interpolant is unique).
     rng = random.Random(48)
     for m in (1, 2, 4):
         lam, _, fam = cy_setup(rng, m=m, order=3)
@@ -295,6 +296,66 @@ def test_classP_interpolates_the_degrees_whose_nodes_miss():
     assert sorted(data.interpolated) == [1, 2]
     for d in range(3):
         assert data.E_polys[d] == [c * 2 ** d for c in closed_form_E(4, d)]
+
+
+def _rescaled(fam, factor):
+    """fam with its Q^d coefficient of entry i multiplied by factor(i, d)."""
+    fam.entries = [TruncSeries([c * factor(i, d) for d, c in
+                                enumerate(e.coeffs)], fam.order)
+                   for i, e in enumerate(fam.entries)]
+    return fam
+
+
+def test_classP_interpolates_every_degree_from_the_first_miss():
+    # q -> -q takes every N_id to (-1)^d times its closed form, so the
+    # node values of the even degrees still match; each degree from 1 on
+    # is interpolated all the same, and E_d is (-1)^d times the closed form.
+    rng = random.Random(51)
+    for m, D in ((1, 4), (4, 3)):
+        _, _, fam = cy_setup(rng, m=m, order=D)
+        data = classP_extract(_rescaled(fam, lambda i, d: (-1) ** d))
+        assert sorted(data.interpolated) == list(range(1, D + 1))
+        for d in range(D + 1):
+            assert data.E_polys[d] == [c * (-1) ** d
+                                       for c in closed_form_E(m, d)]
+
+
+PERTURBATIONS = {
+    "q->-q": lambda order, m: lambda i, d: (-1) ** d,
+    "q->cq": lambda order, m: lambda i, d: F(-3, 2) ** d,
+    "one coefficient": lambda order, m: lambda i, d: (
+        2 if (i, d) == (order % (m + 1), (order + 1) // 2) else 1),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_classP_matches_the_node_value_verdict(m):
+    # Against the verdict that compared every node value with the closed
+    # form: the same E_polys, or the same first violation, word for word.
+    rng = random.Random(52 + m)
+    raised = 0
+    for order in range(1, 6):
+        for kind, perturb in PERTURBATIONS.items():
+            _, _, fam = cy_setup(rng, m=m, order=order)
+            fam = _rescaled(fam, perturb(order, m))
+            outcomes = []
+            for extract in (classP_extract, classp_reference.classP_extract):
+                try:
+                    outcomes.append(extract(fam).E_polys)
+                except ClassPViolation as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (m, order, kind)
+            raised += isinstance(outcomes[0], str)
+    assert 0 < raised < 15
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_classP_order_outside_the_family_is_rejected(order):
+    fam = zstar_family(HypergeomConfig(4, 5, 2),
+                       tuple(F(x) for x in (0, 1, 10, 100, 1000)))
+    with pytest.raises(DomainError, match=r"order .* outside 0\.\.2"):
+        classP_extract(fam, order=order)
+    assert classP_extract(fam, order=0).E_polys == {0: closed_form_E(4, 0)}
 
 
 def test_classP_detects_corrupted_family():
