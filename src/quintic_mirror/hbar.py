@@ -43,8 +43,9 @@ so only a sum needs a gcd pass over its coefficients.
   with that root, such as lam_i + d hbar at the pole (lam_a - lam_i)/d
   when lam_a = 0): that root is tried too.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
-  sign), used for the ambient fundamental solution where every
-  coefficient is a polynomial in 1/hbar.
+  sign): the coefficients of the ambient fundamental solution (monomials
+  in 1/hbar, which the descendent values are read from) and of its
+  quantum-operator residual.
 """
 
 from __future__ import annotations
@@ -670,17 +671,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return other * self.inverse()
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0 or self.is_zero():
-            return RatFunc.const(self._content ** n)
-        out = self._n
-        for _ in range(n - 1):
-            out = mul(out, self._n)
-        return RatFunc(out, {r: k * n for r, k in self.roots.items()},
-                       _content=self._content ** n)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)

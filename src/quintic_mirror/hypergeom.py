@@ -5,7 +5,10 @@ For a degree-l hypersurface in P^m this module builds:
 * the hypersurface series  sum_d e^((H+d)t) prod(lH+r) / prod(H+r)^(m+1)
   with H^m = 0, whose H^b components are the classical periods I_b(t);
 * the ambient fundamental solution  sum_d e^((H/hbar+d)t) / prod(H+r*hbar)^(m+1)
-  of the small quantum differential equation of P^m;
+  of the small quantum differential equation of P^m.  At hbar = 1 it is
+  the hypersurface series of a hyperplane in P^(m+1), and homogeneity in
+  (H, hbar) attaches hbar^(-(m+1)d - i) to each H^i q^d coefficient, so
+  one block kernel builds both series;
 * the two-point descendent values read off that solution;
 * the factorial series F and its harmonic companions G_l;
 * the equivariant hypergeometric correlator family Z*_i at numeric weights.
@@ -20,7 +23,7 @@ from math import comb, factorial, gcd
 from .errors import DomainError
 from .hbar import Laurent, RatFunc
 from .intpoly import clear, mul_linear
-from .mixed import HTruncPoly, MixedSeries
+from .mixed import MixedSeries
 from .series import TruncSeries
 
 __all__ = [
@@ -121,25 +124,24 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
 def fundamental_solution(m: int, order: int) -> MixedSeries:
     """Fundamental solution of ((hbar d/dt)^(m+1) - e^t) f = 0 for P^m.
 
-    Coefficients are Laurent polynomials in hbar; the q^d term carries
-    powers down to hbar^(-(m+1)d - m), all of them kept exactly.
+    sum_d e^((H/hbar+d)t) / prod_{r<=d}(H+r*hbar)^(m+1) with H^(m+1) = 0,
+    read off ``hypersurface_series``.  Hyperplane identity: at hbar = 1 it
+    is the series of a degree-1 hypersurface in P^(m+1), whose numerator
+    prod_{r<=d}(H+r) cancels one power of the denominator and whose h_top
+    = m is the nilpotency of H on P^m.  Homogeneity: the block is
+    homogeneous of degree -(m+1)d in (H, hbar) and e^(Ht/hbar) adds
+    (H/hbar)^k t^k/k!, so the H^i t^k q^d coefficient is the ``Laurent``
+    monomial v hbar^(-(m+1)d - i), v its value at hbar = 1.
     """
-    nil = m + 1
-    out = MixedSeries(m, m, order)
-    for d in range(order + 1):
-        block = HTruncPoly.const(Laurent.const(1), nil)
-        for r in range(1, d + 1):
-            lin = HTruncPoly([Laurent.unit(1, r), Laurent.const(1)], nil)
-            block = block * lin ** (m + 1)
-        block = block.inverse()
-        for i in range(m + 1):
-            for k in range(i + 1):
-                v = block.coeff(i - k)
-                if v == 0:
-                    continue
-                scalar = Laurent.unit(-k, Fraction(1, factorial(k)))
-                out.c[i][k][d] = v * scalar
-    return out
+    # _make skips the config's checks: order 0 is the degree-0 block, and
+    # m < 0 fails at the series' caps.
+    sol = hypersurface_series(HypergeomConfig._make((m + 1, 1, order)))
+    for i, plane in enumerate(sol.c):
+        for row in plane:
+            for d, v in enumerate(row):
+                if v != 0:
+                    row[d] = Laurent.unit(-(m + 1) * d - i, v)
+    return sol
 
 
 def descendent_value(m: int, d: int) -> Fraction:

@@ -2,9 +2,9 @@
 
 ``HTruncPoly`` models the cohomology presentation with H nilpotent:
 multiplication simply discards every term of H-degree above the cap.
-It now serves only the ambient solution ``fundamental_solution``, whose
-coefficients are ``Laurent`` polynomials in hbar; the hypersurface
-series builds its H-blocks as ``TruncSeries`` in H.
+No pipeline code calls it: the hypersurface series and the ambient
+solution build their H-blocks as ``TruncSeries`` in H.  It is kept for
+the benchmark's layer binding and as the tests' reference route.
 
 ``MixedSeries`` models elements of H*[t][[q]] with q = e^t: a finite
 array of coefficients ``c[i][k][d]`` for H^i t^k q^d.  The derivative

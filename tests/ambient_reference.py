@@ -1,0 +1,38 @@
+"""Test oracle: the ambient fundamental solution built in the ring itself.
+
+This is the literal form ``quintic_mirror.hypergeom.fundamental_solution``
+had before it read the solution off the hypersurface series: every
+degree's block 1/prod_{r<=d}(H + r hbar)^(m+1) is formed as an
+``HTruncPoly`` in H with ``Laurent`` coefficients in hbar, by products,
+powers and the geometric-series inverse of the nilpotent part, and
+e^(Ht/hbar) contributes (H/hbar)^k t^k/k!.  It shares ``MixedSeries``,
+``HTruncPoly`` and ``Laurent`` with the code under test, not the
+hyperplane identity or the homogeneity rule.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from quintic_mirror.hbar import Laurent
+from quintic_mirror.mixed import HTruncPoly, MixedSeries
+
+
+def fundamental_solution(m: int, order: int) -> MixedSeries:
+    nil = m + 1
+    out = MixedSeries(m, m, order)
+    for d in range(order + 1):
+        block = HTruncPoly.const(Laurent.const(1), nil)
+        for r in range(1, d + 1):
+            lin = HTruncPoly([Laurent.unit(1, r), Laurent.const(1)], nil)
+            block = block * lin ** (m + 1)
+        block = block.inverse()
+        for i in range(m + 1):
+            for k in range(i + 1):
+                v = block.coeff(i - k)
+                if v == 0:
+                    continue
+                scalar = Laurent.unit(-k, Fraction(1, factorial(k)))
+                out.c[i][k][d] = v * scalar
+    return out

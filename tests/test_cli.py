@@ -8,14 +8,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import quintic_mirror
-from quintic_mirror import localization, recursion, verify
+from quintic_mirror import hypergeom, localization, recursion, verify
 from quintic_mirror.cli import main
-from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.hbar import Laurent, Poly, RatFunc
 from quintic_mirror.series import TruncSeries
 
 
@@ -95,6 +96,29 @@ def test_verify_descendents(capsys):
     code, out, _ = run_cli(capsys, "verify", "descendents")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_off_by_one_hbar_power_fails_descendents(capsys, monkeypatch):
+    # An off-by-one in the homogenisation: each coefficient it gives a
+    # pole in hbar gets one power of 1/hbar too many.  The descendents
+    # then read 0, and the residual keeps (1/hbar - 1) q from the
+    # unshifted constant term.
+    class OffByOne(Laurent):
+        @classmethod
+        def unit(cls, power, x=1):
+            return Laurent.unit(power - 1 if power < 0 else power, x)
+
+    monkeypatch.setattr(hypergeom, "Laurent", OffByOne)
+    code, out, err = run_cli(capsys, "verify", "descendents")
+    assert code == 1
+    assert err == ""
+    status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
+    assert len(status) == 11
+    assert all(line.startswith("FAIL") for line in status.values()), out
+    assert status["descendent-m2-d1"].endswith("[value 0]")
+    for mm in (2, 3):
+        assert status[f"quantum-ode-m{mm}"].endswith(
+            "[residual at (0, 0, 1, Laurent(1*h^-1 + -1*h^0))]")
 
 
 def test_verify_unknown_check_rejected(capsys):
@@ -373,9 +397,18 @@ def test_class_p_interpolates_from_the_first_miss(capsys, monkeypatch):
 
 
 def test_class_p_names_the_first_differing_degree(capsys, monkeypatch):
-    real = verify.closed_form_E
-    monkeypatch.setattr(verify, "closed_form_E", lambda m, d: (
-        real(m, d) + [Poly([1])] if d >= 2 else real(m, d)))
+    # Transformation (a) by f = 1 + q^2 keeps class P, and its numerators
+    # leave their closed forms from degree 2 on: E_2 is interpolated,
+    # differs from the closed form, and is the degree the verdict names.
+    real = verify.zstar_family
+
+    def transformed(cfg, weights):
+        fam = real(cfg, weights)
+        f = TruncSeries([Fraction(1), 0, Fraction(1)] + [0] * (fam.order - 2),
+                        fam.order)
+        return recursion.transform_family(fam, "a", f)
+
+    monkeypatch.setattr(verify, "zstar_family", transformed)
     code, out, _ = run_cli(capsys, "verify", "class-p", "--order", "3")
     assert code == 1
     status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}

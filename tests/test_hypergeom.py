@@ -18,6 +18,7 @@ from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
 from quintic_mirror.sampling import sample_lambda
 from quintic_mirror.series import TruncSeries
+import ambient_reference
 
 
 def F(p, q=1):
@@ -94,6 +95,25 @@ def test_ambient_m1_d1_expansion():
     sol = fundamental_solution(1, 1)
     assert sol.coeff(0, 0, 1).c == {-2: 1}
     assert sol.coeff(1, 0, 1).c == {-3: -2}
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_ambient_solution_matches_the_ring_route(m):
+    # The hyperplane identity and the homogeneity rule against the
+    # solution built by products and inverses in H with Laurent
+    # coefficients; repr, not ==, so every coefficient keeps its type.
+    for order in range(7):
+        got = fundamental_solution(m, order)
+        want = ambient_reference.fundamental_solution(m, order)
+        assert got.caps() == want.caps() == (m, m, order)
+        assert [[[repr(c) for c in row] for row in plane] for plane in got.c] \
+            == [[[repr(c) for c in row] for row in plane] for plane in want.c]
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+def test_ambient_solution_rejects_negative_dimension(m):
+    with pytest.raises(DomainError):
+        fundamental_solution(m, 2)
 
 
 def test_descendent_values_paper_grid():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from quintic_mirror import recursion
+from quintic_mirror import recursion, verify
 from quintic_mirror.errors import ClassPViolation, DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import (CorrelatorFamily, HypergeomConfig,
@@ -283,6 +283,22 @@ def test_classP_passing_path_never_interpolates(monkeypatch):
     assert all(data.E_polys[d] == closed_form_E(4, d) for d in range(5))
     checks = check_class_p(4, 5, 4, 0)
     assert checks and all(c.passed for c in checks), checks
+
+
+def test_classP_passing_verdict_builds_no_closed_form(monkeypatch):
+    # Below the first miss E_d is the closed form by construction: a
+    # passing verdict has nothing left to compare.
+    calls = []
+
+    def counted(m, d):
+        calls.append(d)
+        return closed_form_E(m, d)
+
+    monkeypatch.setattr(verify, "closed_form_E", counted)
+    monkeypatch.setattr(recursion, "closed_form_E", counted)
+    checks = check_class_p(4, 5, 4, 0)
+    assert checks and all(c.passed for c in checks), checks
+    assert calls == []
 
 
 def test_classP_interpolates_the_degrees_whose_nodes_miss():
