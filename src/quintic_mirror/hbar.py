@@ -43,9 +43,10 @@ so only a sum needs a gcd pass over its coefficients.
   with that root, such as lam_i + d hbar at the pole (lam_a - lam_i)/d
   when lam_a = 0): that root is tried too.
 * ``Laurent`` -- finite Laurent polynomial (integer exponents of either
-  sign): the coefficients of the ambient fundamental solution (monomials
-  in 1/hbar, which the descendent values are read from) and of its
-  quantum-operator residual.
+  sign).  No pipeline code calls it: the ambient fundamental solution is
+  built at hbar = 1, with hbar restored by its grading rule
+  (``hypergeom.fundamental_solution``).  It is kept only while the
+  benchmark binds its product as ``hbar.laurent_mul``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,8 @@ For a degree-l hypersurface in P^m this module builds:
 
 * the hypersurface series  sum_d e^((H+d)t) prod(lH+r) / prod(H+r)^(m+1)
   with H^m = 0, whose H^b components are the classical periods I_b(t);
-* the ambient fundamental solution  sum_d e^((H/hbar+d)t) / prod(H+r*hbar)^(m+1)
-  of the small quantum differential equation of P^m.  At hbar = 1 it is
-  the hypersurface series of a hyperplane in P^(m+1), and homogeneity in
-  (H, hbar) attaches hbar^(-(m+1)d - i) to each H^i q^d coefficient, so
-  one block kernel builds both series;
+* the ambient fundamental solution of the small quantum differential
+  equation of P^m, at hbar = 1 (see ``fundamental_solution``);
 * the two-point descendent values read off that solution;
 * the factorial series F and its harmonic companions G_l;
 * the equivariant hypergeometric correlator family Z*_i at numeric weights.
@@ -21,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .errors import DomainError
-from .hbar import Laurent, RatFunc
+from .hbar import RatFunc
 from .intpoly import clear, mul_linear
 from .mixed import MixedSeries
 from .series import TruncSeries
@@ -36,7 +33,6 @@ __all__ = [
     "zstar_family",
     "hypersurface_operator_residual",
     "shifted_operator_residual",
-    "quantum_operator_residual",
 ]
 
 
@@ -122,41 +118,35 @@ def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
 
 
 def fundamental_solution(m: int, order: int) -> MixedSeries:
-    """Fundamental solution of ((hbar d/dt)^(m+1) - e^t) f = 0 for P^m.
+    """The solution of ((hbar d/dt)^(m+1) - e^t) f = 0 for P^m, at hbar = 1.
 
-    sum_d e^((H/hbar+d)t) / prod_{r<=d}(H+r*hbar)^(m+1) with H^(m+1) = 0,
-    read off ``hypersurface_series``.  Hyperplane identity: at hbar = 1 it
-    is the series of a degree-1 hypersurface in P^(m+1), whose numerator
-    prod_{r<=d}(H+r) cancels one power of the denominator and whose h_top
-    = m is the nilpotency of H on P^m.  Homogeneity: the block is
-    homogeneous of degree -(m+1)d in (H, hbar) and e^(Ht/hbar) adds
-    (H/hbar)^k t^k/k!, so the H^i t^k q^d coefficient is the ``Laurent``
-    monomial v hbar^(-(m+1)d - i), v its value at hbar = 1.
+    It is sum_d e^((H/hbar+d)t) / prod_{r<=d}(H+r*hbar)^(m+1) with
+    H^(m+1) = 0.  Hyperplane identity: at hbar = 1 this is the series of a
+    degree-1 hypersurface in P^(m+1), whose numerator prod_{r<=d}(H+r)
+    cancels one power of the denominator and whose h_top = m is the
+    nilpotency of H on P^m.
+
+    Grading rule: give hbar and H degree 1, q degree m + 1, and t degree
+    0.  Every term of the solution then has degree 0, so the H^i t^k q^d
+    coefficient is its value here times hbar^(-(m+1)d - i), and the
+    operator is homogeneous of degree m + 1, so its residual vanishes iff
+    its value at hbar = 1 does.  There the operator is (d/dt)^(m+1) - q,
+    ``hypersurface_operator_residual`` at (m + 1, 1).
     """
     # _make skips the config's checks: order 0 is the degree-0 block, and
     # m < 0 fails at the series' caps.
-    sol = hypersurface_series(HypergeomConfig._make((m + 1, 1, order)))
-    for i, plane in enumerate(sol.c):
-        for row in plane:
-            for d, v in enumerate(row):
-                if v != 0:
-                    row[d] = Laurent.unit(-(m + 1) * d - i, v)
-    return sol
+    return hypersurface_series(HypergeomConfig._make((m + 1, 1, order)))
 
 
 def descendent_value(m: int, d: int) -> Fraction:
     """Two-point descendent read off the fundamental solution.
 
-    Extracts the hbar^(-(m+1)d) part of the t^0 q^d coefficient in the
-    H^0 component; equals 1/(d!)^(m+1).
+    The t^0 q^d coefficient of the H^0 component at hbar = 1 (its
+    hbar^(-(m+1)d) part); equals 1/(d!)^(m+1).
     """
     if d < 1:
         raise DomainError("degree must be >= 1")
-    sol = fundamental_solution(m, d)
-    coeff = sol.coeff(0, 0, d)
-    if coeff == 0:
-        return Fraction(0)
-    return coeff.coeff(-(m + 1) * d)
+    return fundamental_solution(m, d).coeff(0, 0, d)
 
 
 def f_and_g(m: int, l_index: int, order: int) -> tuple[TruncSeries, TruncSeries]:
@@ -254,14 +244,6 @@ def shifted_operator_residual(series: MixedSeries, m: int) -> MixedSeries:
                + rhs.scale(r))
     rhs = rhs.mul_q().scale(m)
     return lhs - rhs
-
-
-def quantum_operator_residual(sol: MixedSeries, m: int) -> MixedSeries:
-    """Residual of ((hbar d/dt)^(m+1) - e^t) applied to the P^m solution."""
-    lhs = sol
-    for _ in range(m + 1):
-        lhs = lhs.ddt().scale(Laurent.unit(1))
-    return lhs - sol.mul_q()
 
 
 def exp_prefactor(scalar: Fraction, order: int) -> TruncSeries:

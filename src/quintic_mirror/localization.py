@@ -250,7 +250,17 @@ def graph_contribution(graph: DecoratedGraph, lam: tuple[Fraction, ...],
 
 
 def bott_sum(m: int, l: int, d: int, lam: tuple[Fraction, ...]) -> Fraction:
-    """Sum of all graph contributions: the degree-d invariant N_d."""
+    """Sum of all graph contributions: the degree-d invariant N_d.
+
+    The top Chern class integrates to a number only when the bundle's
+    rank l d + 1 equals dim M_{0,0}(P^m, d) = (m+1)(d+1) - 4; elsewhere
+    the sum depends on the weights, so it raises ``DomainError``.
+    """
+    if l * d + 1 != (m + 1) * (d + 1) - 4:
+        raise DomainError(
+            f"rank {l * d + 1} of the section bundle differs from the "
+            f"dimension {(m + 1) * (d + 1) - 4} of the degree-{d} maps to "
+            f"P^{m}: no invariant to sum")
     return sum((graph_contribution(g, lam, m, l)
                 for g in enumerate_graphs(m, d)), Fraction(0))
 

@@ -37,6 +37,7 @@ __all__ = [
     "case_ii_check",
     "picard_fuchs_check",
     "mirror_identity_check",
+    "residual_check",
 ]
 
 
@@ -228,8 +229,10 @@ def mirror_identity_check(order: int) -> Check:
         detail=f"verified through q-order {order}")
 
 
-def _residual_check(name: str, identity: str,
-                    residual: MixedSeries) -> Check:
+def residual_check(name: str, identity: str,
+                   residual: MixedSeries) -> Check:
+    """PASS when the operator residual is identically zero, else its first
+    nonzero coefficient."""
     if residual.is_zero():
         return Check(name=name, identity=identity, passed=True,
                      detail="residual identically zero")
@@ -244,7 +247,7 @@ def case_i_check(cfg: HypergeomConfig) -> Check:
         raise DomainError(f"case (i) requires l < m, got l={cfg.l}, m={cfg.m}")
     S = hypersurface_series(cfg)
     res = hypersurface_operator_residual(S, cfg.m, cfg.l)
-    return _residual_check(
+    return residual_check(
         "case-i",
         f"(d/dt)^{cfg.m} W = {cfg.l} q prod_(r<{cfg.l})({cfg.l} d/dt + r) W",
         res)
@@ -258,7 +261,7 @@ def case_ii_check(cfg: HypergeomConfig) -> tuple[MixedSeries, Check]:
     S = hypersurface_series(cfg)
     W = S.mul_qseries(exp_prefactor(-factorial(m), cfg.order))
     res = shifted_operator_residual(W, m)
-    check = _residual_check(
+    check = residual_check(
         "case-ii",
         f"(d/dt + {m}! q)^{m} W = {m} q prod_(r<{m})"
         f"({m} d/dt + {m}*{m}! q + r) W",
@@ -271,7 +274,7 @@ def picard_fuchs_check(order: int) -> Check:
     cfg = HypergeomConfig.quintic(order)
     S = hypersurface_series(cfg)
     res = hypersurface_operator_residual(S, 4, 5)
-    return _residual_check(
+    return residual_check(
         "picard-fuchs",
         "(d/dt)^4 I = 5 q (5 d/dt + 1)(5 d/dt + 2)(5 d/dt + 3)(5 d/dt + 4) I",
         res)

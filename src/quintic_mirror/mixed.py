@@ -2,14 +2,14 @@
 
 ``HTruncPoly`` models the cohomology presentation with H nilpotent:
 multiplication simply discards every term of H-degree above the cap.
-No pipeline code calls it: the hypersurface series and the ambient
-solution build their H-blocks as ``TruncSeries`` in H.  It is kept for
+No pipeline code calls it: the hypersurface series, the ambient solution
+among them, builds its H-blocks as ``TruncSeries`` in H.  It is kept for
 the benchmark's layer binding and as the tests' reference route.
 
 ``MixedSeries`` models elements of H*[t][[q]] with q = e^t: a finite
 array of coefficients ``c[i][k][d]`` for H^i t^k q^d.  The derivative
 in t obeys the chain rule d/dt (t^k q^d) = k t^{k-1} q^d + d t^k q^d.
-Scalars may be Fraction, Laurent (for hbar-graded solutions) or RatFunc.
+Scalars may be Fraction or RatFunc.
 The double correlator Phi(z, q) is carried with h_top = 0 and z in the
 t slot; z and q are independent there, so ``ddt`` (d/dt with q = e^t)
 is not d/dz.

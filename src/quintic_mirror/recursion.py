@@ -17,7 +17,6 @@ fixed numeric weight tuple.  This module:
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -253,14 +252,10 @@ def verify_recursion(z_entries: list[TruncSeries],
 class ClassPData:
     """Numerator polynomials and the interpolants E_d at a fixed weight tuple.
 
-    ``E_polys`` maps d to the P-coefficients of E_d (``Poly`` values, P^0
-    first).  It is built on first read: E_d is the unique interpolant of
-    P-degree below its (m+1)(d+1) nodes, and the closed form
-    prod_{r<=(m+1)d}((m+1)P - r hbar) has P-degree (m+1)d + 1, which is
-    below that for m >= 1.  So where the closed form takes every node
-    value, E_d is the closed form.  ``classP_extract`` interpolated (and
-    stored in ``interpolated``) every degree from the first one whose
-    numerators leave their closed form.
+    ``interpolated`` maps each degree from the first one whose numerators
+    leave their closed form on to the P-coefficients of E_d (``Poly``
+    values, P^0 first); below that degree E_d is the closed form (see
+    ``classP_extract``).
     """
 
     def __init__(self, m: int, lam: tuple[Fraction, ...], N_table: dict,
@@ -270,11 +265,6 @@ class ClassPData:
         self.N_table = N_table          # (i, d) -> Poly in hbar
         self.order = order
         self.interpolated = interpolated    # d -> E_d, from the first miss on
-
-    @cached_property
-    def E_polys(self) -> dict:
-        return {d: self.interpolated[d] if d in self.interpolated
-                else closed_form_E(self.m, d) for d in range(self.order + 1)}
 
 
 def classP_extract(family: CorrelatorFamily,
@@ -291,10 +281,12 @@ def classP_extract(family: CorrelatorFamily,
     + s hbar), which grows by m + 1 linear factors per degree.  Where N_ir
     and N_i(d-r) both take it, the node value is the closed form of E_d at
     that node.  So below r0, the first degree with a numerator off its
-    closed form, every E_d is the closed form (see ``ClassPData``) and the
-    bounds hold; from r0 on (from 0 when m = 0, where the nodes do not fix
-    E_d) each degree is interpolated (``_newton_interpolation``) and
-    checked against the bounds.  ``order`` must lie in 0..family.order.
+    closed form, every E_d is the closed form and the bounds hold: E_d is
+    the unique interpolant of P-degree below its (m+1)(d+1) nodes, and the
+    closed form's P-degree (m+1)d + 1 is below that for m >= 1.  From r0
+    on (from 0 when m = 0, where the nodes do not fix E_d) each degree is
+    interpolated (``_newton_interpolation``) and checked against the
+    bounds.  ``order`` must lie in 0..family.order.
     """
     m, lam = family.m, family.lam
     D = family.order if order is None else order

@@ -3,7 +3,7 @@
 A ``TruncSeries`` holds coefficients ``c0..cD`` of a series in one formal
 variable, truncated at a fixed order ``D``.  Coefficients may be any ring
 elements that support ``+``, ``-``, ``*`` among themselves and with plain
-``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ``Laurent``, ...).
+``int``/``Fraction`` scalars (``Fraction``, ``RatFunc``, ...).
 Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of series into another goes through ``compose_all``,
@@ -27,8 +27,7 @@ product ``hbar`` takes too.  Over Q, these run on integer numerators:
   integers (``_q_div``);
 * ``series_reversion`` forms its dot products of powers.
 
-Any other coefficient ring (``RatFunc``, ``Laurent``) keeps the
-term-by-term loops.
+Any other coefficient ring (``RatFunc``) keeps the term-by-term loops.
 
 The quintic pipeline gains most because the series it raises to powers
 are integral.  The mirror map q exp(g(q)) has integer coefficients

@@ -14,11 +14,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ClassPViolation, DomainError
-from .hypergeom import (HypergeomConfig, descendent_value,
-                        fundamental_solution, quantum_operator_residual,
-                        zstar_family)
+from .hypergeom import (HypergeomConfig, fundamental_solution,
+                        hypersurface_operator_residual, zstar_family)
 from .mirror import (case_i_check, case_ii_check, mirror_identity_check,
-                     picard_fuchs_check)
+                     picard_fuchs_check, residual_check)
 from .recursion import (classP_extract, closed_form_E,
                         composite_inverse_of_zstar, mod_hbar2,
                         phi_double_correlator, phi_law_a, phi_law_b,
@@ -215,27 +214,25 @@ def check_mirror_identity(order: int) -> list[Check]:
 
 
 def check_descendents() -> list[Check]:
+    """Descendents d = 1..3 of P^2..P^4, read off one solution each (at
+    hbar = 1, see ``fundamental_solution``), and the quantum ODE of the
+    P^2 and P^3 solutions, which at hbar = 1 is the case-(i) operator at
+    (m + 1, 1)."""
+    sols = {mm: fundamental_solution(mm, 3) for mm in (2, 3, 4)}
     checks = []
-    for mm in (2, 3, 4):
+    for mm, sol in sols.items():
         for d in (1, 2, 3):
-            got = descendent_value(mm, d)
-            want = Fraction(1, factorial(d) ** (mm + 1))
+            got = sol.coeff(0, 0, d)
             checks.append(Check(
                 name=f"descendent-m{mm}-d{d}",
                 identity="two-point descendent = 1/(d!)^(m+1)",
-                passed=got == want,
+                passed=got == Fraction(1, factorial(d) ** (mm + 1)),
                 detail=f"value {got}"))
-    # The defining property of the solution the values are read from.
     for mm in (2, 3):
-        sol = fundamental_solution(mm, 3)
-        res = quantum_operator_residual(sol, mm)
-        checks.append(Check(
-            name=f"quantum-ode-m{mm}",
-            identity="(hbar d/dt)^(m+1) - e^t annihilates the fundamental "
-                     "solution",
-            passed=res.is_zero(),
-            detail="residual identically zero" if res.is_zero()
-            else f"residual at {res.first_nonzero()}"))
+        checks.append(residual_check(
+            f"quantum-ode-m{mm}",
+            "(hbar d/dt)^(m+1) - e^t annihilates the fundamental solution",
+            hypersurface_operator_residual(sols[mm], mm + 1, 1)))
     return checks
 
 

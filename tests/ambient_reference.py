@@ -1,13 +1,14 @@
 """Test oracle: the ambient fundamental solution built in the ring itself.
 
 This is the literal form ``quintic_mirror.hypergeom.fundamental_solution``
-had before it read the solution off the hypersurface series: every
-degree's block 1/prod_{r<=d}(H + r hbar)^(m+1) is formed as an
+had before it read the solution off the hypersurface series at hbar = 1:
+every degree's block 1/prod_{r<=d}(H + r hbar)^(m+1) is formed as an
 ``HTruncPoly`` in H with ``Laurent`` coefficients in hbar, by products,
 powers and the geometric-series inverse of the nilpotent part, and
-e^(Ht/hbar) contributes (H/hbar)^k t^k/k!.  It shares ``MixedSeries``,
-``HTruncPoly`` and ``Laurent`` with the code under test, not the
-hyperplane identity or the homogeneity rule.
+e^(Ht/hbar) contributes (H/hbar)^k t^k/k!.  It shares only the
+``MixedSeries`` container with the code under test: neither
+``HTruncPoly`` nor ``Laurent`` is on its path, nor is the hyperplane
+identity, and the grading rule that puts hbar back is applied by the test.
 """
 
 from __future__ import annotations

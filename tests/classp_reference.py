@@ -11,7 +11,8 @@ before it decided class P from the numerators:
   misses (or always, at m = 0).
 
 It shares ``z_normalize``, ``_newton_interpolation`` and ``ClassPData``
-with the code under test, not the verdict.
+with the code under test, not the verdict.  ``e_polys`` reads every E_d
+off a ``ClassPData``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from __future__ import annotations
 from quintic_mirror.errors import ClassPViolation
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.recursion import (ClassPData, _newton_interpolation,
-                                      z_normalize)
+                                      closed_form_E, z_normalize)
+
+
+def e_polys(data: ClassPData) -> dict:
+    """d -> the P-coefficients of E_d for d = 0..data.order: interpolated
+    from the first degree whose numerators miss, the closed form below."""
+    return {d: data.interpolated[d] if d in data.interpolated
+            else closed_form_E(data.m, d) for d in range(data.order + 1)}
 
 
 def classP_extract(family, order=None) -> ClassPData:

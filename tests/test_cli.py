@@ -16,7 +16,7 @@ import pytest
 import quintic_mirror
 from quintic_mirror import hypergeom, localization, recursion, verify
 from quintic_mirror.cli import main
-from quintic_mirror.hbar import Laurent, Poly, RatFunc
+from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.series import TruncSeries
 
 
@@ -98,27 +98,33 @@ def test_verify_descendents(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_off_by_one_hbar_power_fails_descendents(capsys, monkeypatch):
-    # An off-by-one in the homogenisation: each coefficient it gives a
-    # pole in hbar gets one power of 1/hbar too many.  The descendents
-    # then read 0, and the residual keeps (1/hbar - 1) q from the
-    # unshifted constant term.
-    class OffByOne(Laurent):
-        @classmethod
-        def unit(cls, power, x=1):
-            return Laurent.unit(power - 1 if power < 0 else power, x)
+def test_off_by_one_hyperplane_fails_descendents(capsys, monkeypatch):
+    # An off-by-one in the hyperplane identity: the P^m solution built as
+    # a hyperplane in P^(m+2) is the solution of P^(m+1).  Its q^d
+    # coefficient is 1/(d!)^(m+2), which still reads 1 at d = 1, and
+    # (d/dt)^(m+1) - q no longer annihilates it.
+    def off_by_one(m, order):
+        return hypergeom.hypersurface_series(
+            hypergeom.HypergeomConfig._make((m + 2, 1, order)))
 
-    monkeypatch.setattr(hypergeom, "Laurent", OffByOne)
+    monkeypatch.setattr(verify, "fundamental_solution", off_by_one)
     code, out, err = run_cli(capsys, "verify", "descendents")
     assert code == 1
     assert err == ""
     status = {line.split()[1].rstrip(":"): line for line in out.splitlines()}
     assert len(status) == 11
-    assert all(line.startswith("FAIL") for line in status.values()), out
-    assert status["descendent-m2-d1"].endswith("[value 0]")
+    failed = {name for name, line in status.items()
+              if line.startswith("FAIL")}
+    assert failed == {f"descendent-m{mm}-d{d}" for mm in (2, 3, 4)
+                      for d in (2, 3)} | {"quantum-ode-m2", "quantum-ode-m3"}
+    for mm in (2, 3, 4):
+        assert status[f"descendent-m{mm}-d1"].endswith("[value 1]")
+        assert status[f"descendent-m{mm}-d2"].endswith(
+            f"[value 1/{2 ** (mm + 2)}]")
     for mm in (2, 3):
+        # (d/dt)^(m+1) takes q^2/2^(m+2) to q^2/2, and q times q is q^2.
         assert status[f"quantum-ode-m{mm}"].endswith(
-            "[residual at (0, 0, 1, Laurent(1*h^-1 + -1*h^0))]")
+            "[first nonzero residual at H^0 t^0 q^2: -1/2]")
 
 
 def test_verify_unknown_check_rejected(capsys):

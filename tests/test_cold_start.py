@@ -57,6 +57,7 @@ def test_output_formats_load_their_module(fmt):
 
 
 @pytest.mark.parametrize("argv, golden", [
+    ("verify descendents", "verify-descendents.txt"),
     ("verify descendents --format json", "verify-descendents.json"),
     ("verify descendents --format csv", "verify-descendents.csv"),
     ("oracle --degree 1 --seed 0 --format csv", "oracle-degree-1-seed-0.csv"),

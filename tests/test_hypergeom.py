@@ -9,12 +9,11 @@ from math import factorial
 import pytest
 
 from quintic_mirror.errors import DomainError
-from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.hbar import Laurent, Poly, RatFunc
 from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
                                       f_and_g, fundamental_solution,
                                       hypersurface_operator_residual,
-                                      hypersurface_series,
-                                      quantum_operator_residual, zstar_family)
+                                      hypersurface_series, zstar_family)
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
 from quintic_mirror.sampling import sample_lambda
 from quintic_mirror.series import TruncSeries
@@ -72,42 +71,44 @@ def test_picard_fuchs_all_components_order_8():
 
 
 def test_ambient_solution_degree_zero_term():
+    # e^(Ht) alone: H^i t^k q^0 is 1/k! when i = k, else 0.
     m = 3
     sol = fundamental_solution(m, 2)
     for k in range(m + 1):
         for i in range(m + 1):
-            want = (Fraction(1, factorial(k)) if i == k else 0)
-            got = sol.coeff(i, k, 0)
-            if want == 0:
-                assert got == 0
-            else:
-                assert got.coeff(-k) == want
+            want = Fraction(1, factorial(k)) if i == k else 0
+            assert sol.coeff(i, k, 0) == want
 
 
 def test_ambient_solution_annihilated_by_quantum_operator():
+    # At hbar = 1 the operator is (d/dt)^(m+1) - q: case (i) at (m+1, 1).
     for m in (1, 2, 3, 4):
         sol = fundamental_solution(m, 3)
-        assert quantum_operator_residual(sol, m).is_zero()
+        assert hypersurface_operator_residual(sol, m + 1, 1).is_zero()
 
 
 def test_ambient_m1_d1_expansion():
-    # 1/(H + hbar)^2 = hbar^-2 (1 - 2H/hbar) with H^2 = 0.
+    # 1/(H + hbar)^2 = hbar^-2 (1 - 2H/hbar) with H^2 = 0, at hbar = 1.
     sol = fundamental_solution(1, 1)
-    assert sol.coeff(0, 0, 1).c == {-2: 1}
-    assert sol.coeff(1, 0, 1).c == {-3: -2}
+    assert sol.coeff(0, 0, 1) == 1
+    assert sol.coeff(1, 0, 1) == -2
 
 
 @pytest.mark.parametrize("m", range(6))
 def test_ambient_solution_matches_the_ring_route(m):
-    # The hyperplane identity and the homogeneity rule against the
-    # solution built by products and inverses in H with Laurent
-    # coefficients; repr, not ==, so every coefficient keeps its type.
+    # The hyperplane identity and the grading rule against the solution
+    # built by products and inverses in H with Laurent coefficients: hbar
+    # goes back onto each nonzero H^i q^d value v as v hbar^(-(m+1)d - i).
+    # repr, not ==, so every coefficient keeps its type.
     for order in range(7):
         got = fundamental_solution(m, order)
         want = ambient_reference.fundamental_solution(m, order)
         assert got.caps() == want.caps() == (m, m, order)
-        assert [[[repr(c) for c in row] for row in plane] for plane in got.c] \
-            == [[[repr(c) for c in row] for row in plane] for plane in want.c]
+        graded = [[[repr(Laurent.unit(-(m + 1) * d - i, v) if v != 0 else v)
+                    for d, v in enumerate(row)] for row in plane]
+                  for i, plane in enumerate(got.c)]
+        assert graded == [[[repr(c) for c in row] for row in plane]
+                          for plane in want.c]
 
 
 @pytest.mark.parametrize("m", [-1, -2])

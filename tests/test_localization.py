@@ -131,6 +131,23 @@ def test_degree_four_invariant_frozen():
     assert bott_sum(4, 5, 4, (0, 1, 10, 100, 1000)) == F(15517926796875, 64)
 
 
+@pytest.mark.parametrize("m, l, d, count", [(3, 3, 1, 27), (4, 5, 1, 2875),
+                                            (5, 7, 1, 698005)])
+def test_line_counts_where_rank_equals_dimension(m, l, d, count):
+    # l d + 1 = (m+1)(d+1) - 4: 27 lines on a cubic surface, 2875 on the
+    # quintic threefold, 698005 on a degree-7 hypersurface in P^5.
+    for lam in ((0, 1, 3, 7, 15, 31), (0, 2, 5, 11, 23, 47)):
+        assert bott_sum(m, l, d, tuple(map(F, lam[:m + 1]))) == count
+
+
+@pytest.mark.parametrize("lam", [(0, 1, 3, 7), (0, 2, 5, 11)])
+def test_rank_off_the_dimension_is_rejected(lam):
+    # Lines on a quartic surface: rank 5 against dimension 4, where an
+    # unguarded sum depends on the weights (3520 here, 5760 there).
+    with pytest.raises(DomainError, match="rank 5 .* dimension 4"):
+        bott_sum(3, 4, 1, tuple(map(F, lam)))
+
+
 def test_weight_independence_random_tuples():
     rng = random.Random(50)
     seen = set()
