@@ -11,8 +11,8 @@ Everything is computed over arbitrary-precision rationals.
 from .errors import (ClassPViolation, ConsistencyError, DegenerateLambda,
                      DomainError, OrderMismatch, PoleError, StructureError)
 from .hbar import Laurent, Poly, RatFunc
-from .hypergeom import (CorrelatorFamily, HypergeomConfig, descendent_value,
-                        f_and_g, fundamental_solution, hypersurface_series,
+from .hypergeom import (CorrelatorFamily, HypergeomConfig, f_and_g,
+                        fundamental_solution, hypersurface_series,
                         zstar_family)
 from .localization import (DecoratedGraph, bott_sum, enumerate_graphs,
                            graph_contribution, oracle_crosscheck)
@@ -28,7 +28,7 @@ __all__ = [
     "HypergeomConfig", "InvariantTable", "Laurent", "MirrorMap",
     "MixedSeries", "OrderMismatch", "Poly", "PoleError", "RatFunc",
     "StructureError", "TruncSeries", "bott_sum", "build_mirror_map",
-    "descendent_value", "enumerate_graphs", "f_and_g",
+    "enumerate_graphs", "f_and_g",
     "fundamental_solution", "graph_contribution", "hypersurface_series",
     "mirror_identity_check", "multiple_cover_invert", "multiple_cover_sum",
     "oracle_crosscheck", "quintic_invariants", "series_exp", "series_log",

@@ -9,12 +9,14 @@ reports SIGPIPE, with nothing on stderr, after writing any ``--out``
 file.  Output is deterministic for a fixed seed and never contains
 floating point; rationals print as "p/q" (or "p" for integers).
 
-Each ``verify`` check accepts only the options it reads, its parameters
-in ``verify.py``; any other option exits 2.  descendents reads none;
-picard-fuchs and mirror-identity read --order; case-i and case-ii read
---m --l --order; recursion-i/-ii/-cy, class-p, phi-poly and transformations
-also read --seed and --lambda.  An option not given takes its ``DEFAULTS``
-value; without --lambda, weights are sampled from --seed.
+Each ``verify`` check accepts only the options it reads, the parameters
+of its function in ``verify.CHECKS``; any other option exits 2.
+descendents reads none; picard-fuchs and mirror-identity read --order;
+case-i and case-ii read --m --l --order; recursion-i/-ii/-cy, class-p,
+phi-poly and transformations also read --seed and --lambda.  An option
+not given takes the default in the check's signature, which lies in the
+check's domain, so every bare command runs; without --lambda, weights are
+sampled from --seed.  ``DEFAULTS`` serves ``invariants`` and ``oracle``.
 
 Every process imports this module, so its start-up is part of every
 run.  No stdlib module is imported only for annotations, and ``json`` and
@@ -43,7 +45,7 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 CLOSED_STDOUT = 141     # 128 + SIGPIPE, as a shell reports it
 
-# The value an option takes when it is not given.
+# The value an option of invariants or oracle takes when it is not given.
 DEFAULTS = {"m": 4, "l": 5, "order": 6, "seed": 0}
 HELP = {"m": "ambient projective dimension", "l": "hypersurface degree",
         "order": "q-truncation order", "seed": "seed for weight sampling"}
@@ -77,11 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def ints(p: argparse.ArgumentParser, defaults: dict, *names) -> None:
         """Integer options; one missing from ``defaults`` is left out of
-        the namespace unless it is typed."""
+        the namespace unless it is typed, and takes the check's default."""
         for name in names:
             p.add_argument(f"--{name}", type=int,
                            default=defaults.get(name, argparse.SUPPRESS),
-                           help=f"{HELP[name]} (default {DEFAULTS[name]})")
+                           help=f"{HELP[name]} (default "
+                                f"{defaults.get(name, 'from the check')})")
 
     p_inv = sub.add_parser("invariants",
                            help="genus-0 invariants and virtual counts")
@@ -91,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify", help="run a named identity check",
         description="Run a named identity check. Each check accepts only "
-                    "the options it reads; any other option exits 2.")
+                    "the options it reads; any other option exits 2. A "
+                    "missing option takes the check's own default.")
     p_ver.add_argument("check", choices=sorted(CHECKS))
-    # Only typed options reach the namespace, so cmd_verify can tell them
-    # from defaults.
+    # Only typed options reach the namespace: the rest take the check's
+    # own defaults.
     ints(p_ver, {}, "m", "l", "order", "seed")
     p_ver.add_argument("--lambda", dest="lam", type=parse_lambda,
                        default=argparse.SUPPRESS, metavar="a,b,c,...",
@@ -205,8 +209,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"verify {args.check} does not read "
                          f"{' '.join(unread)}\n")
         return USAGE_ERROR
-    defaults = {name: DEFAULTS[name] for name in reads if name in DEFAULTS}
-    checks = check(**{**defaults, **given})
+    checks = check(**given)
     _emit(_format_checks(checks, args.format), args.out)
     return 0 if all_passed(checks) else CHECK_FAILED
 

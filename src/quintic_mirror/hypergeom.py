@@ -5,8 +5,8 @@ For a degree-l hypersurface in P^m this module builds:
 * the hypersurface series  sum_d e^((H+d)t) prod(lH+r) / prod(H+r)^(m+1)
   with H^m = 0, whose H^b components are the classical periods I_b(t);
 * the ambient fundamental solution of the small quantum differential
-  equation of P^m, at hbar = 1 (see ``fundamental_solution``);
-* the two-point descendent values read off that solution;
+  equation of P^m, at hbar = 1 (see ``fundamental_solution``), whose
+  H^0 t^0 q^d coefficients are the two-point descendents 1/(d!)^(m+1);
 * the factorial series F and its harmonic companions G_l;
 * the equivariant hypergeometric correlator family Z*_i at numeric weights.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "CorrelatorFamily",
     "hypersurface_series",
     "fundamental_solution",
-    "descendent_value",
     "f_and_g",
     "zstar_family",
     "hypersurface_operator_residual",
@@ -136,17 +135,6 @@ def fundamental_solution(m: int, order: int) -> MixedSeries:
     # _make skips the config's checks: order 0 is the degree-0 block, and
     # m < 0 fails at the series' caps.
     return hypersurface_series(HypergeomConfig._make((m + 1, 1, order)))
-
-
-def descendent_value(m: int, d: int) -> Fraction:
-    """Two-point descendent read off the fundamental solution.
-
-    The t^0 q^d coefficient of the H^0 component at hbar = 1 (its
-    hbar^(-(m+1)d) part); equals 1/(d!)^(m+1).
-    """
-    if d < 1:
-        raise DomainError("degree must be >= 1")
-    return fundamental_solution(m, d).coeff(0, 0, d)
 
 
 def f_and_g(m: int, l_index: int, order: int) -> tuple[TruncSeries, TruncSeries]:

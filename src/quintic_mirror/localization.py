@@ -39,9 +39,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .errors import DegenerateLambda, DomainError
+from .intpoly import clear
 from .report import Check
 from .sampling import sample_lambda, sample_until
 
@@ -208,8 +209,8 @@ def graph_contribution(graph: DecoratedGraph, lam: tuple[Fraction, ...],
     multiplies into one integer numerator and denominator, and one
     ``Fraction`` is made at the end.
     """
-    D = lcm(*[x.denominator for x in lam])
-    Lam = tuple(x.numerator * (D // x.denominator) for x in lam)
+    Lam, D = clear(lam)
+    Lam = tuple(Lam)                      # the factor caches' key
     labels = graph.vertices
     n = len(labels)
     # The vertex factors together carry D^-(4 + m (n - 2)).

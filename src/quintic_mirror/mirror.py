@@ -187,7 +187,7 @@ def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> MixedSeries:
     return MixedSeries(0, 3, D, [[row.coeffs for row in rows]])
 
 
-def mirror_identity_check(order: int) -> Check:
+def mirror_identity_check(order: int = 6) -> list[Check]:
     """The prepotential identity and the H^3 consistency check.
 
     Verifies F(T(t)) = (5/2)(J_1 J_2 - J_3) coefficientwise, and that the
@@ -202,11 +202,11 @@ def mirror_identity_check(order: int) -> Check:
     delta = lhs - rhs
     if not delta.is_zero():
         bad = delta.first_nonzero()
-        return Check(
+        return [Check(
             name="mirror-identity",
             identity="F(T(t)) = (5/2)(J1 J2 - J3)",
             passed=False,
-            detail=f"first mismatch at t^{bad[1]} q^{bad[2]}: {bad[3]}")
+            detail=f"first mismatch at t^{bad[1]} q^{bad[2]}: {bad[3]}")]
     # H^3 closed form.
     h3 = sub.h_component(3)
     want = MixedSeries(0, sub.t_top, order)
@@ -217,16 +217,16 @@ def mirror_identity_check(order: int) -> Check:
         want.c[0][0][d] = Fraction(-2, 5) * Nd
     if h3 != want:
         bad = (h3 - want).first_nonzero()
-        return Check(
+        return [Check(
             name="mirror-identity",
             identity="H^3 component = (1/5) T dF/dT - (2/5) F",
             passed=False,
-            detail=f"first mismatch at T^{bad[1]} q'^{bad[2]}: {bad[3]}")
-    return Check(
+            detail=f"first mismatch at T^{bad[1]} q'^{bad[2]}: {bad[3]}")]
+    return [Check(
         name="mirror-identity",
         identity="F(T(t)) = (5/2)(J1 J2 - J3); H^3 = (1/5)T dF/dT - (2/5)F",
         passed=True,
-        detail=f"verified through q-order {order}")
+        detail=f"verified through q-order {order}")]
 
 
 def residual_check(name: str, identity: str,
@@ -241,40 +241,34 @@ def residual_check(name: str, identity: str,
                  detail=f"first nonzero residual at H^{i} t^{k} q^{d}: {v}")
 
 
-def case_i_check(cfg: HypergeomConfig) -> Check:
+def case_i_check(m: int = 5, l: int = 3, order: int = 6) -> list[Check]:
     """Operator identity for l < m (the series solves the quantum ODE)."""
-    if cfg.l >= cfg.m:
-        raise DomainError(f"case (i) requires l < m, got l={cfg.l}, m={cfg.m}")
-    S = hypersurface_series(cfg)
-    res = hypersurface_operator_residual(S, cfg.m, cfg.l)
-    return residual_check(
-        "case-i",
-        f"(d/dt)^{cfg.m} W = {cfg.l} q prod_(r<{cfg.l})({cfg.l} d/dt + r) W",
-        res)
+    cfg = HypergeomConfig(m, l, order)
+    if l >= m:
+        raise DomainError(f"case (i) requires l < m, got l={l}, m={m}")
+    return [residual_check(
+        "case-i", f"(d/dt)^{m} W = {l} q prod_(r<{l})({l} d/dt + r) W",
+        hypersurface_operator_residual(hypersurface_series(cfg), m, l))]
 
 
-def case_ii_check(cfg: HypergeomConfig) -> tuple[MixedSeries, Check]:
-    """Prefactored series e^(-m! q) W and its modified operator identity."""
-    if cfg.l != cfg.m:
-        raise DomainError(f"case (ii) requires l = m, got l={cfg.l}, m={cfg.m}")
-    m = cfg.m
-    S = hypersurface_series(cfg)
-    W = S.mul_qseries(exp_prefactor(-factorial(m), cfg.order))
-    res = shifted_operator_residual(W, m)
-    check = residual_check(
+def case_ii_check(m: int = 4, l: int = 4, order: int = 6) -> list[Check]:
+    """Modified operator identity for l = m, on e^(-m! q) times the series."""
+    cfg = HypergeomConfig(m, l, order)
+    if l != m:
+        raise DomainError(f"case (ii) requires l = m, got l={l}, m={m}")
+    W = hypersurface_series(cfg).mul_qseries(
+        exp_prefactor(-factorial(m), order))
+    return [residual_check(
         "case-ii",
         f"(d/dt + {m}! q)^{m} W = {m} q prod_(r<{m})"
         f"({m} d/dt + {m}*{m}! q + r) W",
-        res)
-    return W, check
+        shifted_operator_residual(W, m))]
 
 
-def picard_fuchs_check(order: int) -> Check:
+def picard_fuchs_check(order: int = 6) -> list[Check]:
     """Order-4 differential equation annihilating all quintic periods."""
-    cfg = HypergeomConfig.quintic(order)
-    S = hypersurface_series(cfg)
-    res = hypersurface_operator_residual(S, 4, 5)
-    return residual_check(
+    S = hypersurface_series(HypergeomConfig.quintic(order))
+    return [residual_check(
         "picard-fuchs",
         "(d/dt)^4 I = 5 q (5 d/dt + 1)(5 d/dt + 2)(5 d/dt + 3)(5 d/dt + 4) I",
-        res)
+        hypersurface_operator_residual(S, 4, 5))]

@@ -44,9 +44,6 @@ __all__ = [
     "composite_inverse_of_zstar",
 ]
 
-REGIMES = ("sub_m", "equal_m", "calabi_yau")
-
-
 class RecursionCoefficients:
     def __init__(self, regime: str, m: int, l: int, lam: tuple[Fraction, ...],
                  order: int):
@@ -113,13 +110,10 @@ def _coefficient(calabi_yau: bool, m: int, l: int, Lam: list, L: int,
         {(0, 1): 1}, edge)
 
 
-def recursion_coeffs(regime: str, m: int, l: int, lam,
-                     order: int) -> RecursionCoefficients:
-    """All coefficients C_i^j(d) for d <= order plus the initial terms."""
-    if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}")
-    if regime != regime_of(m, l):
-        raise DomainError(f"regime {regime} inconsistent with (m, l)=({m}, {l})")
+def recursion_coeffs(m: int, l: int, lam, order: int) -> RecursionCoefficients:
+    """All coefficients C_i^j(d) for d <= order plus the initial terms, in
+    the regime of (m, l)."""
+    regime = regime_of(m, l)
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != m + 1:
         raise DomainError(f"need {m + 1} weights, got {len(lam)}")
@@ -135,7 +129,7 @@ def recursion_coeffs(regime: str, m: int, l: int, lam,
             for d in range(1, order + 1):
                 out.C[(i, j, d)] = _coefficient(cy, m, l, Lam, L, i, j, d)
     for i in range(m + 1):
-        if regime == "sub_m" or regime == "calabi_yau":
+        if regime != "equal_m":
             out.initial[i] = TruncSeries.zero(order)
         else:
             # -1 + exp((c_i - m!) Q) with c_i = (m lam_i)^m / prod(lam_i - lam_a)
@@ -148,13 +142,12 @@ def recursion_coeffs(regime: str, m: int, l: int, lam,
     return out
 
 
-def z_normalize(family: CorrelatorFamily,
-                modified: bool = False) -> list[TruncSeries]:
+def z_normalize(family: CorrelatorFamily) -> list[TruncSeries]:
     """Pass to the rescaled variable: q^d coefficients gain hbar^(pd).
 
-    p = m+1-l below the Calabi-Yau case and 1 in it.  With ``modified``
-    the degree-m prefactor e^(-m! Q) is multiplied in (after rescaling),
-    which is the correlator that actually satisfies the l = m recursion.
+    p = m+1-l below the Calabi-Yau case and 1 in it.  When l = m the
+    prefactor e^(-m! Q) is multiplied in (after rescaling): that is the
+    correlator which satisfies the l = m recursion.
     """
     p = (family.m + 1 - family.l) if family.l <= family.m else 1
     out = []
@@ -163,7 +156,7 @@ def z_normalize(family: CorrelatorFamily,
                   RatFunc._coerce(family.coeff(i, 0))
                   for d in range(family.order + 1)]
         out.append(TruncSeries(coeffs, family.order))
-    if modified:
+    if family.l == family.m:
         # The prefactor's coefficients are numbers: each product
         # coefficient is one linear combination of the entry's.
         pref = exp_prefactor(-factorial(family.m), family.order)

@@ -1,10 +1,14 @@
-"""Named verification runs: one function per CLI check.
+"""Named verification runs: ``CHECKS`` maps each CLI check to its function.
 
-Each function returns a list of Check records, and its parameter list
-names exactly the inputs it reads; the CLI accepts no other option for
-that check.  Sampled checks take an explicit weight tuple ``lam`` or
-resample one (deterministically, from ``seed``) whenever a degenerate
-configuration is hit.
+The sampled correlator checks and descendents are defined here; the
+operator identities (picard-fuchs, case-i, case-ii) and mirror-identity
+live in ``mirror``.  Each check returns a list of Check records.  Its
+parameter list names exactly the inputs it reads, each with the default a
+bare command takes, and the CLI passes only the options typed and accepts
+no other.  A check raises ``DomainError`` when (m, l) lies outside its
+regime; its own defaults lie inside it.  Sampled checks take an explicit
+weight tuple ``lam`` or resample one (deterministically, from ``seed``)
+whenever a degenerate configuration is hit.
 """
 
 from __future__ import annotations
@@ -34,19 +38,6 @@ PHI_POLY_Z_ORDER = 4    # z-truncation of the phi-poly check
 LAWS_Z_ORDER = 3        # z-truncation of the transformation-law check
 
 
-def check_picard_fuchs(order: int) -> list[Check]:
-    return [picard_fuchs_check(order)]
-
-
-def check_case_i(m: int, l: int, order: int) -> list[Check]:
-    return [case_i_check(HypergeomConfig(m, l, order))]
-
-
-def check_case_ii(m: int, l: int, order: int) -> list[Check]:
-    _, check = case_ii_check(HypergeomConfig(m, l, order))
-    return [check]
-
-
 def _at_weights(m: int, lam, rng, build):
     """build(lam), or build at tuples drawn from rng until one is nondegenerate.
 
@@ -56,62 +47,59 @@ def _at_weights(m: int, lam, rng, build):
     return sample_until(rng, lambda r: build(sample_lambda(m, r)))
 
 
-def _recursion_checks(name: str, regime: str, identity: str, done: str,
-                      m: int, l: int, order: int, seed: int, lam,
-                      modified: bool = False) -> list[Check]:
-    """One check per weight tuple: the family satisfies ``regime``'s
-    recursion; ``done`` words the detail of a pass."""
+def _recursion_checks(name: str, identity: str, done: str, m: int, l: int,
+                      order: int, seed: int, lam) -> list[Check]:
+    """One check per weight tuple: the family satisfies the recursion of
+    the regime (m, l) lies in; ``done`` words the detail of a pass."""
     cfg = HypergeomConfig(m, l, order)
 
     def build(weights):
-        return (recursion_coeffs(regime, m, l, weights, order),
+        return (recursion_coeffs(m, l, weights, order),
                 zstar_family(cfg, weights))
 
     rng = random.Random(seed)
     out = []
     for trial in range(TUPLES if lam is None else 1):
         coeffs, family = _at_weights(m, lam, rng, build)
-        ok, detail, _ = verify_recursion(
-            z_normalize(family, modified=modified), coeffs)
+        ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
         out.append(Check(
             name=f"{name}#{trial}", identity=identity, passed=ok,
             detail=detail or f"{done} through Q-order {order}"))
     return out
 
 
-def check_recursion_i(m: int, l: int, order: int, seed: int,
+def check_recursion_i(m: int = 5, l: int = 3, order: int = 6, seed: int = 0,
                       lam=None) -> list[Check]:
     if l >= m:
         raise DomainError(f"this recursion requires l < m, got ({m}, {l})")
     return _recursion_checks(
-        "recursion-i", "sub_m",
+        "recursion-i",
         "hypergeometric correlators satisfy the l<m linear recursion with "
         "zero initial terms", "residuals zero", m, l, order, seed, lam)
 
 
-def check_recursion_ii(m: int, l: int, order: int, seed: int,
+def check_recursion_ii(m: int = 4, l: int = 4, order: int = 6, seed: int = 0,
                        lam=None) -> list[Check]:
     if l != m:
         raise DomainError(f"this recursion requires l = m, got ({m}, {l})")
     return _recursion_checks(
-        "recursion-ii", "equal_m",
+        "recursion-ii",
         f"e^(-{m}! Q)-modified correlators satisfy the l=m recursion with "
-        "exponential initial terms", "residuals zero", m, l, order, seed, lam,
-        modified=True)
+        "exponential initial terms", "residuals zero", m, l, order, seed, lam)
 
 
-def check_recursion_cy(m: int, l: int, order: int, seed: int,
+def check_recursion_cy(m: int = 4, l: int = 5, order: int = 6, seed: int = 0,
                        lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError(f"the Calabi-Yau recursion requires l = m+1, got ({m}, {l})")
     return _recursion_checks(
-        "recursion-cy", "calabi_yau",
+        "recursion-cy",
         "Calabi-Yau recursion residuals are hbar-polynomials of degree <= d",
         "initial terms extracted", m, l, order, seed, lam)
 
 
-def check_class_p(m: int, l: int, order: int, seed: int,
-                  lam=None) -> list[Check]:
+def check_class_p(m: int = 4, l: int = 5, order: int = 6,
+                  seed: int = 0, lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("class-P extraction is a Calabi-Yau-regime check")
     cfg = HypergeomConfig(m, l, order)
@@ -138,8 +126,8 @@ def check_class_p(m: int, l: int, order: int, seed: int,
                       else f"E_{differs} differs from the closed form"))]
 
 
-def check_phi_poly(m: int, l: int, order: int, seed: int,
-                   lam=None) -> list[Check]:
+def check_phi_poly(m: int = 4, l: int = 5, order: int = 6,
+                   seed: int = 0, lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("the double correlator check is Calabi-Yau-regime")
     cfg = HypergeomConfig(m, l, order)
@@ -157,8 +145,8 @@ def check_phi_poly(m: int, l: int, order: int, seed: int,
                 else f"non-polynomial coefficients at {bad}"))]
 
 
-def check_transformations(m: int, l: int, order: int, seed: int,
-                          lam=None) -> list[Check]:
+def check_transformations(m: int = 4, l: int = 5, order: int = 6,
+                          seed: int = 0, lam=None) -> list[Check]:
     if l != m + 1:
         raise DomainError("transformation laws are a Calabi-Yau-regime check")
     cfg = HypergeomConfig(m, l, order)
@@ -209,10 +197,6 @@ def check_transformations(m: int, l: int, order: int, seed: int,
     return checks
 
 
-def check_mirror_identity(order: int) -> list[Check]:
-    return [mirror_identity_check(order)]
-
-
 def check_descendents() -> list[Check]:
     """Descendents d = 1..3 of P^2..P^4, read off one solution each (at
     hbar = 1, see ``fundamental_solution``), and the quantum ODE of the
@@ -237,15 +221,15 @@ def check_descendents() -> list[Check]:
 
 
 CHECKS = {
-    "picard-fuchs": check_picard_fuchs,
-    "case-i": check_case_i,
-    "case-ii": check_case_ii,
+    "picard-fuchs": picard_fuchs_check,
+    "case-i": case_i_check,
+    "case-ii": case_ii_check,
     "recursion-i": check_recursion_i,
     "recursion-ii": check_recursion_ii,
     "recursion-cy": check_recursion_cy,
     "class-p": check_class_p,
     "phi-poly": check_phi_poly,
     "transformations": check_transformations,
-    "mirror-identity": check_mirror_identity,
+    "mirror-identity": mirror_identity_check,
     "descendents": check_descendents,
 }

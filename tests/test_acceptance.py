@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import quintic_mirror
-from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
+from quintic_mirror.hypergeom import (HypergeomConfig, fundamental_solution,
                                       hypersurface_operator_residual,
                                       hypersurface_series, zstar_family)
 from quintic_mirror.localization import oracle_crosscheck
@@ -80,10 +80,10 @@ def test_criterion_3_picard_fuchs_order_8():
 
 def test_criterion_4_operator_identities_order_5():
     for m, l in ((5, 3), (4, 2), (6, 5)):
-        check = case_i_check(HypergeomConfig(m, l, 5))
+        check, = case_i_check(m, l, 5)
         assert check.passed, f"(m, l) = ({m}, {l}): {check.detail}"
     for m in (3, 4):
-        _, check = case_ii_check(HypergeomConfig(m, m, 5))
+        check, = case_ii_check(m, m, 5)
         assert check.passed, f"(m, l) = ({m}, {m}): {check.detail}"
     # Fault injection: a single perturbed coefficient must be caught.
     S = hypersurface_series(HypergeomConfig(5, 3, 5))
@@ -99,7 +99,7 @@ def test_criterion_5_recursion_verification():
 
         def build_sub(r):
             lam = sample_lambda(5, r)
-            coeffs = recursion_coeffs("sub_m", 5, 3, lam, 4)
+            coeffs = recursion_coeffs(5, 3, lam, 4)
             fam = zstar_family(HypergeomConfig(5, 3, 4), lam)
             return verify_recursion(z_normalize(fam), coeffs)
 
@@ -108,16 +108,16 @@ def test_criterion_5_recursion_verification():
 
         def build_eq(r):
             lam = sample_lambda(4, r)
-            coeffs = recursion_coeffs("equal_m", 4, 4, lam, 4)
+            coeffs = recursion_coeffs(4, 4, lam, 4)
             fam = zstar_family(HypergeomConfig(4, 4, 4), lam)
-            return verify_recursion(z_normalize(fam, modified=True), coeffs)
+            return verify_recursion(z_normalize(fam), coeffs)
 
         ok, detail, _ = sample_until(rng, build_eq)
         assert ok, detail
 
         def build_cy(r):
             lam = sample_lambda(4, r)
-            coeffs = recursion_coeffs("calabi_yau", 4, 5, lam, 4)
+            coeffs = recursion_coeffs(4, 5, lam, 4)
             fam = zstar_family(HypergeomConfig(4, 5, 4), lam)
             return verify_recursion(z_normalize(fam), coeffs)
 
@@ -133,9 +133,9 @@ def _cy_family(seed: int, order: int):
 
     def build(r):
         lam = sample_lambda(4, r)
-        recursion_coeffs("calabi_yau", 4, 5, lam, order)  # degeneracy probe
+        recursion_coeffs(4, 5, lam, order)  # degeneracy probe
         fam = zstar_family(HypergeomConfig(4, 5, order), lam)
-        classP_extract(fam, order=1)                      # pole probe
+        classP_extract(fam, order=1)        # pole probe
         return lam, fam
 
     return sample_until(rng, build)
@@ -186,7 +186,7 @@ def test_criterion_7_transformation_laws():
 def test_criterion_8_mirror_map_and_prepotential():
     mm = build_mirror_map(4, 5)
     assert mm.g.coeffs[1] == 770
-    check = mirror_identity_check(5)
+    check, = mirror_identity_check(5)
     assert check.passed, check.detail
     sub = transformed_quintic_series(5)
     table = quintic_invariants(5)
@@ -208,8 +208,9 @@ def test_criterion_8_mirror_map_and_prepotential():
 
 def test_criterion_9_descendent_grid():
     for m in (2, 3, 4):
+        sol = fundamental_solution(m, 3)
         for d in (1, 2, 3):
-            got = descendent_value(m, d)
+            got = sol.coeff(0, 0, d)
             want = F(1, factorial(d) ** (m + 1))
             assert got == want, f"(m, d) = ({m}, {d}): {got} != {want}"
     _announce(9, "two-point descendents equal 1/(d!)^(m+1) on the "

@@ -10,8 +10,8 @@ import pytest
 
 from quintic_mirror.errors import DomainError
 from quintic_mirror.hbar import Laurent, Poly, RatFunc
-from quintic_mirror.hypergeom import (HypergeomConfig, descendent_value,
-                                      f_and_g, fundamental_solution,
+from quintic_mirror.hypergeom import (HypergeomConfig, f_and_g,
+                                      fundamental_solution,
                                       hypersurface_operator_residual,
                                       hypersurface_series, zstar_family)
 from quintic_mirror.mixed import HTruncPoly, MixedSeries
@@ -119,14 +119,16 @@ def test_ambient_solution_rejects_negative_dimension(m):
 
 def test_descendent_values_paper_grid():
     for m in (1, 2, 3, 4, 5):
+        sol = fundamental_solution(m, 4)
         for d in (1, 2, 3, 4):
-            assert descendent_value(m, d) == F(1, factorial(d) ** (m + 1))
+            assert sol.coeff(0, 0, d) == F(1, factorial(d) ** (m + 1))
 
 
 def test_descendent_examples():
-    assert descendent_value(4, 1) == 1
-    assert descendent_value(4, 2) == F(1, 32)
-    assert descendent_value(2, 2) == F(1, 8)
+    p4 = fundamental_solution(4, 2)
+    assert p4.coeff(0, 0, 1) == 1
+    assert p4.coeff(0, 0, 2) == F(1, 32)
+    assert fundamental_solution(2, 2).coeff(0, 0, 2) == F(1, 8)
 
 
 def test_configs_with_the_same_fields_are_equal_values():

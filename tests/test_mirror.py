@@ -87,8 +87,8 @@ def test_low_components_are_one_and_t():
 
 
 def test_mirror_identity_passes():
-    assert mirror_identity_check(3).passed
-    assert mirror_identity_check(5).passed
+    assert all(c.passed for order in (3, 5)
+               for c in mirror_identity_check(order))
 
 
 def test_quintic_invariants_series_products(monkeypatch):
@@ -141,7 +141,7 @@ def test_mirror_identity_builds_each_stage_once(monkeypatch):
                         (mirror, "build_mirror_map"),
                         (MixedSeries, "substitute_mirror")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    assert mirror_identity_check(5).passed
+    assert mirror_identity_check(5)[0].passed
     assert sorted(calls) == ["build_mirror_map", "hypersurface_series",
                              "substitute_mirror"]
 
@@ -165,21 +165,24 @@ def test_mirror_identity_fault_injection():
 
 def test_case_i_pairs():
     for m, l in ((5, 3), (4, 2)):
-        assert case_i_check(HypergeomConfig(m, l, 3)).passed
+        assert case_i_check(m, l, 3)[0].passed
 
 
 def test_case_i_rejects_wrong_degree():
     with pytest.raises(DomainError):
-        case_i_check(HypergeomConfig(4, 5, 3))
+        case_i_check(4, 5, 3)
 
 
-def test_case_ii_prefactor_and_identity():
-    W, check = case_ii_check(HypergeomConfig(3, 3, 3))
-    assert check.passed
-    # e^(-6q): the q^1 coefficient of the H^0, t^0 slice moves by -6.
-    assert W.coeff(0, 0, 0) == 1
-    S = hypersurface_series(HypergeomConfig(3, 3, 3))
-    assert W.coeff(0, 0, 1) == S.coeff(0, 0, 1) - 6
+def test_case_ii_prefactor_and_identity(monkeypatch):
+    assert case_ii_check(3, 3, 3)[0].passed
+    # Planted fault: without its e^(-m! q) prefactor the series does not
+    # satisfy the modified identity.
+    real = mirror.exp_prefactor
+    monkeypatch.setattr(mirror, "exp_prefactor",
+                        lambda scalar, order: real(0, order))
+    check, = case_ii_check(3, 3, 3)
+    assert not check.passed
+    assert check.detail == "first nonzero residual at H^0 t^0 q^1: 6"
 
 
 def test_case_checks_detect_perturbation():
@@ -192,7 +195,7 @@ def test_case_checks_detect_perturbation():
 
 
 def test_picard_fuchs_check_passes():
-    assert picard_fuchs_check(4).passed
+    assert picard_fuchs_check(4)[0].passed
 
 
 def test_invariants_reject_bad_order():

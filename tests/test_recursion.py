@@ -14,7 +14,7 @@ from quintic_mirror import recursion, verify
 from quintic_mirror.errors import ClassPViolation, DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import (CorrelatorFamily, HypergeomConfig,
-                                      f_and_g, zstar_family)
+                                      exp_prefactor, f_and_g, zstar_family)
 from quintic_mirror.recursion import (classP_extract, closed_form_E,
                                       composite_inverse_of_zstar,
                                       mod_hbar2, phi_double_correlator,
@@ -46,7 +46,7 @@ _differential = settings(deadline=None, derandomize=True, database=None,
 def cy_setup(rng, m=4, order=3, lam=None):
     def build(r):
         weights = lam if lam is not None else sample_lambda(m, r)
-        coeffs = recursion_coeffs("calabi_yau", m, m + 1, weights, order)
+        coeffs = recursion_coeffs(m, m + 1, weights, order)
         cfg = HypergeomConfig(m, m + 1, order)
         return weights, coeffs, zstar_family(cfg, weights)
     return sample_until(rng, build)
@@ -57,14 +57,14 @@ def test_cy_coefficient_dual_path():
     # coefficient agree, including at the grid point of the reference
     # example.
     lam = tuple(F(i) for i in range(5))
-    kernel = recursion_coeffs("calabi_yau", 4, 5, lam, 1).C[(0, 1, 1)]
+    kernel = recursion_coeffs(4, 5, lam, 1).C[(0, 1, 1)]
     direct = cy_coefficient_direct(4, lam, 0, 1, 1)
     cleared = cy_coefficient_cleared(4, lam, 0, 1, 1)
     assert kernel == direct == cleared
     assert kernel.eval(7) == direct.eval(7) == cleared.eval(7)
     rng = random.Random(31)
     lam = sample_lambda(4, rng)
-    C = recursion_coeffs("calabi_yau", 4, 5, lam, 3).C
+    C = recursion_coeffs(4, 5, lam, 3).C
     for d in (1, 2, 3):
         for j in (1, 3):
             assert (C[(0, j, d)] == cy_coefficient_direct(4, lam, 0, j, d)
@@ -91,7 +91,7 @@ _mixed_weights = st.one_of(
 
 def _same_coefficients(m, l, lam, order):
     regime = regime_of(m, l)
-    got = _outcome(lambda: recursion_coeffs(regime, m, l, lam, order).C)
+    got = _outcome(lambda: recursion_coeffs(m, l, lam, order).C)
     want = _outcome(lambda: oracle_coeffs(regime, m, l, lam, order))
     # Equal dicts, or DegenerateLambda at the same first (i, j, d).
     assert got == want, (regime, lam)
@@ -131,10 +131,10 @@ def test_integer_zstar_matches_fraction_oracle(lam, order, data):
 def test_initial_terms_by_regime():
     rng = random.Random(32)
     lam = sample_lambda(5, rng)
-    sub = recursion_coeffs("sub_m", 5, 3, lam, 3)
+    sub = recursion_coeffs(5, 3, lam, 3)
     assert all(sub.initial[i].is_zero() for i in range(6))
     lam4 = sample_lambda(4, rng)
-    eq = recursion_coeffs("equal_m", 4, 4, lam4, 3)
+    eq = recursion_coeffs(4, 4, lam4, 3)
     for i in range(5):
         denom = F(1)
         for a in range(5):
@@ -145,25 +145,24 @@ def test_initial_terms_by_regime():
         assert eq.initial[i][0] == 0
 
 
-def test_regime_validation():
-    with pytest.raises(DomainError):
-        recursion_coeffs("sub_m", 4, 5, tuple(F(i) for i in range(5)), 2)
-    with pytest.raises(DomainError):
-        recursion_coeffs("bogus", 4, 5, tuple(F(i) for i in range(5)), 2)
-
-
 def test_recursion_sub_m_residual_zero():
+    # The l < m correlators satisfy their recursion unmodified.  Planted
+    # fault: the e^(-m! Q) prefactor, which z_normalize multiplies in only
+    # when l = m, breaks it.
     rng = random.Random(33)
+    pref = exp_prefactor(-factorial(5), 3).map(RatFunc.const)
 
     def build(r):
         lam = sample_lambda(5, r)
-        coeffs = recursion_coeffs("sub_m", 5, 3, lam, 3)
-        fam = zstar_family(HypergeomConfig(5, 3, 3), lam)
-        ok, detail, _ = verify_recursion(z_normalize(fam), coeffs)
-        return ok, detail
+        coeffs = recursion_coeffs(5, 3, lam, 3)
+        z = z_normalize(zstar_family(HypergeomConfig(5, 3, 3), lam))
+        ok, detail, _ = verify_recursion(z, coeffs)
+        planted, _, _ = verify_recursion([e * pref for e in z], coeffs)
+        return ok, detail, planted
 
-    ok, detail = sample_until(rng, build)
+    ok, detail, planted = sample_until(rng, build)
     assert ok, detail
+    assert not planted
 
 
 def test_recursion_equal_m_residual_zero():
@@ -171,10 +170,9 @@ def test_recursion_equal_m_residual_zero():
 
     def build(r):
         lam = sample_lambda(4, r)
-        coeffs = recursion_coeffs("equal_m", 4, 4, lam, 3)
+        coeffs = recursion_coeffs(4, 4, lam, 3)
         fam = zstar_family(HypergeomConfig(4, 4, 3), lam)
-        ok, detail, _ = verify_recursion(
-            z_normalize(fam, modified=True), coeffs)
+        ok, detail, _ = verify_recursion(z_normalize(fam), coeffs)
         return ok, detail
 
     ok, detail = sample_until(rng, build)
@@ -183,14 +181,17 @@ def test_recursion_equal_m_residual_zero():
 
 def test_recursion_equal_m_fails_without_prefactor():
     # The raw correlators do not satisfy the l = m recursion; only the
-    # e^(-m! Q)-modified ones do.
+    # e^(-m! Q)-modified ones that z_normalize returns do.  Planted fault:
+    # e^(m! Q) times those entries, the rescaled raw correlators.
     rng = random.Random(35)
+    undo = exp_prefactor(factorial(4), 2).map(RatFunc.const)
 
     def build(r):
         lam = sample_lambda(4, r)
-        coeffs = recursion_coeffs("equal_m", 4, 4, lam, 2)
+        coeffs = recursion_coeffs(4, 4, lam, 2)
         fam = zstar_family(HypergeomConfig(4, 4, 2), lam)
-        ok, _, _ = verify_recursion(z_normalize(fam, modified=False), coeffs)
+        raw = [e * undo for e in z_normalize(fam)]
+        ok, _, _ = verify_recursion(raw, coeffs)
         return ok
 
     assert sample_until(rng, build) is False
@@ -206,7 +207,8 @@ def test_recursion_fails_with_one_scaled_coefficient(regime, m, l):
     fam = zstar_family(HypergeomConfig(m, l, 3), lam)
     z = z_normalize(fam)
     for key in ((0, 1, 1), (2, 0, 2), (m, 1, 3)):
-        coeffs = recursion_coeffs(regime, m, l, lam, 3)
+        coeffs = recursion_coeffs(m, l, lam, 3)
+        assert coeffs.regime == regime
         assert verify_recursion(z, coeffs)[0]
         coeffs.C[key] = coeffs.C[key] * 2
         ok, detail, _ = verify_recursion(z, coeffs)
