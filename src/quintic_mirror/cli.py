@@ -16,7 +16,8 @@ case-i and case-ii read --m --l --order; recursion-i/-ii/-cy, class-p,
 phi-poly and transformations also read --seed and --lambda.  An option
 not given takes the default in the check's signature, which lies in the
 check's domain, so every bare command runs; without --lambda, weights are
-sampled from --seed.  ``DEFAULTS`` serves ``invariants`` and ``oracle``.
+sampled from --seed.  ``invariants`` computes the quintic in P^4 and
+reads only --order; ``DEFAULTS`` serves it and ``oracle``.
 
 Every process imports this module, so its start-up is part of every
 run.  No stdlib module is imported only for annotations, and ``json`` and
@@ -46,7 +47,7 @@ INTERNAL_ERROR = 3
 CLOSED_STDOUT = 141     # 128 + SIGPIPE, as a shell reports it
 
 # The value an option of invariants or oracle takes when it is not given.
-DEFAULTS = {"m": 4, "l": 5, "order": 6, "seed": 0}
+DEFAULTS = {"order": 6, "seed": 0}
 HELP = {"m": "ambient projective dimension", "l": "hypersurface degree",
         "order": "q-truncation order", "seed": "seed for weight sampling"}
 VERIFY_FLAGS = {"m": "--m", "l": "--l", "order": "--order", "seed": "--seed",
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants",
                            help="genus-0 invariants and virtual counts")
-    ints(p_inv, DEFAULTS, "m", "l", "order")
+    ints(p_inv, DEFAULTS, "order")
     shared(p_inv)
 
     p_ver = sub.add_parser(
@@ -148,11 +149,11 @@ def _csv(rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _format_invariants(table, m: int, l: int, fmt: str) -> str:
+def _format_invariants(table, fmt: str) -> str:
     if fmt == "json":
         import json
         return json.dumps(
-            {"m": m, "l": l,
+            {"m": 4, "l": 5,        # the quintic in P^4
              "rows": [{"d": d, "N": str(N), "n": str(n)}
                       for d, N, n in table.rows()]},
             indent=2, sort_keys=True)
@@ -176,21 +177,16 @@ def _format_checks(checks: list[Check], fmt: str) -> str:
 
 
 def cmd_invariants(args) -> int:
-    if (args.m, args.l) != (4, 5):
-        sys.stderr.write(
-            "invariant extraction is implemented for the quintic in P^4 "
-            "(--m 4 --l 5) only\n")
-        return USAGE_ERROR
     if args.order < 0:
         sys.stderr.write("order must be nonnegative\n")
         return USAGE_ERROR
     if args.order == 0:
-        _emit(_format_invariants(
-            InvariantTable(0, [], []), args.m, args.l, args.format), args.out)
+        _emit(_format_invariants(InvariantTable(0, [], []), args.format),
+              args.out)
         return 0
     table = quintic_invariants(args.order)
     nonint = table.nonintegral_degrees()
-    text = _format_invariants(table, args.m, args.l, args.format)
+    text = _format_invariants(table, args.format)
     if nonint:
         text += f"\nWARNING: non-integral virtual counts at degrees {nonint}"
     _emit(text, args.out)

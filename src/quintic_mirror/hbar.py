@@ -121,8 +121,8 @@ class Poly:
     """content * N, a polynomial in hbar over Q: a ``RatFunc`` with no roots.
 
     ``c``, the Fraction coefficients lowest degree first, is built on each
-    read, for printing, expansions at infinity and the Euclidean
-    ``divmod``/``gcd``; arithmetic never reads it.
+    read, for printing and the Euclidean ``divmod``/``gcd``; arithmetic
+    never reads it.
     """
 
     __slots__ = ("_n", "_content")
@@ -711,38 +711,30 @@ class RatFunc:
         return RatFunc(neg, {(-p, q): k for (p, q), k in self.roots.items()},
                        _content=content)
 
-    def laurent_at_infinity(self, depth: int) -> tuple[Fraction, ...]:
-        """Coefficients of hbar^0, hbar^-1, ..., hbar^-depth at hbar=infinity.
+    def heads_at_infinity(self) -> tuple[Fraction, Fraction]:
+        """The coefficients of hbar^0 and hbar^-1 at hbar = infinity.
 
-        Requires deg(num) <= deg(den); otherwise positive powers of hbar
-        would be present, which this expansion cannot represent.
+        Read from the root form content * N / prod (q hbar - p)^k: with K
+        = sum k, the denominator is prod q^k hbar^K (1 - S/hbar + ...) for
+        S = sum k p/q, so when deg N = K the heads are N_K and N_(K-1) +
+        N_K S over prod q^k, and when deg N = K - 1 they are 0 and N_(K-1).
+        A numerator of degree above K would carry positive hbar powers and
+        raises ``StructureError``.
         """
-        if self.is_zero():
-            return tuple(Fraction(0) for _ in range(depth + 1))
-        n, d = self.num.degree, self.den.degree
-        if n > d:
+        n = self._n
+        if not n:
+            return Fraction(0), Fraction(0)
+        deg, K = len(n) - 1, sum(self.roots.values())
+        if deg > K:
             raise StructureError(
-                f"positive hbar powers present (deg num {n} > deg den {d})")
-        # In u = 1/hbar: num/den = u^{d-n} * rev(num)(u)/rev(den)(u) with
-        # rev(den)(0) = 1 since den is monic.
-        shift = d - n
-        rnum = list(reversed(self.num.c))
-        rden = list(reversed(self.den.c))
-        out = []
-        series: list[Fraction] = []
-        for k in range(depth + 1):
-            if k < shift:
-                out.append(Fraction(0))
-                continue
-            j = k - shift
-            acc = rnum[j] if j < len(rnum) else Fraction(0)
-            for i in range(j):
-                bidx = j - i
-                if bidx < len(rden):
-                    acc -= series[i] * rden[bidx]
-            series.append(acc)
-            out.append(acc)
-        return tuple(out)
+                f"positive hbar powers present (deg num {deg} > deg den {K})")
+        if deg < K - 1:
+            return Fraction(0), Fraction(0)
+        scale = self._content / _q_power(self.roots)
+        if deg < K:
+            return Fraction(0), scale * n[-1]
+        S = sum(Fraction(k * p, q) for (p, q), k in self.roots.items())
+        return scale * n[-1], scale * ((n[-2] if deg else 0) + n[-1] * S)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

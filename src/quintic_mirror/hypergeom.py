@@ -7,8 +7,10 @@ For a degree-l hypersurface in P^m this module builds:
 * the ambient fundamental solution of the small quantum differential
   equation of P^m, at hbar = 1 (see ``fundamental_solution``), whose
   H^0 t^0 q^d coefficients are the two-point descendents 1/(d!)^(m+1);
-* the factorial series F and its harmonic companions G_l;
-* the equivariant hypergeometric correlator family Z*_i at numeric weights.
+* the factorial series F and its harmonic companions G_1 and G_(m+1);
+* the equivariant hypergeometric correlator family Z*_i at numeric weights;
+* the residual of the one operator of all three regimes, whose shift
+  d/dt -> d/dt + m! q is read from (m, l): it is there exactly when l = m.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "f_and_g",
     "zstar_family",
     "hypersurface_operator_residual",
-    "shifted_operator_residual",
 ]
 
 
@@ -130,31 +131,33 @@ def fundamental_solution(m: int, order: int) -> MixedSeries:
     coefficient is its value here times hbar^(-(m+1)d - i), and the
     operator is homogeneous of degree m + 1, so its residual vanishes iff
     its value at hbar = 1 does.  There the operator is (d/dt)^(m+1) - q,
-    ``hypersurface_operator_residual`` at (m + 1, 1).
+    ``hypersurface_operator_residual`` at (m + 1, 1) for m >= 1 (at m = 0
+    that pair has l = m, where the residual takes the d/dt + m! q shift).
     """
     # _make skips the config's checks: order 0 is the degree-0 block, and
     # m < 0 fails at the series' caps.
     return hypersurface_series(HypergeomConfig._make((m + 1, 1, order)))
 
 
-def f_and_g(m: int, l_index: int, order: int) -> tuple[TruncSeries, TruncSeries]:
-    """The factorial-ratio series F and its harmonic-weighted companion G_l.
+def f_and_g(m: int, order: int) -> tuple[TruncSeries, TruncSeries,
+                                         TruncSeries]:
+    """The factorial-ratio series F and its harmonic companions G_1, G_(m+1),
+    the two the mirror map reads, in one pass over d.
 
     F(q)   = sum_d q^d ((m+1)d)! / (d!)^(m+1)
     G_l(q) = sum_{d>=1} q^d ((m+1)d)! / (d!)^(m+1) * sum_{r=1..ld} 1/r
     """
-    if not 1 <= l_index <= m + 1:
-        raise DomainError("need 1 <= l <= m+1")
-    fc = [Fraction(1)]
-    gc = [Fraction(0)]
-    harmonic = Fraction(0)      # sum_{r=1..ld} 1/r, carried from d-1 to d
+    F, G_1, G_top = [Fraction(1)], [Fraction(0)], [Fraction(0)]
+    h1 = htop = Fraction(0)     # sum_{r=1..ld} 1/r, carried from d-1 to d
     for d in range(1, order + 1):
         base = factorial((m + 1) * d) // factorial(d) ** (m + 1)
-        harmonic += sum(Fraction(1, r)
-                        for r in range(l_index * (d - 1) + 1, l_index * d + 1))
-        fc.append(Fraction(base))
-        gc.append(base * harmonic)
-    return TruncSeries(fc, order), TruncSeries(gc, order)
+        h1 += Fraction(1, d)
+        htop += sum(Fraction(1, r)
+                    for r in range((m + 1) * (d - 1) + 1, (m + 1) * d + 1))
+        F.append(Fraction(base))
+        G_1.append(base * h1)
+        G_top.append(base * htop)
+    return tuple(TruncSeries(c, order) for c in (F, G_1, G_top))
 
 
 def zstar_family(cfg: HypergeomConfig,
@@ -200,37 +203,26 @@ def zstar_family(cfg: HypergeomConfig,
 
 def hypersurface_operator_residual(series: MixedSeries, m: int,
                                    l: int) -> MixedSeries:
-    """Residual of (d/dt)^m W - l q prod_{r=1..l-1}(l d/dt + r) W at hbar=1.
+    """Residual of D^m W - l q prod_{r=1..l-1}(l D + r) W at hbar = 1.
 
-    Zero for the hypersurface series when l < m, and (as the classical
-    Picard-Fuchs equation) when l = m + 1.
+    D is d/dt, except when l = m, where it is d/dt + m! q: conjugation by
+    the prefactor e^(-m! q), so W is then e^(-m! q) times the series.  The
+    residual is zero for the hypersurface series when l < m, for that
+    product when l = m, and (as the classical Picard-Fuchs equation) for
+    the series when l = m + 1.
     """
+    shift = factorial(m) if l == m else 0
+
+    def D(w: MixedSeries) -> MixedSeries:
+        return w.ddt() + w.mul_q().scale(shift) if shift else w.ddt()
+
     lhs = series
     for _ in range(m):
-        lhs = lhs.ddt()
+        lhs = D(lhs)
     rhs = series
     for r in range(1, l):
-        rhs = rhs.ddt().scale(l) + rhs.scale(r)
+        rhs = D(rhs).scale(l) + rhs.scale(r)
     rhs = rhs.mul_q().scale(l)
-    return lhs - rhs
-
-
-def shifted_operator_residual(series: MixedSeries, m: int) -> MixedSeries:
-    """Residual of the degree-m (l = m) identity at hbar = 1:
-
-    (d/dt + m! q)^m W  -  m q prod_{r=1..m-1}(m d/dt + m*m! q + r) W,
-
-    to be applied to W = e^(-m! q) * (hypersurface series).
-    """
-    mf = factorial(m)
-    lhs = series
-    for _ in range(m):
-        lhs = lhs.ddt() + lhs.mul_q().scale(mf)
-    rhs = series
-    for r in range(1, m):
-        rhs = (rhs.ddt().scale(m) + rhs.mul_q().scale(m * mf)
-               + rhs.scale(r))
-    rhs = rhs.mul_q().scale(m)
     return lhs - rhs
 
 

@@ -9,7 +9,10 @@ Implements the three degree regimes for a hypersurface of degree l in P^m:
            series, from which the quintic invariants N_d and the virtual
            counts n_d are extracted.
 
-All arithmetic is exact; every identity is checked coefficientwise.
+All three operator identities are one residual,
+``hypersurface_operator_residual``, whose d/dt -> d/dt + m! q shift is
+read from (m, l).  All arithmetic is exact; every identity is checked
+coefficientwise.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from math import comb, factorial
 
 from .errors import ConsistencyError, DomainError
 from .hypergeom import (HypergeomConfig, exp_prefactor, f_and_g,
-                        hypersurface_operator_residual, hypersurface_series,
-                        shifted_operator_residual)
+                        hypersurface_operator_residual, hypersurface_series)
 from .mixed import MixedSeries
 from .report import Check
 from .series import TruncSeries, series_exp, series_reversion
@@ -74,8 +76,7 @@ def build_mirror_map(m: int, order: int) -> MirrorMap:
     """g = (m+1)(G_{m+1} - G_1)/F and the reversion of exp(g)."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    F, G_top = f_and_g(m, m + 1, order)
-    _, G_1 = f_and_g(m, 1, order)
+    F, G_1, G_top = f_and_g(m, order)
     g = (G_top - G_1).scale(m + 1) / F
     w = series_reversion(series_exp(g))
     return MirrorMap(g=g, w=w)
@@ -262,7 +263,7 @@ def case_ii_check(m: int = 4, l: int = 4, order: int = 6) -> list[Check]:
         "case-ii",
         f"(d/dt + {m}! q)^{m} W = {m} q prod_(r<{m})"
         f"({m} d/dt + {m}*{m}! q + r) W",
-        shifted_operator_residual(W, m))]
+        hypersurface_operator_residual(W, m, l))]
 
 
 def picard_fuchs_check(order: int = 6) -> list[Check]:

@@ -175,27 +175,28 @@ def recursion_residuals(z_entries: list[TruncSeries],
     regularity property guarantees to be off every pole; a PoleError here
     means a degenerate weight tuple (resample) or a genuine violation.
 
-    The table of values covers every z_j[e] with e < order at every edge
-    point, although a residual reads z_j[e] at (lam_j - lam_i)/d' only for
-    e <= order - d'.  The unread entries can sit on a pole, and their
+    The table ``values[(i, j, d')][e]`` holds z_j[e] at the point of the
+    edge (i, j, d') for every e < order, although a residual reads it only
+    for e <= order - d'.  The unread entries can sit on a pole, and their
     PoleError is what makes some sampled runs at low order exit 2 (for
     example ``verify recursion-cy --order 3 --seed 5``).  perfbench's test
     of how an exit 2 is counted runs that command, so the table keeps its
-    extent until that test moves to a command that exits 2 by design.
-    Each residual is one pass of the n-ary sum kernel (``RatFunc.lincomb``).
+    extent, and its order (edge by edge, e rising), until that test moves
+    to a command that exits 2 by design.  Each residual is one pass of the
+    n-ary sum kernel (``RatFunc.lincomb``).
     """
     m, lam, order = coeffs.m, coeffs.lam, coeffs.order
-    points = {(i, j, dprime): (lam[j] - lam[i]) / dprime
-              for j in range(m + 1) for i in range(m + 1) if i != j
-              for dprime in range(1, order + 1)}
-    evaluated: dict = {}
-    for (i, j, dprime), point in points.items():
-        for e in range(order):
-            key = (j, e, point)
-            if key not in evaluated:
-                cf = z_entries[j][e]
-                evaluated[key] = (cf.eval(point) if isinstance(cf, RatFunc)
-                                  else Fraction(cf))
+    values = {}
+    for j in range(m + 1):
+        entries = z_entries[j].coeffs[:order]
+        for i in range(m + 1):
+            if i == j:
+                continue
+            for dprime in range(1, order + 1):
+                point = (lam[j] - lam[i]) / dprime
+                values[(i, j, dprime)] = [
+                    cf.eval(point) if isinstance(cf, RatFunc) else Fraction(cf)
+                    for cf in entries]
     one = RatFunc.const(1)
     residuals = {}
     for i in range(m + 1):
@@ -206,8 +207,8 @@ def recursion_residuals(z_entries: list[TruncSeries],
                 if j == i:
                     continue
                 for dprime in range(1, d + 1):
-                    val = evaluated[(j, d - dprime, points[(i, j, dprime)])]
-                    terms.append((-val, coeffs.C[(i, j, dprime)]))
+                    terms.append((-values[(i, j, dprime)][d - dprime],
+                                  coeffs.C[(i, j, dprime)]))
             residuals[(i, d)] = RatFunc.lincomb(terms)
     return residuals
 
@@ -544,8 +545,7 @@ def mod_hbar2(family_entries: list[TruncSeries],
         heads = []
         tails = []
         for d in range(order + 1):
-            c = RatFunc._coerce(entry[d])
-            h0, h1 = c.laurent_at_infinity(1)
+            h0, h1 = RatFunc._coerce(entry[d]).heads_at_infinity()
             heads.append(h0)
             tails.append(h1)
         out.append((TruncSeries(heads, order), TruncSeries(tails, order)))
@@ -558,18 +558,17 @@ def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
     The composite sends a family Y to
         F(q) exp(A_i(q)/hbar) Y_i(q e^(g(q)), hbar),
     with g = (m+1)(G_{m+1} - G_1)/F and
-    A_i = ((m+1) lam_i (G_{m+1} - G_1) + G_1 sum(lam)) / F.
+    A_i = ((m+1) lam_i (G_{m+1} - G_1) + G_1 sum(lam)) / F
+        = lam_i g + sum(lam) G_1/F.
     Applied inversely to Z* it must produce a family that is trivial
     modulo hbar^-2 (constant part 1, 1/hbar part 0).
     """
     m, D, lam = family.m, family.order, family.lam
-    F, G_top = f_and_g(m, m + 1, D)
-    _, G_1 = f_and_g(m, 1, D)
-    gdiff = G_top - G_1
-    g = gdiff.scale(m + 1) / F
+    F, G_1, G_top = f_and_g(m, D)
+    g = (G_top - G_1).scale(m + 1) / F
     w = series_reversion(series_exp(g))
-    total = sum(lam)
-    A = [(gdiff.scale((m + 1) * x) + G_1.scale(total)) / F for x in lam]
+    shared = (G_1 / F).scale(sum(lam))
+    A = [g.scale(x) + shared for x in lam]
     # One call for F, the A_i and the entries: q = sigma(q') = q' w(q').
     F_sigma, *rest = compose_all([F, *A, *family.entries], w.mul_q())
     A_sigma, entries = rest[:len(A)], rest[len(A):]

@@ -16,6 +16,9 @@ from .errors import DegenerateLambda, PoleError
 __all__ = ["sample_lambda", "sample_rational", "sample_series_coeffs",
            "sample_until"]
 
+LAMBDA_SPAN = 40        # height of the weights' offsets
+ATTEMPTS = 60           # builder calls before sample_until gives up
+
 
 def sample_rational(rng: random.Random, span: int = 40,
                     max_den: int = 6, nonzero: bool = False) -> Fraction:
@@ -25,12 +28,12 @@ def sample_rational(rng: random.Random, span: int = 40,
             return value
 
 
-def sample_lambda(m: int, rng: random.Random,
-                  span: int = 40) -> tuple[Fraction, ...]:
+def sample_lambda(m: int, rng: random.Random) -> tuple[Fraction, ...]:
     """m+1 pairwise-distinct small rationals: scaled ladder plus offsets."""
     while True:
         scale = sample_rational(rng, span=12, max_den=4, nonzero=True)
-        lam = tuple(scale * i + sample_rational(rng, span=span, max_den=5)
+        lam = tuple(scale * i
+                    + sample_rational(rng, span=LAMBDA_SPAN, max_den=5)
                     for i in range(m + 1))
         if len(set(lam)) == m + 1:
             return lam
@@ -42,7 +45,7 @@ def sample_series_coeffs(rng: random.Random, order: int, span: int = 9,
             for _ in range(order + 1)]
 
 
-def sample_until(rng: random.Random, builder, attempts: int = 60):
+def sample_until(rng: random.Random, builder):
     """Run ``builder(rng)`` until it succeeds, resampling on degeneracy.
 
     Small-height weight tuples collide with the exceptional sets of the
@@ -51,10 +54,10 @@ def sample_until(rng: random.Random, builder, attempts: int = 60):
     keeping the overall run deterministic for a fixed seed.
     """
     last: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         try:
             return builder(rng)
         except (DegenerateLambda, PoleError) as exc:
             last = exc
     raise DegenerateLambda(
-        f"no nondegenerate sample after {attempts} attempts: {last}")
+        f"no nondegenerate sample after {ATTEMPTS} attempts: {last}")

@@ -47,12 +47,6 @@ def test_invariants_order_zero_empty(capsys):
     assert out.strip().splitlines() == ["d", "N_d", "n_d"] or "N_d" in out
 
 
-def test_invariants_rejects_other_hypersurfaces(capsys):
-    code, _, err = run_cli(capsys, "invariants", "--m", "3", "--l", "4")
-    assert code == 2
-    assert "quintic" in err
-
-
 def test_invariants_json_schema(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--order", "2",
                            "--format", "json")
@@ -179,8 +173,10 @@ def test_oracle_rejects_nonpositive_trials(capsys, trials):
 
 
 @pytest.mark.parametrize("option", [("--seed", "9"), ("--lambda", "1,2"),
-                                    ("--hbar-depth", "3")])
+                                    ("--hbar-depth", "3"), ("--m", "3"),
+                                    ("--l", "4")])
 def test_invariants_rejects_options_it_does_not_read(capsys, option):
+    # invariants computes the quintic in P^4 only, so it reads no --m or --l.
     with pytest.raises(SystemExit) as exc:
         main(["invariants", "--order", "2", *option])
     assert exc.value.code == 2

@@ -94,14 +94,26 @@ def test_eval_at_pole_carries_point():
 
 
 def test_laurent_expansion_geometric():
-    f = RatFunc(Poly([1]), Poly([1, 1]))
-    assert f.laurent_at_infinity(2) == (0, 1, -1)
+    # 1/(h+1) = 1/h - 1/h^2 + ...
+    assert RatFunc(Poly([1]), Poly([1, 1])).heads_at_infinity() == (0, 1)
+    # (h+2)/(h+1) = 1 + 1/(h+1): deg N = K reads N_(K-1) + N_K sum k p/q.
+    assert RatFunc(Poly([2, 1]), Poly([1, 1])).heads_at_infinity() == (1, 1)
+    # 3h/(2h-1)^2 = (3/4)/h + ...: the q^k scale divides the head.
+    f = RatFunc(Poly([0, 3]), Poly([-1, 2])) / Poly([-1, 2])
+    assert f.heads_at_infinity() == (0, Fraction(3, 4))
+    # 6h^2/((2h-1)(h+3)) = 3 - (15/2)/h + ...
+    f = RatFunc(Poly([0, 0, 6]), Poly([-1, 2])) / Poly([3, 1])
+    assert f.heads_at_infinity() == (3, Fraction(-15, 2))
+    assert RatFunc(Poly([5]), {Fraction(1): 2}).heads_at_infinity() == (0, 0)
+    assert RatFunc.const(0).heads_at_infinity() == (0, 0)
+    assert RatFunc.const(Fraction(-2, 3)).heads_at_infinity() == (
+        Fraction(-2, 3), 0)
 
 
 def test_laurent_expansion_rejects_positive_powers():
     f = RatFunc(Poly([0, 0, 1]), Poly([1, 1]))  # h^2/(h+1)
     with pytest.raises(StructureError):
-        f.laurent_at_infinity(2)
+        f.heads_at_infinity()
 
 
 def test_canonical_form_monic_reduced():
@@ -250,8 +262,8 @@ def _agree_with_oracle(x, y, lin, point) -> None:
     assert a + b - b == a
     assert _outcome(lambda: a.eval(point)) == _outcome(
         lambda: a_old.eval(point))
-    assert (_outcome(lambda: a.laurent_at_infinity(3))
-            == _outcome(lambda: a_old.laurent_at_infinity(3)))
+    assert (_outcome(a.heads_at_infinity)
+            == _outcome(lambda: a_old.laurent_at_infinity(1)))
 
 
 @settings(_differential, max_examples=300)

@@ -32,9 +32,9 @@ def test_quintic_period_frozen_values():
 
 
 def test_f_and_g_frozen_values():
-    Fq, G5 = f_and_g(4, 5, 2)
-    _, G1 = f_and_g(4, 1, 2)
+    Fq, G1, G5 = f_and_g(4, 2)
     assert Fq.coeffs == [1, 120, 113400]
+    assert G1.coeffs == [0, 120, 170100]    # 113400 * (1 + 1/2)
     assert G5.coeffs[1] == 274              # 120 * (1 + 1/2 + 1/3 + 1/4 + 1/5)
     assert G5.coeffs[0] == 0 and Fq.coeffs[0] == 1
     assert (G5 - G1).coeffs[1] == 154
@@ -44,7 +44,7 @@ def test_period_zero_is_factorial_series():
     for m in (3, 4):
         cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
-        Fq, _ = f_and_g(m, m + 1, 5)
+        Fq, _, _ = f_and_g(m, 5)
         assert S.t_zero_part(0) == Fq
         # I_0 carries no positive t-powers.
         for k in range(1, S.t_top + 1):
@@ -56,8 +56,7 @@ def test_period_ratio_identity():
     for m in (3, 4):
         cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
-        Fq, G_top = f_and_g(m, m + 1, 5)
-        _, G_1 = f_and_g(m, 1, 5)
+        Fq, G_1, G_top = f_and_g(m, 5)
         i1_t0 = S.t_zero_part(1)
         i1_t1 = TruncSeries(S.c[1][1][:], 5)
         assert i1_t1 == Fq                      # t-part of I_1 is t*I_0

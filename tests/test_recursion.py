@@ -541,8 +541,7 @@ def test_phi_transformation_laws_use_every_z_power():
 def test_mod_hbar2_closed_form_and_triviality():
     rng = random.Random(44)
     lam, _, fam = cy_setup(rng, order=3)
-    Fq, G5 = f_and_g(4, 5, 3)
-    _, G1 = f_and_g(4, 1, 3)
+    Fq, G1, G5 = f_and_g(4, 3)
     total = sum(lam)
     for i, (h0, h1) in enumerate(mod_hbar2(fam.entries, 3)):
         assert h0 == Fq
