@@ -3,10 +3,12 @@
 For a degree-l hypersurface in P^m this module builds:
 
 * the hypersurface series  sum_d e^((H+d)t) prod(lH+r) / prod(H+r)^(m+1)
-  with H^m = 0, whose H^b components are the classical periods I_b(t);
+  with H^m = 0, whose H^b components are the classical periods I_b(t),
+  stored without its factor e^(Ht) (the convention and the grading rule
+  are in ``hypersurface_series``);
 * the ambient fundamental solution of the small quantum differential
   equation of P^m, at hbar = 1 (see ``fundamental_solution``), whose
-  H^0 t^0 q^d coefficients are the two-point descendents 1/(d!)^(m+1);
+  H^0 q^d coefficients are the two-point descendents 1/(d!)^(m+1);
 * the factorial series F and its harmonic companions G_1 and G_(m+1);
 * the equivariant hypergeometric correlator family Z*_i at numeric weights;
 * the residual of the one operator of all three regimes, whose shift
@@ -87,33 +89,42 @@ class CorrelatorFamily:
 def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
     """The series sum_d e^((H+d)t) prod(lH+r)/prod(H+r)^(m+1), q = e^t.
 
+    The e^(Ht) convention: the series is e^(Ht) times
+    W = sum_d q^d prod(lH+r)/prod(H+r)^(m+1), and only W is stored, as a
+    ``MixedSeries`` with X = H.  On e^(Ht) W, d/dt acts as e^(Ht) times
+    (H + q d/dq) W, and the mirror shift t = T - g as e^(HT) times
+    e^(-Hg) W; so an identity that is linear in e^(Ht) W holds iff it
+    holds for W, and the H^i t^0 q^d coefficient of e^(Ht) W is W's
+    H^i q^d coefficient.
+
+    Grading rule: with hbar restored, the series is
+    sum_d e^((H/hbar+d)t) prod(lH+r hbar)/prod(H+r hbar)^(m+1).  Give
+    hbar and H degree 1, q degree m + 1 - l, and t degree 0.  Every term
+    then has degree 0, so W's H^i q^d coefficient is its value at
+    hbar = 1, stored here, times hbar^((l-m-1)d - i).
+
     On the hypersurface H^m = 0, so each degree's block is a power series
-    in H truncated at h_top = m - 1: a ``TruncSeries`` in H, whose
-    product and quotient over Q take the integer kernels of ``series``.
-    Returned as a MixedSeries with that h_top and t_top = h_top (the
-    t-degree never exceeds the H-degree because t only enters through
-    e^(Ht)).  The degree-d block prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1)
-    is the degree-(d-1) block times the integer polynomial
+    in H truncated at top = m - 1: a ``TruncSeries`` in H, whose product
+    and quotient over Q take the integer kernels of ``series``.  The
+    degree-d block prod_{r<=ld}(lH+r) / prod_{r<=d}(H+r)^(m+1) is the
+    degree-(d-1) block times the integer polynomial
     prod_{l(d-1)<r<=ld}(lH+r), divided by the integer polynomial
     (H+d)^(m+1) = sum_j C(m+1, j) d^(m+1-j) H^j, both truncated mod H^m:
     one product and one division per degree.
     """
     m, l = cfg.m, cfg.l
-    h_top = m - 1
-    out = MixedSeries(h_top, h_top, cfg.order)
-    block = TruncSeries.constant(Fraction(1), h_top)
+    top = m - 1
+    out = MixedSeries(top, cfg.order)
+    block = TruncSeries.constant(Fraction(1), top)
     for d in range(cfg.order + 1):
         if d:
             rs = range(l * (d - 1) + 1, l * d + 1)
             num = mul_linear((1,), {(-r, l): 1 for r in rs})[:m]
             den = [comb(m + 1, j) * d ** (m + 1 - j) for j in range(m)]
-            block = block * TruncSeries(num, h_top) / TruncSeries(den, h_top)
-        # e^(Ht) * block: coefficient of H^i t^k is block[i-k]/k!.
-        for i in range(h_top + 1):
-            for k in range(i + 1):
-                v = block[i - k]
-                if v != 0:
-                    out.c[i][k][d] = v / factorial(k)
+            block = block * TruncSeries(num, top) / TruncSeries(den, top)
+        for i, v in enumerate(block.coeffs):
+            if v != 0:
+                out.c[i][d] = v
     return out
 
 
@@ -123,16 +134,17 @@ def fundamental_solution(m: int, order: int) -> MixedSeries:
     It is sum_d e^((H/hbar+d)t) / prod_{r<=d}(H+r*hbar)^(m+1) with
     H^(m+1) = 0.  Hyperplane identity: at hbar = 1 this is the series of a
     degree-1 hypersurface in P^(m+1), whose numerator prod_{r<=d}(H+r)
-    cancels one power of the denominator and whose h_top = m is the
-    nilpotency of H on P^m.
+    cancels one power of the denominator and whose top = m is the
+    nilpotency of H on P^m.  It is returned in the e^(Ht) convention of
+    ``hypersurface_series``, whose grading rule at (m + 1, 1) puts hbar
+    back: the H^i q^d coefficient is its value here times
+    hbar^(-(m+1)d - i).
 
-    Grading rule: give hbar and H degree 1, q degree m + 1, and t degree
-    0.  Every term of the solution then has degree 0, so the H^i t^k q^d
-    coefficient is its value here times hbar^(-(m+1)d - i), and the
-    operator is homogeneous of degree m + 1, so its residual vanishes iff
-    its value at hbar = 1 does.  There the operator is (d/dt)^(m+1) - q,
-    ``hypersurface_operator_residual`` at (m + 1, 1) for m >= 1 (at m = 0
-    that pair has l = m, where the residual takes the d/dt + m! q shift).
+    The operator is homogeneous of degree m + 1 under that grading, so
+    its residual vanishes iff its value at hbar = 1 does.  There the
+    operator is (d/dt)^(m+1) - q, ``hypersurface_operator_residual`` at
+    (m + 1, 1) for m >= 1 (at m = 0 that pair has l = m, where the
+    residual takes the d/dt + m! q shift).
     """
     # _make skips the config's checks: order 0 is the degree-0 block, and
     # m < 0 fails at the series' caps.
@@ -205,16 +217,19 @@ def hypersurface_operator_residual(series: MixedSeries, m: int,
                                    l: int) -> MixedSeries:
     """Residual of D^m W - l q prod_{r=1..l-1}(l D + r) W at hbar = 1.
 
-    D is d/dt, except when l = m, where it is d/dt + m! q: conjugation by
-    the prefactor e^(-m! q), so W is then e^(-m! q) times the series.  The
-    residual is zero for the hypersurface series when l < m, for that
-    product when l = m, and (as the classical Picard-Fuchs equation) for
-    the series when l = m + 1.
+    W stands for e^(Ht) W (see ``hypersurface_series``), on which d/dt
+    is H + q d/dq, so the residual R stands for e^(Ht) R and is zero iff
+    R is.  D is d/dt, except when l = m, where it is d/dt + m! q:
+    conjugation by the prefactor e^(-m! q), so W is then e^(-m! q) times
+    the series.  The residual is zero for the hypersurface series when
+    l < m, for that product when l = m, and (as the classical
+    Picard-Fuchs equation) for the series when l = m + 1.
     """
     shift = factorial(m) if l == m else 0
 
     def D(w: MixedSeries) -> MixedSeries:
-        return w.ddt() + w.mul_q().scale(shift) if shift else w.ddt()
+        dw = w.mul_x() + w.q_ddq()
+        return dw + w.mul_q().scale(shift) if shift else dw
 
     lhs = series
     for _ in range(m):

@@ -11,14 +11,17 @@ Implements the three degree regimes for a hypersurface of degree l in P^m:
 
 All three operator identities are one residual,
 ``hypersurface_operator_residual``, whose d/dt -> d/dt + m! q shift is
-read from (m, l).  All arithmetic is exact; every identity is checked
+read from (m, l).  Every series here is stored without its factor e^(Ht)
+(or e^(HT) after the mirror change of variables; see
+``hypersurface_series``), so the quintic identities are read at t^0 and
+T^0.  All arithmetic is exact; every identity is checked
 coefficientwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import ConsistencyError, DomainError
 from .hypergeom import (HypergeomConfig, exp_prefactor, f_and_g,
@@ -107,22 +110,24 @@ def multiple_cover_sum(n: list[Fraction]) -> list[Fraction]:
 
 
 def _quintic_stages(order: int) -> tuple[MixedSeries, MirrorMap, MixedSeries]:
-    """J = S/I_0, the mirror map, and J after the mirror change of variables.
+    """L = S/I_0, the mirror map, and L after the mirror change of variables.
 
     Every quintic computation starts from these three stages; each is
-    built once here.
+    built once here.  L stands for J = e^(Ht) L, the substituted K for
+    e^(HT) K (see ``hypersurface_series``).
     """
     S = hypersurface_series(HypergeomConfig.quintic(order))
-    J = S.div_qseries(S.t_zero_part(0))
+    L = S.div_qseries(S.row(0))
     mm = build_mirror_map(4, order)
-    return J, mm, J.substitute_mirror(mm.g, mm.w)
+    return L, mm, L.substitute_mirror(mm.g, mm.w)
 
 
 def transformed_quintic_series(order: int) -> MixedSeries:
-    """J_b = I_b/I_0 after the mirror change of variables, in (T, q').
+    """K = (e^(-Hg) I/I_0) o q(q'), which stands for e^(HT) K in (T, q').
 
-    The H^0..H^3 components are the A-model data: 1, T, and the two
-    derivative combinations of the prepotential.
+    The H^0..H^3 components of e^(HT) K are the A-model data: 1, T, and
+    the two derivative combinations of the prepotential.  So K_0 = 1,
+    K_1 = 0, K_2 = (1/5) sum_d d N_d q'^d and K_3 = -(2/5) sum_d N_d q'^d.
     """
     return _quintic_stages(order)[2]
 
@@ -135,94 +140,74 @@ def quintic_invariants(order: int) -> InvariantTable:
 
 
 def _extract_invariants(sub: MixedSeries) -> InvariantTable:
-    """N_d and n_d from the transformed quintic series.
+    """N_d and n_d from the transformed quintic series K.
 
-    The H^2 component must equal T^2/2 + (1/5) sum_d d N_d q'^d; any
-    residue outside that shape is a pipeline inconsistency and raises.
+    The H^0, H^1 and H^2 components of e^(HT) K are K_0, T K_0 + K_1 and
+    T^2/2 K_0 + T K_1 + K_2.  They must be 1, T and
+    T^2/2 + (1/5) sum_d d N_d q'^d, so K_0 = 1, K_1 = 0 and K_2 has no
+    constant term; anything else is a pipeline inconsistency and raises.
     """
     order = sub.order
-    _check_low_components(sub)
-    h2 = sub.h_component(2)
-    expected_t2 = Fraction(1, 2)
-    for k in range(h2.t_top + 1):
-        for d in range(order + 1):
-            v = h2.coeff(0, k, d)
-            if k == 2 and d == 0:
-                if v != expected_t2:
-                    raise ConsistencyError(f"T^2 coefficient is {v}, not 1/2")
-            elif k == 0:
-                continue
-            elif v != 0:
-                raise ConsistencyError(
-                    f"unexpected T^{k} q'^{d} residue {v} in H^2 component")
-    if h2.coeff(0, 0, 0) != 0:
+    if sub.row(0) != TruncSeries.one(order):
+        raise ConsistencyError("H^0 component of the mirror series is not 1")
+    if not sub.row(1).is_zero():
+        raise ConsistencyError("H^1 component of the mirror series is not T")
+    if sub.coeff(2, 0) != 0:
         raise ConsistencyError("H^2 component has a constant term")
-    N = [Fraction(5, d) * h2.coeff(0, 0, d) for d in range(1, order + 1)]
+    N = [Fraction(5, d) * sub.coeff(2, d) for d in range(1, order + 1)]
     n = multiple_cover_invert(N)
     return InvariantTable(degree_max=order, N=N, n=n)
 
 
-def _check_low_components(sub: MixedSeries) -> None:
-    order = sub.order
-    want_h0 = MixedSeries.constant(Fraction(1), 0, sub.t_top, order)
-    if sub.h_component(0) != want_h0:
-        raise ConsistencyError("H^0 component of the mirror series is not 1")
-    want_h1 = MixedSeries(0, sub.t_top, order)
-    want_h1.set_coeff(0, 1, 0, Fraction(1))
-    if sub.h_component(1) != want_h1:
-        raise ConsistencyError("H^1 component of the mirror series is not T")
+def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> TruncSeries:
+    """The t^0 part of F(T(t)) = 5T^3/6 + sum N_d e^(dT) in the (t, q)
+    variables: 5g^3/6 + sum N_d (q exp(g(q)))^d.
 
-
-def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> MixedSeries:
-    """F(T(t)) = 5T^3/6 + sum N_d e^(dT) written in the (t, q) variables.
-
-    Uses T = t + g(q) and e^(dT) = (q exp(g(q)))^d.
+    Uses T = t + g(q) and e^(dT) = (q exp(g(q)))^d at t = 0.
     """
     g = mm.g
-    D = g.order
-    g_pows = g.powers(3)
-    # 5(t+g)^3/6 expanded in powers of t with q-series coefficients.
-    rows = [g_pows[3 - j].scale(Fraction(5 * comb(3, j), 6)) for j in range(4)]
-    instantons = TruncSeries([0] + table.N, D).compose(series_exp(g).mul_q())
-    rows[0] = rows[0] + instantons
-    return MixedSeries(0, 3, D, [[row.coeffs for row in rows]])
+    instantons = TruncSeries([0] + table.N, g.order).compose(
+        series_exp(g).mul_q())
+    return (g ** 3).scale(Fraction(5, 6)) + instantons
+
+
+def _first_mismatch(at: str, delta: TruncSeries) -> str:
+    """The first nonzero coefficient of ``delta``, in the variable ``at``."""
+    d, v = next((d, v) for d, v in enumerate(delta.coeffs) if v != 0)
+    return f"first mismatch at {at}^{d}: {v}"
 
 
 def mirror_identity_check(order: int = 6) -> list[Check]:
     """The prepotential identity and the H^3 consistency check.
 
-    Verifies F(T(t)) = (5/2)(J_1 J_2 - J_3) coefficientwise, and that the
-    H^3 component of the transformed series equals
-    (1/5) T dF/dT - (2/5) F = T^3/6 + sum N_d (dT - 2)/5 q'^d.
+    Verifies F(T(t)) = (5/2)(J_1 J_2 - J_3) coefficientwise.  With
+    J = e^(Ht) L its t^0 part is 5g^3/6 + sum N_d (q e^g)^d =
+    (5/2)(L_1 L_2 - L_3); its t^1..t^3 parts reduce to g = L_1, which
+    K_1 = 0 in the extraction already checks.  The H^3 component of
+    e^(HT) K must equal (1/5) T dF/dT - (2/5) F =
+    T^3/6 + sum N_d (dT - 2)/5 q'^d; given K_0, K_1 and K_2 that is
+    K_3 = -(2/5) sum N_d q'^d.  A mismatch is reported where it sits in
+    the (t, q) and (T, q') expansions: at t^0 and at T^0.
     """
-    J, mm, sub = _quintic_stages(order)
+    L, mm, sub = _quintic_stages(order)
     table = _extract_invariants(sub)
-    lhs = prepotential_in_t(mm, table)
-    J1, J2, J3 = (J.h_component(b) for b in (1, 2, 3))
-    rhs = (J1 * J2 - J3).scale(Fraction(5, 2))
-    delta = lhs - rhs
+    L1, L2, L3 = (L.row(b) for b in (1, 2, 3))
+    delta = prepotential_in_t(mm, table) - (L1 * L2 - L3).scale(
+        Fraction(5, 2))
     if not delta.is_zero():
-        bad = delta.first_nonzero()
         return [Check(
             name="mirror-identity",
             identity="F(T(t)) = (5/2)(J1 J2 - J3)",
             passed=False,
-            detail=f"first mismatch at t^{bad[1]} q^{bad[2]}: {bad[3]}")]
-    # H^3 closed form.
-    h3 = sub.h_component(3)
-    want = MixedSeries(0, sub.t_top, order)
-    want.set_coeff(0, 3, 0, Fraction(1, 6))
-    for d in range(1, order + 1):
-        Nd = table.N[d - 1]
-        want.c[0][1][d] = Fraction(d, 5) * Nd
-        want.c[0][0][d] = Fraction(-2, 5) * Nd
-    if h3 != want:
-        bad = (h3 - want).first_nonzero()
+            detail=_first_mismatch("t^0 q", delta))]
+    want = TruncSeries([0] + [Fraction(-2, 5) * Nd for Nd in table.N], order)
+    delta = sub.row(3) - want
+    if not delta.is_zero():
         return [Check(
             name="mirror-identity",
             identity="H^3 component = (1/5) T dF/dT - (2/5) F",
             passed=False,
-            detail=f"first mismatch at T^{bad[1]} q'^{bad[2]}: {bad[3]}")]
+            detail=_first_mismatch("T^0 q'", delta))]
     return [Check(
         name="mirror-identity",
         identity="F(T(t)) = (5/2)(J1 J2 - J3); H^3 = (1/5)T dF/dT - (2/5)F",
@@ -237,9 +222,11 @@ def residual_check(name: str, identity: str,
     if residual.is_zero():
         return Check(name=name, identity=identity, passed=True,
                      detail="residual identically zero")
-    i, k, d, v = residual.first_nonzero()
+    # The residual R stands for e^(Ht) R, whose first nonzero coefficient
+    # is R's first, at t^0.
+    i, d, v = residual.first_nonzero()
     return Check(name=name, identity=identity, passed=False,
-                 detail=f"first nonzero residual at H^{i} t^{k} q^{d}: {v}")
+                 detail=f"first nonzero residual at H^{i} t^0 q^{d}: {v}")
 
 
 def case_i_check(m: int = 5, l: int = 3, order: int = 6) -> list[Check]:

@@ -1,4 +1,4 @@
-"""Nilpotent-H polynomials and the (H, t, q) mixed series ring.
+"""Nilpotent-H polynomials and the two-graded (X, q) mixed series ring.
 
 ``HTruncPoly`` models the cohomology presentation with H nilpotent:
 multiplication simply discards every term of H-degree above the cap.
@@ -6,20 +6,22 @@ No pipeline code calls it: the hypersurface series, the ambient solution
 among them, builds its H-blocks as ``TruncSeries`` in H.  It is kept for
 the benchmark's layer binding and as the tests' reference route.
 
-``MixedSeries`` models elements of H*[t][[q]] with q = e^t: a finite
-array of coefficients ``c[i][k][d]`` for H^i t^k q^d.  The derivative
-in t obeys the chain rule d/dt (t^k q^d) = k t^{k-1} q^d + d t^k q^d.
-Scalars may be Fraction or RatFunc.
-The double correlator Phi(z, q) is carried with h_top = 0 and z in the
-t slot; z and q are independent there, so ``ddt`` (d/dt with q = e^t)
-is not d/dz.
+``MixedSeries`` models elements of Q[X]/(X^(top+1)) [[q]]: a finite
+array of coefficients ``c[i][d]`` for X^i q^d.  Scalars may be Fraction
+or RatFunc.  It serves two concepts:
+
+* the hypersurface side, with X = H: a series W stands for e^(Ht) W
+  with q = e^t, so no t axis is stored, d/dt acts on W as H + q d/dq
+  (``mul_x`` and ``q_ddq``), and the mirror change of variables
+  t = T - g multiplies W by e^(-Hg) (``substitute_mirror``);
+* the double correlator Phi(z, q), with X = z.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 from .errors import DomainError, OrderMismatch
 from .series import TruncSeries, compose_all
@@ -163,52 +165,48 @@ def _add_row(acc: list, row, scale=1) -> None:
 
 
 class MixedSeries:
-    """Triple-graded truncated element: sum c[i][k][d] H^i t^k q^d.
+    """Two-graded truncated element: sum c[i][d] X^i q^d with X^(top+1) = 0.
 
-    ``h_top``/``t_top`` are the largest retained exponents (inclusive),
-    ``order`` the q-truncation.  Multiplication truncates in all three
-    gradings; H-truncation is the nilpotency H^(h_top+1) = 0, while the
-    t and q caps must be chosen by the caller to absorb the result.
-    The t slot may hold any variable independent of H and q (z for the
-    double correlator, with h_top = 0); only ``ddt`` and
-    ``substitute_mirror`` read it as t with q = e^t.
+    ``top`` is the largest retained X-exponent and ``order`` the
+    q-truncation (both inclusive).  Multiplication truncates in both
+    gradings; the X cap is a nilpotency, while the q cap must be chosen
+    by the caller to absorb the result.  Only ``substitute_mirror`` reads
+    X as H with the factor e^(Ht) implicit (see
+    ``hypergeom.hypersurface_series``).
     """
 
-    __slots__ = ("c", "h_top", "t_top", "order")
+    __slots__ = ("c", "top", "order")
 
-    def __init__(self, h_top: int, t_top: int, order: int, coeffs=None):
-        if h_top < 0 or t_top < 0 or order < 0:
+    def __init__(self, top: int, order: int, coeffs=None):
+        if top < 0 or order < 0:
             raise DomainError("caps must be nonnegative")
-        self.h_top = h_top
-        self.t_top = t_top
+        self.top = top
         self.order = order
         if coeffs is None:
-            self.c = [[[0] * (order + 1) for _ in range(t_top + 1)]
-                      for _ in range(h_top + 1)]
+            self.c = [[0] * (order + 1) for _ in range(top + 1)]
         else:
             self.c = coeffs
 
     @classmethod
-    def constant(cls, value, h_top: int, t_top: int, order: int):
-        out = cls(h_top, t_top, order)
-        out.c[0][0][0] = value
+    def constant(cls, value, top: int, order: int):
+        out = cls(top, order)
+        out.c[0][0] = value
         return out
 
     def clone(self) -> "MixedSeries":
-        return MixedSeries(
-            self.h_top, self.t_top, self.order,
-            [[row[:] for row in plane] for plane in self.c])
+        return MixedSeries(self.top, self.order, [row[:] for row in self.c])
 
-    def coeff(self, i: int, k: int, d: int):
-        if i > self.h_top or k > self.t_top or d > self.order:
+    def coeff(self, i: int, d: int):
+        if i > self.top or d > self.order:
             return 0
-        return self.c[i][k][d]
+        return self.c[i][d]
 
-    def set_coeff(self, i, k, d, value) -> None:
-        self.c[i][k][d] = value
+    def row(self, i: int) -> TruncSeries:
+        """The X^i coefficient, as a q-series."""
+        return TruncSeries(self.c[i][:], self.order)
 
-    def caps(self) -> tuple[int, int, int]:
-        return (self.h_top, self.t_top, self.order)
+    def caps(self) -> tuple[int, int]:
+        return (self.top, self.order)
 
     def _check(self, other: "MixedSeries") -> None:
         if self.caps() != other.caps():
@@ -216,51 +214,43 @@ class MixedSeries:
                 f"caps mismatch: {self.caps()} vs {other.caps()}")
 
     def _rows(self):
-        """(i, k, row) for every (H^i, t^k) row with a nonzero entry."""
-        return [(i, k, row) for i, plane in enumerate(self.c)
-                for k, row in enumerate(plane)
+        """(i, row) for every X^i row with a nonzero entry."""
+        return [(i, row) for i, row in enumerate(self.c)
                 if any(x != 0 for x in row)]
 
     def __add__(self, other):
         self._check(other)
         out = self.clone()
-        for i, k, row in other._rows():
-            _add_row(out.c[i][k], row)
+        for i, row in other._rows():
+            _add_row(out.c[i], row)
         return out
 
     def __sub__(self, other):
         self._check(other)
         out = self.clone()
-        for i, k, row in other._rows():
-            _add_row(out.c[i][k], row, -1)
+        for i, row in other._rows():
+            _add_row(out.c[i], row, -1)
         return out
 
     def __neg__(self):
-        out = self.clone()
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                out.c[i][k] = [-x for x in out.c[i][k]]
-        return out
+        return self.scale(-1)
 
     def __mul__(self, other):
         """Each pair of nonzero rows is one ``TruncSeries`` product in q."""
         self._check(other)
         D = self.order
-        out = MixedSeries(self.h_top, self.t_top, D)
-        right = [(i, k, TruncSeries(row, D)) for i, k, row in other._rows()]
-        for i1, k1, row1 in self._rows():
+        out = MixedSeries(self.top, D)
+        right = [(i, TruncSeries(row, D)) for i, row in other._rows()]
+        for i1, row1 in self._rows():
             a = TruncSeries(row1, D)
-            for i2, k2, b in right:
-                if i1 + i2 <= self.h_top and k1 + k2 <= self.t_top:
-                    _add_row(out.c[i1 + i2][k1 + k2], (a * b).coeffs)
+            for i2, b in right:
+                if i1 + i2 <= self.top:
+                    _add_row(out.c[i1 + i2], (a * b).coeffs)
         return out
 
     def scale(self, scalar) -> "MixedSeries":
-        out = self.clone()
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                out.c[i][k] = [scalar * x for x in out.c[i][k]]
-        return out
+        return MixedSeries(self.top, self.order,
+                           [[scalar * x for x in row] for row in self.c])
 
     def mul_qseries(self, s: TruncSeries) -> "MixedSeries":
         """Multiply by a pure q-series (Cauchy product in q only).
@@ -270,60 +260,40 @@ class MixedSeries:
         if s.order != self.order:
             raise OrderMismatch(
                 f"q-order mismatch: {self.order} vs {s.order}")
-        out = MixedSeries(self.h_top, self.t_top, self.order)
-        for i, k, row in self._rows():
-            out.c[i][k] = (TruncSeries(row, self.order) * s).coeffs
+        out = MixedSeries(self.top, self.order)
+        for i, row in self._rows():
+            out.c[i] = (TruncSeries(row, self.order) * s).coeffs
         return out
 
     def div_qseries(self, s: TruncSeries) -> "MixedSeries":
         return self.mul_qseries(TruncSeries.one(s.order) / s)
 
     def mul_q(self) -> "MixedSeries":
-        """Multiply by q = e^t (shift q-order up; the top order falls off)."""
-        out = MixedSeries(self.h_top, self.t_top, self.order)
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                row = self.c[i][k]
-                out.c[i][k] = [0] + row[: self.order]
-        return out
+        """Multiply by q (shift q-order up; the top order falls off)."""
+        return MixedSeries(self.top, self.order,
+                           [[0] + row[: self.order] for row in self.c])
 
-    def ddt(self) -> "MixedSeries":
-        """d/dt with q = e^t: t^k q^d -> k t^(k-1) q^d + d t^k q^d."""
-        out = MixedSeries(self.h_top, self.t_top, self.order)
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                row = self.c[i][k]
-                for d in range(self.order + 1):
-                    a = row[d]
-                    if a == 0:
-                        continue
-                    if k > 0:
-                        out.c[i][k - 1][d] = out.c[i][k - 1][d] + k * a
-                    if d > 0:
-                        out.c[i][k][d] = out.c[i][k][d] + d * a
-        return out
+    def mul_x(self) -> "MixedSeries":
+        """Multiply by X (shift X-degree up; the top row falls off)."""
+        return MixedSeries(self.top, self.order,
+                           [[0] * (self.order + 1)]
+                           + [row[:] for row in self.c[: self.top]])
 
-    def h_component(self, i: int) -> "MixedSeries":
-        """The H^i coefficient as an (t, q) series (h_top = 0)."""
-        out = MixedSeries(0, self.t_top, self.order)
-        out.c[0] = [row[:] for row in self.c[i]]
-        return out
-
-    def t_zero_part(self, i: int) -> TruncSeries:
-        """The t^0 part of the H^i component, as a q-series."""
-        return TruncSeries(self.c[i][0][:], self.order)
+    def q_ddq(self) -> "MixedSeries":
+        """q d/dq: X^i q^d -> d X^i q^d."""
+        return MixedSeries(self.top, self.order,
+                           [[d * x for d, x in enumerate(row)]
+                            for row in self.c])
 
     def is_zero(self) -> bool:
-        return all(x == 0
-                   for plane in self.c for row in plane for x in row)
+        return all(x == 0 for row in self.c for x in row)
 
     def first_nonzero(self):
-        """(i, k, d, value) of the first nonzero coefficient, or None."""
-        for i in range(self.h_top + 1):
-            for k in range(self.t_top + 1):
-                for d in range(self.order + 1):
-                    if self.c[i][k][d] != 0:
-                        return (i, k, d, self.c[i][k][d])
+        """(i, d, value) of the first nonzero coefficient, or None."""
+        for i, row in enumerate(self.c):
+            for d, x in enumerate(row):
+                if x != 0:
+                    return (i, d, x)
         return None
 
     def __eq__(self, other):
@@ -332,28 +302,25 @@ class MixedSeries:
         return self.caps() == other.caps() and (self - other).is_zero()
 
     def __repr__(self):
-        return (f"MixedSeries(h_top={self.h_top}, t_top={self.t_top}, "
-                f"order={self.order})")
+        return f"MixedSeries(top={self.top}, order={self.order})"
 
     def substitute_mirror(self, g: TruncSeries, w: TruncSeries) -> "MixedSeries":
-        """Change of variables t = T - g(q(q')), q = q'*w(q').
+        """Change of variables t = T - g(q(q')), q = q(q') = q'*w(q') on
+        the series e^(Ht) M that this M stands for (X = H).
 
         ``g`` is the additive shift (g(0) = 0) and ``w`` the reversion
-        factor with q'*w(q')*exp(g(q'*w(q'))) = q'.  The result is a
-        MixedSeries in (T, q') with the same caps; the substitution
-        preserves q-adic order and t-degree, so nothing is lost.
+        factor with q'*w(q')*exp(g(q'*w(q'))) = q'.  Since
+        e^(Ht) = e^(HT) e^(-Hg), the result is the series K that stands
+        for e^(HT) K:
 
-        Composing with q(q') is a ring homomorphism of series truncated
-        at the order, since q(q') has zero constant term.  So the t-shift
-        is done in q first, and each output row is composed afterwards:
+            K = (e^(-Hg) M) o q(q'),   e^(-Hg) = sum_k (-g)^k/k! H^k,
 
-            row(H^i, T^j)
-                = [sum_(k>=j) C(k, j) (-g)^(k-j) row(H^i, t^k)] o q(q').
-
-        A shifted row that is zero or constant needs no composition (for
-        the quintic J, J_1 = g makes three rows vanish and four are
-        constants), and the others go through one ``compose_all`` call,
-        which packs each power of q(q') once for all of them.
+        with the same caps; composing with q(q') preserves q-adic order,
+        so nothing is lost.  e^(-Hg) M is one ``MixedSeries`` product; a
+        row of it that is zero or constant needs no composition (for the
+        quintic J, rows H^0 and H^1 are 1 and 0), and the others go
+        through one ``compose_all`` call, which packs each power of
+        q(q') once for all of them.
         """
         if g.order != self.order or w.order != self.order:
             raise OrderMismatch("mirror substitution needs matching orders")
@@ -362,19 +329,14 @@ class MixedSeries:
         if w.coeffs[0] != 1:
             raise DomainError("reversion factor must have constant term 1")
         D = self.order
-        g_pows = g.powers(self.t_top)
-        out = MixedSeries(self.h_top, self.t_top, D)
-        for i, k, row in self._rows():
-            row = TruncSeries(row, D)
-            for j in range(k + 1):
-                term = row * g_pows[k - j] if j < k else row
-                _add_row(out.c[i][j], term.coeffs,
-                         comb(k, j) * (-1) ** (k - j))
-        pending = [(i, j, row) for i, j, row in out._rows()
+        exp_g = [p.scale(Fraction((-1) ** k, factorial(k))).coeffs
+                 for k, p in enumerate(g.powers(self.top))]
+        out = self * MixedSeries(self.top, D, exp_g)
+        pending = [(i, row) for i, row in out._rows()
                    if any(x != 0 for x in row[1:])]
         if pending:
             composed = compose_all(                 # into q(q') = q' w(q')
-                [TruncSeries(row, D) for _, _, row in pending], w.mul_q())
-            for (i, j, _), row in zip(pending, composed):
-                out.c[i][j] = row.coeffs
+                [TruncSeries(row, D) for _, row in pending], w.mul_q())
+            for (i, _), row in zip(pending, composed):
+                out.c[i] = row.coeffs
         return out

@@ -10,7 +10,7 @@ fixed numeric weight tuple.  This module:
 * extracts the class-P data: numerator polynomials N_id, the two-variable
   interpolants E_d (the closed form below the first degree whose numerators
   leave theirs, interpolated from there on), and the double correlator Phi
-  (a ``MixedSeries`` with z in its t slot),
+  (a ``MixedSeries`` with X = z),
 * implements the three admissible transformations and their predicted
   effect on Phi.
 """
@@ -392,8 +392,8 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
         sum_i w_i sum_{d1+d2=e} (lam_i + d1 hbar)^k / k!
               Y_i[d1](hbar) Y_i[d2](-hbar).
 
-    Returned as a ``MixedSeries`` with h_top = 0 and z in the t slot:
-    ``c[0][k][e]`` is the z^k q^e coefficient.
+    Returned as a ``MixedSeries`` with X = z: ``c[k][e]`` is the z^k q^e
+    coefficient.
 
     For a q-order e the terms Y_i[d1](hbar) Y_i[e-d1](-hbar) are the same
     for every z-power; only their multipliers w_i (lam_i + d1 hbar)^k
@@ -417,7 +417,7 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
     pos = {i: [RatFunc._coerce(Y[i][d]) for d in range(q_order + 1)]
            for i in live}
     neg = {i: [y.subs_neg() for y in pos[i]] for i in live}
-    out = MixedSeries(0, z_order, q_order)
+    out = MixedSeries(z_order, q_order)
     for e in range(q_order + 1):
         terms, lins, row = [], [], []
         for i in live:
@@ -429,19 +429,19 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
                     row.append(Poly.const(weights[i]))
         lifted = Lifted(terms)
         for k in range(z_order + 1):
-            out.c[0][k][e] = lifted.combine(row) / factorial(k)
+            out.c[k][e] = lifted.combine(row) / factorial(k)
             row = [x * lin for x, lin in zip(row, lins)]
     return out
 
 
 def _shifted_qseries(f: TruncSeries, z_top: int) -> MixedSeries:
     """f(q e^(z hbar)): the q^e term spreads into (e hbar)^k z^k/k!."""
-    out = MixedSeries(0, z_top, f.order)
+    out = MixedSeries(z_top, f.order)
     for e, v in enumerate(f.coeffs):
         if v == 0:
             continue
         for k in range(z_top + 1):
-            out.c[0][k][e] = RatFunc(
+            out.c[k][e] = RatFunc(
                 Poly.hbar(k) * (Fraction(v) * e ** k / factorial(k)))
     return out
 
@@ -449,13 +449,13 @@ def _shifted_qseries(f: TruncSeries, z_top: int) -> MixedSeries:
 def _delta_series(g: TruncSeries, z_top: int) -> MixedSeries:
     """(g(q e^(z hbar)) - g(q))/hbar; hbar-polynomial by construction."""
     out = _shifted_qseries(g, z_top)
-    out.c[0][0] = [0] * (g.order + 1)          # the z^0 row is g(q) itself
+    out.c[0] = [0] * (g.order + 1)             # the z^0 row is g(q) itself
     return out.scale(RatFunc(Poly([1]), Poly([0, 1])))
 
 
 def phi_law_a(phi: MixedSeries, f: TruncSeries) -> MixedSeries:
     """Predicted Phi after scaling the family by f: f(q e^(z hbar)) f(q) Phi."""
-    return _shifted_qseries(f, phi.t_top).mul_qseries(f) * phi
+    return _shifted_qseries(f, phi.top).mul_qseries(f) * phi
 
 
 def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
@@ -466,14 +466,14 @@ def phi_law_b(phi: MixedSeries, g: TruncSeries) -> MixedSeries:
     The z-rows of Phi are composed with q e^(g(q)) in one call, then each
     nonzero one is multiplied by its power of (z + delta).
     """
-    z_top, order = phi.t_top, phi.order
+    z_top, order = phi.top, phi.order
     z_plus = _delta_series(g, z_top)
     if z_top:
-        z_plus.c[0][1][0] = RatFunc.const(1)   # delta has no q^0 term
-    rows = [TruncSeries(row, order) for row in phi.c[0]]
+        z_plus.c[1][0] = RatFunc.const(1)      # delta has no q^0 term
+    rows = [TruncSeries(row, order) for row in phi.c]
     composed = compose_all(rows, series_exp(g).mul_q())
-    zpow = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
-    out = MixedSeries(0, z_top, order)
+    zpow = MixedSeries.constant(RatFunc.const(1), z_top, order)
+    out = MixedSeries(z_top, order)
     for k, (row, image) in enumerate(zip(rows, composed)):
         if k:
             zpow = zpow * z_plus
@@ -488,9 +488,9 @@ def phi_law_c(phi: MixedSeries, g: TruncSeries, C: Fraction) -> MixedSeries:
     delta has no z^0 term, so every power above z^z_top truncates to zero
     and the exponential is the finite sum over n <= z_top.
     """
-    z_top, order = phi.t_top, phi.order
+    z_top, order = phi.top, phi.order
     c_delta = _delta_series(g, z_top).scale(Fraction(C))
-    term = total = MixedSeries.constant(RatFunc.const(1), 0, z_top, order)
+    term = total = MixedSeries.constant(RatFunc.const(1), z_top, order)
     for n in range(1, z_top + 1):
         term = (term * c_delta).scale(Fraction(1, n))
         total = total + term

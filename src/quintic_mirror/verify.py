@@ -134,7 +134,7 @@ def check_phi_poly(m: int = 4, l: int = 5, order: int = 6,
     phi = _at_weights(m, lam, random.Random(seed), lambda weights:
                       phi_double_correlator(zstar_family(cfg, weights),
                                             PHI_POLY_Z_ORDER, order))
-    bad = [(k, e) for k, row in enumerate(phi.c[0])
+    bad = [(k, e) for k, row in enumerate(phi.c)
            for e, v in enumerate(row) if not v.is_polynomial()]
     return [Check(
         name="phi-poly",
@@ -176,7 +176,7 @@ def check_transformations(m: int = 4, l: int = 5, order: int = 6,
         same = direct == predicted
         detail = f"coefficientwise through z^{LAWS_Z_ORDER} q^{order}"
         if not same:
-            _, k, e, _ = (direct - predicted).first_nonzero()
+            k, e, _ = (direct - predicted).first_nonzero()
             detail = f"first mismatch at z^{k} q^{e}"
         checks.append(Check(
             name=f"phi-law-{kind}",
@@ -206,7 +206,7 @@ def check_descendents() -> list[Check]:
     checks = []
     for mm, sol in sols.items():
         for d in (1, 2, 3):
-            got = sol.coeff(0, 0, d)
+            got = sol.coeff(0, d)
             checks.append(Check(
                 name=f"descendent-m{mm}-d{d}",
                 identity="two-point descendent = 1/(d!)^(m+1)",

@@ -185,7 +185,7 @@ def phi_pairwise(family: CorrelatorFamily, z_order: int,
             if j != i:
                 denom *= lam[i] - lam[j]
         weights.append((m + 1) * lam[i] / denom)
-    out = MixedSeries(0, z_order, q_order)
+    out = MixedSeries(z_order, q_order)
     for e in range(q_order + 1):
         for k in range(z_order + 1):
             acc = RatFunc.const(0)
@@ -199,5 +199,5 @@ def phi_pairwise(family: CorrelatorFamily, z_order: int,
                     if not prod.is_zero():
                         inner = inner + prod * Poly([lam[i], d1]) ** k
                 acc = acc + inner * weight
-            out.c[0][k][e] = acc / factorial(k)
+            out.c[k][e] = acc / factorial(k)
     return out

@@ -37,6 +37,7 @@ from quintic_mirror.sampling import (sample_lambda, sample_series_coeffs,
 from quintic_mirror.series import (TruncSeries, series_exp, series_log,
                                    series_reversion)
 from classp_reference import e_polys
+from explicit_t import expand
 
 F = Fraction
 
@@ -87,7 +88,7 @@ def test_criterion_4_operator_identities_order_5():
         assert check.passed, f"(m, l) = ({m}, {m}): {check.detail}"
     # Fault injection: a single perturbed coefficient must be caught.
     S = hypersurface_series(HypergeomConfig(5, 3, 5))
-    S.c[2][0][3] = S.c[2][0][3] + F(1, 3)
+    S.c[2][3] = S.c[2][3] + F(1, 3)
     assert not hypersurface_operator_residual(S, 5, 3).is_zero()
     _announce(4, "regime operator identities hold through q-order 5 "
                  "for all five (m, l) pairs; perturbations detected")
@@ -151,7 +152,7 @@ def test_criterion_6_class_p_suite():
     for d in range(4):
         assert E[d] == closed_form_E(4, d), f"E_{d} mismatch"
     phi = phi_double_correlator(fam, 4, 3)
-    bad = [(k, e) for k, row in enumerate(phi.c[0])
+    bad = [(k, e) for k, row in enumerate(phi.c)
            for e, v in enumerate(row) if not v.is_polynomial()]
     assert not bad, f"non-polynomial coefficients at {bad}"
     _announce(6, "N_id degree bounds, closed-form E_d (d <= 3), and "
@@ -190,18 +191,19 @@ def test_criterion_8_mirror_map_and_prepotential():
     assert check.passed, check.detail
     sub = transformed_quintic_series(5)
     table = quintic_invariants(5)
-    h0, h1, h3 = (sub.h_component(b) for b in (0, 1, 3))
-    assert h0.coeff(0, 0, 0) == 1 and (
-        all(h0.coeff(0, k, d) == 0 for k in range(4) for d in range(6)
+    # The components of e^(HT) K, with K the stored series.
+    h0, h1, _, h3 = expand(sub)
+    assert h0[0][0] == 1 and (
+        all(h0[k][d] == 0 for k in range(4) for d in range(6)
             if (k, d) != (0, 0)))
-    assert h1.coeff(0, 1, 0) == 1 and (
-        all(h1.coeff(0, k, d) == 0 for k in range(4) for d in range(6)
+    assert h1[1][0] == 1 and (
+        all(h1[k][d] == 0 for k in range(4) for d in range(6)
             if (k, d) != (1, 0)))
     for d in range(1, 6):
         Nd = table.N[d - 1]
-        assert h3.coeff(0, 1, d) == F(d, 5) * Nd
-        assert h3.coeff(0, 0, d) == F(-2, 5) * Nd
-    assert h3.coeff(0, 3, 0) == F(1, 6)
+        assert h3[1][d] == F(d, 5) * Nd
+        assert h3[0][d] == F(-2, 5) * Nd
+    assert h3[3][0] == F(1, 6)
     _announce(8, "mirror-map seed 770; prepotential identity through "
                  "q-order 5; closed-form solution components exact")
 
@@ -210,7 +212,7 @@ def test_criterion_9_descendent_grid():
     for m in (2, 3, 4):
         sol = fundamental_solution(m, 3)
         for d in (1, 2, 3):
-            got = sol.coeff(0, 0, d)
+            got = sol.coeff(0, d)
             want = F(1, factorial(d) ** (m + 1))
             assert got == want, f"(m, d) = ({m}, {d}): {got} != {want}"
     _announce(9, "two-point descendents equal 1/(d!)^(m+1) on the "

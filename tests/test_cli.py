@@ -298,7 +298,7 @@ def test_law_mismatch_is_reported_where_it_is(capsys, monkeypatch):
 
     def off_by_one(phi, g):
         out = real(phi, g)
-        out.c[0][1][2] = out.c[0][1][2] + 1
+        out.c[1][2] = out.c[1][2] + 1
         return out
 
     monkeypatch.setattr(verify, "phi_law_b", off_by_one)

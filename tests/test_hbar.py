@@ -459,7 +459,7 @@ def test_phi_correlator_never_reads_fraction_views(monkeypatch):
            Fraction(-31, 4))
     family = zstar_family(HypergeomConfig(4, 5, 2), lam)
     phi = phi_double_correlator(family, 3, 2)   # z^0..z^2 vanish
-    nonzero = [v for row in phi.c[0] for v in row if not v.is_zero()]
+    nonzero = [v for row in phi.c for v in row if not v.is_zero()]
     assert nonzero and reads == []
     # The counter sees a read: the guard is not vacuous.
     assert nonzero[0].num is not None and reads == ["num"]

@@ -18,6 +18,7 @@ from quintic_mirror.mixed import HTruncPoly, MixedSeries
 from quintic_mirror.sampling import sample_lambda
 from quintic_mirror.series import TruncSeries
 import ambient_reference
+from explicit_t import expand
 
 
 def F(p, q=1):
@@ -26,9 +27,9 @@ def F(p, q=1):
 
 def test_quintic_period_frozen_values():
     S = hypersurface_series(HypergeomConfig.quintic(2))
-    assert S.coeff(0, 0, 0) == 1
-    assert S.coeff(0, 0, 1) == 120          # (5*1)!/(1!)^5
-    assert S.coeff(1, 0, 1) == 770          # the mirror-map seed
+    assert S.coeff(0, 0) == 1
+    assert S.coeff(0, 1) == 120             # (5*1)!/(1!)^5
+    assert S.coeff(1, 1) == 770             # the mirror-map seed
 
 
 def test_f_and_g_frozen_values():
@@ -45,10 +46,12 @@ def test_period_zero_is_factorial_series():
         cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
         Fq, _, _ = f_and_g(m, 5)
-        assert S.t_zero_part(0) == Fq
+        assert S.row(0) == Fq
         # I_0 carries no positive t-powers.
-        for k in range(1, S.t_top + 1):
-            assert all(v == 0 for v in S.c[0][k])
+        I0 = expand(S)[0]
+        assert I0[0] == Fq.coeffs
+        for k in range(1, S.top + 1):
+            assert all(v == 0 for v in I0[k])
 
 
 def test_period_ratio_identity():
@@ -57,8 +60,7 @@ def test_period_ratio_identity():
         cfg = HypergeomConfig(m, m + 1, 5)
         S = hypersurface_series(cfg)
         Fq, G_1, G_top = f_and_g(m, 5)
-        i1_t0 = S.t_zero_part(1)
-        i1_t1 = TruncSeries(S.c[1][1][:], 5)
+        i1_t0, i1_t1 = (TruncSeries(row, 5) for row in expand(S)[1][:2])
         assert i1_t1 == Fq                      # t-part of I_1 is t*I_0
         assert i1_t0 == (G_top - G_1).scale(m + 1)
 
@@ -72,11 +74,11 @@ def test_picard_fuchs_all_components_order_8():
 def test_ambient_solution_degree_zero_term():
     # e^(Ht) alone: H^i t^k q^0 is 1/k! when i = k, else 0.
     m = 3
-    sol = fundamental_solution(m, 2)
+    sol = expand(fundamental_solution(m, 2))
     for k in range(m + 1):
         for i in range(m + 1):
             want = Fraction(1, factorial(k)) if i == k else 0
-            assert sol.coeff(i, k, 0) == want
+            assert sol[i][k][0] == want
 
 
 def test_ambient_solution_annihilated_by_quantum_operator():
@@ -89,25 +91,26 @@ def test_ambient_solution_annihilated_by_quantum_operator():
 def test_ambient_m1_d1_expansion():
     # 1/(H + hbar)^2 = hbar^-2 (1 - 2H/hbar) with H^2 = 0, at hbar = 1.
     sol = fundamental_solution(1, 1)
-    assert sol.coeff(0, 0, 1) == 1
-    assert sol.coeff(1, 0, 1) == -2
+    assert sol.coeff(0, 1) == 1
+    assert sol.coeff(1, 1) == -2
 
 
 @pytest.mark.parametrize("m", range(6))
 def test_ambient_solution_matches_the_ring_route(m):
     # The hyperplane identity and the grading rule against the solution
-    # built by products and inverses in H with Laurent coefficients: hbar
-    # goes back onto each nonzero H^i q^d value v as v hbar^(-(m+1)d - i).
-    # repr, not ==, so every coefficient keeps its type.
+    # built by products and inverses in H with Laurent coefficients: the
+    # solution is expanded by e^(Ht), and hbar goes back onto each nonzero
+    # H^i t^k q^d value v as v hbar^(-(m+1)d - i).  repr, not ==, so every
+    # coefficient keeps its type.
     for order in range(7):
         got = fundamental_solution(m, order)
         want = ambient_reference.fundamental_solution(m, order)
-        assert got.caps() == want.caps() == (m, m, order)
+        assert got.caps() == (m, order)
         graded = [[[repr(Laurent.unit(-(m + 1) * d - i, v) if v != 0 else v)
                     for d, v in enumerate(row)] for row in plane]
-                  for i, plane in enumerate(got.c)]
+                  for i, plane in enumerate(expand(got))]
         assert graded == [[[repr(c) for c in row] for row in plane]
-                          for plane in want.c]
+                          for plane in want]
 
 
 @pytest.mark.parametrize("m", [-1, -2])
@@ -120,14 +123,14 @@ def test_descendent_values_paper_grid():
     for m in (1, 2, 3, 4, 5):
         sol = fundamental_solution(m, 4)
         for d in (1, 2, 3, 4):
-            assert sol.coeff(0, 0, d) == F(1, factorial(d) ** (m + 1))
+            assert sol.coeff(0, d) == F(1, factorial(d) ** (m + 1))
 
 
 def test_descendent_examples():
     p4 = fundamental_solution(4, 2)
-    assert p4.coeff(0, 0, 1) == 1
-    assert p4.coeff(0, 0, 2) == F(1, 32)
-    assert fundamental_solution(2, 2).coeff(0, 0, 2) == F(1, 8)
+    assert p4.coeff(0, 1) == 1
+    assert p4.coeff(0, 2) == F(1, 32)
+    assert fundamental_solution(2, 2).coeff(0, 2) == F(1, 8)
 
 
 def test_configs_with_the_same_fields_are_equal_values():
@@ -195,9 +198,11 @@ def test_hypersurface_series_quintic_block_closed_form():
         for _ in range(5):
             block = mul(block, inverse)
     S = hypersurface_series(HypergeomConfig.quintic(3))
+    assert [S.coeff(i, 3) for i in range(4)] == block
+    c = expand(S)
     for i in range(4):
         for k in range(i + 1):
-            assert S.coeff(i, k, 3) == block[i - k] / factorial(k)
+            assert c[i][k][3] == block[i - k] / factorial(k)
 
 
 def test_hypersurface_series_matches_equivariant_route():
@@ -225,19 +230,17 @@ def _five_products_route(cfg: HypergeomConfig) -> MixedSeries:
     l factors of a degree, then a division by (H + d)^(m+1) raised to its
     power by products."""
     m, l = cfg.m, cfg.l
-    h_top = m - 1
-    out = MixedSeries(h_top, h_top, cfg.order)
-    block = TruncSeries.constant(Fraction(1), h_top)
+    top = m - 1
+    out = MixedSeries(top, cfg.order)
+    block = TruncSeries.constant(Fraction(1), top)
     for d in range(cfg.order + 1):
         if d:
             for r in range(l * (d - 1) + 1, l * d + 1):
-                block = block * TruncSeries([r, l], h_top)
-            block = block / TruncSeries([d, 1], h_top) ** (m + 1)
-        for i in range(h_top + 1):
-            for k in range(i + 1):
-                v = block[i - k]
-                if v != 0:
-                    out.c[i][k][d] = v / factorial(k)
+                block = block * TruncSeries([r, l], top)
+            block = block / TruncSeries([d, 1], top) ** (m + 1)
+        for i, v in enumerate(block.coeffs):
+            if v != 0:
+                out.c[i][d] = v
     return out
 
 
@@ -249,20 +252,20 @@ def test_hypersurface_series_matches_five_products_route(m, l):
     for order in range(9):
         cfg = HypergeomConfig._make((m, l, order))
         got, want = hypersurface_series(cfg), _five_products_route(cfg)
-        assert got.caps() == want.caps() == (m - 1, m - 1, order)
+        assert got.caps() == want.caps() == (m - 1, order)
         # repr, not ==: every coefficient keeps its value and its type.
-        assert [[[repr(c) for c in row] for row in plane] for plane in got.c] \
-            == [[[repr(c) for c in row] for row in plane] for plane in want.c]
+        assert [[repr(c) for c in row] for row in got.c] \
+            == [[repr(c) for c in row] for row in want.c]
 
 
 def _coeff_block(S: MixedSeries, b: int, d: int):
     # The t^0 part of the H^b component at q^d (pure coefficient block).
-    return S.coeff(b, 0, d)
+    return S.coeff(b, d)
 
 
 def test_operator_residual_detects_fault_injection():
     S = hypersurface_series(HypergeomConfig(5, 3, 3))
-    S.c[1][0][2] = S.c[1][0][2] + 1     # perturb one coefficient
+    S.c[1][2] = S.c[1][2] + 1           # perturb one coefficient
     res = hypersurface_operator_residual(S, 5, 3)
     assert not res.is_zero()
     assert res.first_nonzero() is not None

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +20,7 @@ from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
                                    transformed_quintic_series)
 from quintic_mirror.mixed import MixedSeries
 from quintic_mirror.series import TruncSeries, series_exp
+from explicit_t import expand
 
 
 def F(p, q=1):
@@ -75,14 +78,13 @@ def test_quintic_virtual_counts_match_published_values():
 
 
 def test_low_components_are_one_and_t():
-    sub = transformed_quintic_series(3)
-    h0 = sub.h_component(0)
-    assert h0.coeff(0, 0, 0) == 1
-    assert all(h0.coeff(0, k, d) == 0
+    # The H^0 and H^1 components of e^(HT) K, with K the stored series.
+    h0, h1 = expand(transformed_quintic_series(3))[:2]
+    assert h0[0][0] == 1
+    assert all(h0[k][d] == 0
                for k in range(4) for d in range(4) if (k, d) != (0, 0))
-    h1 = sub.h_component(1)
-    assert h1.coeff(0, 1, 0) == 1
-    assert all(h1.coeff(0, k, d) == 0
+    assert h1[1][0] == 1
+    assert all(h1[k][d] == 0
                for k in range(4) for d in range(4) if (k, d) != (1, 0))
 
 
@@ -93,8 +95,8 @@ def test_mirror_identity_passes():
 
 def test_quintic_invariants_series_products(monkeypatch):
     # The powers of 1/exp(g) and of q(q') are each built once and shared by
-    # every substitution into them; the t-shift runs in q before composing,
-    # so no power of g(q(q')) is built.  The hypersurface series makes its
+    # every substitution into them; the product with e^(-Hg) runs in q
+    # before composing, so no power of g(q(q')) is built.  The hypersurface series makes its
     # own products in H; it is built before counting starts.
     S = hypersurface_series(HypergeomConfig.quintic(30))
     monkeypatch.setattr(mirror, "hypersurface_series", lambda cfg: S)
@@ -117,10 +119,10 @@ def test_quintic_invariants_series_products(monkeypatch):
     monkeypatch.setattr(series, "_q_compose", counting_compose)
     quintic_invariants(30)
     assert len(calls) <= 90
-    # One composition, of exactly the 3 non-constant shifted rows of J
-    # (H^2 T^0, H^3 T^0 and H^3 T^1); it packs only powers of q(q'), each
-    # at most once.
-    assert len(composed) == 1 and len(composed[0]) == 3
+    # One composition, of exactly the 2 non-constant rows of e^(-Hg) L
+    # (H^2 and H^3: H^0 is 1 and H^1 is 0); it packs only powers of q(q'),
+    # each at most once.
+    assert len(composed) == 1 and len(composed[0]) == 2
     assert all(any(a[1:]) for a in composed[0])
     mm = build_mirror_map(4, 30)
     q_pows = {tuple(p.coeffs) for p in mm.w.mul_q().powers(30)}
@@ -153,14 +155,13 @@ def test_mirror_identity_fault_injection():
     table.N[1] += 1
     cfg = HypergeomConfig.quintic(order)
     S = hypersurface_series(cfg)
-    J = S.div_qseries(S.t_zero_part(0))
+    L = S.div_qseries(S.row(0))
     lhs = prepotential_in_t(build_mirror_map(4, order), table)
-    rhs = (J.h_component(1) * J.h_component(2)
-           - J.h_component(3)).scale(F(5, 2))
+    rhs = (L.row(1) * L.row(2) - L.row(3)).scale(F(5, 2))
     delta = lhs - rhs
     assert not delta.is_zero()
-    first = delta.first_nonzero()
-    assert first[2] == 2    # q-order of the first mismatch
+    first = next(d for d, v in enumerate(delta.coeffs) if v != 0)
+    assert first == 2       # q-order of the first mismatch
 
 
 def test_case_i_pairs():
@@ -189,7 +190,7 @@ def test_case_checks_detect_perturbation():
     cfg = HypergeomConfig(4, 2, 4)
     S = hypersurface_series(cfg)
     from quintic_mirror.hypergeom import hypersurface_operator_residual
-    S.c[2][1][2] = S.c[2][1][2] + F(1, 7)
+    S.c[2][2] = S.c[2][2] + F(1, 7)
     res = hypersurface_operator_residual(S, 4, 2)
     assert not res.is_zero()
 
@@ -204,23 +205,52 @@ def test_invariants_reject_bad_order():
 
 
 def test_extraction_consistency_guard():
-    # A corrupted H^2 component (stray t-degree-1 residue) must be caught,
-    # exercising the consistency error path of the extractor.
-    sub = transformed_quintic_series(2)
-    h2 = sub.h_component(2)
-    h2.c[0][1][1] = F(3)
-    with pytest.raises(ConsistencyError):
-        _extract_like_pipeline(h2)
+    # A corrupted K must be caught by the pipeline's own extractor: its
+    # H^0 row, its H^1 row, and the q'^0 term of its H^2 row.
+    for row, d, message in (
+            (0, 1, "H^0 component of the mirror series is not 1"),
+            (1, 2, "H^1 component of the mirror series is not T"),
+            (2, 0, "H^2 component has a constant term")):
+        sub = transformed_quintic_series(2)
+        sub.c[row][d] = sub.c[row][d] + F(3)
+        with pytest.raises(ConsistencyError,
+                           match=f"^{re.escape(message)}$"):
+            mirror._extract_invariants(sub)
 
 
-def _extract_like_pipeline(h2: MixedSeries):
-    for k in range(h2.t_top + 1):
-        for d in range(h2.order + 1):
-            v = h2.coeff(0, k, d)
-            if k == 2 and d == 0:
-                if v != F(1, 2):
-                    raise ConsistencyError("bad T^2 coefficient")
-            elif k == 0:
-                continue
-            elif v != 0:
-                raise ConsistencyError("stray residue")
+def _tq_mul(a: list, b: list) -> list:
+    """Product of two (t, q) coefficient arrays c[k][d], truncated at the
+    t- and q-caps of ``a``."""
+    K, D = len(a) - 1, len(a[0]) - 1
+    return [[sum(a[k1][d1] * b[k - k1][d - d1]
+                 for k1 in range(k + 1) for d1 in range(d + 1))
+             for d in range(D + 1)] for k in range(K + 1)]
+
+
+def test_explicit_prepotential_identity_and_h3():
+    # J = e^(Ht) L and e^(HT) K written out in (t, q) and (T, q'): the full
+    # prepotential identity F(T(t)) = (5/2)(J_1 J_2 - J_3) with
+    # F(T) = 5T^3/6 + sum N_d e^(dT), T = t + g(q), e^(dT) = (q e^g)^d,
+    # and the H^3 component T^3/6 + sum N_d (dT - 2)/5 q'^d.
+    order = 6
+    S = hypersurface_series(HypergeomConfig.quintic(order))
+    L = S.div_qseries(S.row(0))
+    mm = build_mirror_map(4, order)
+    table = quintic_invariants(order)
+    J1, J2, J3 = expand(L)[1:]
+    rhs = [[F(5, 2) * (x - z) for x, z in zip(xs, zs)]
+           for xs, zs in zip(_tq_mul(J1, J2), J3)]
+    g_pows = mm.g.powers(3)
+    lhs = [g_pows[3 - k].scale(F(5 * comb(3, k), 6)).coeffs
+           for k in range(4)]
+    instantons = TruncSeries([0] + table.N, order).compose(
+        series_exp(mm.g).mul_q())
+    lhs[0] = (TruncSeries(lhs[0], order) + instantons).coeffs
+    assert lhs == rhs
+    h3 = expand(transformed_quintic_series(order))[3]
+    assert h3[3] == [F(1, 6)] + [0] * order
+    assert h3[2] == [0] * (order + 1)
+    assert h3[1] == [0] + [F(d, 5) * table.N[d - 1]
+                           for d in range(1, order + 1)]
+    assert h3[0] == [0] + [F(-2, 5) * table.N[d - 1]
+                           for d in range(1, order + 1)]

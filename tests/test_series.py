@@ -356,13 +356,13 @@ def _count_powers(monkeypatch, counted):
 def test_inner_power_ladder_built_once_per_call(monkeypatch):
     # All of a caller's outer series go into one call, which builds the
     # inner series' powers once.  series_reversion's powers (of series
-    # with constant term 1) are not counted, nor the t-shift's powers of g.
+    # with constant term 1) are not counted, nor the powers of g in e^(-Hg).
     S = hypersurface_series(HypergeomConfig.quintic(12))
-    J = S.div_qseries(S.t_zero_part(0))
+    L = S.div_qseries(S.row(0))
     mm = build_mirror_map(4, 12)
     q_of = mm.w.mul_q()
     calls = _count_powers(monkeypatch, lambda s: s == q_of)
-    J.substitute_mirror(mm.g, mm.w)
+    L.substitute_mirror(mm.g, mm.w)
     assert len(calls) == 1
     # The inner series of composite_inverse_of_zstar is q' w(q'), the only
     # series with zero constant term whose powers it builds.
