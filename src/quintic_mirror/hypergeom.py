@@ -63,27 +63,31 @@ class CorrelatorFamily:
 
     Entries are TruncSeries whose q^d coefficients are RatFunc values; the
     weight tuple is fixed and numeric.  Constant terms are 1 for every
-    family produced here and preserved by all transformations.
+    family produced here and preserved by all transformations.  The
+    ambient dimension m is read from the weights (m + 1 of them) and the
+    q-order from the entries, so neither can disagree with them.
     """
 
     def __init__(self, lam: tuple[Fraction, ...], entries: list[TruncSeries],
-                 m: int, l: int, order: int):
+                 l: int):
         self.lam = lam
         self.entries = entries
-        self.m = m
         self.l = l
-        self.order = order
 
-    def entry(self, i: int) -> TruncSeries:
-        return self.entries[i]
+    @property
+    def m(self) -> int:
+        return len(self.lam) - 1
+
+    @property
+    def order(self) -> int:
+        return self.entries[0].order
 
     def coeff(self, i: int, d: int) -> RatFunc:
         return self.entries[i][d]
 
     def map_entries(self, fn) -> "CorrelatorFamily":
         return CorrelatorFamily(self.lam, [fn(i, e) for i, e in
-                                           enumerate(self.entries)],
-                                self.m, self.l, self.order)
+                                           enumerate(self.entries)], self.l)
 
 
 def hypersurface_series(cfg: HypergeomConfig) -> MixedSeries:
@@ -210,7 +214,7 @@ def zstar_family(cfg: HypergeomConfig,
             coeffs.append(RatFunc.from_factors(
                 Fraction(top * L ** ((m + 1 - l) * d), bottom), zeros, poles))
         entries.append(TruncSeries(coeffs, cfg.order))
-    return CorrelatorFamily(lam, entries, m, l, cfg.order)
+    return CorrelatorFamily(lam, entries, l)
 
 
 def hypersurface_operator_residual(series: MixedSeries, m: int,

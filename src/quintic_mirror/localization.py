@@ -266,8 +266,7 @@ def bott_sum(m: int, l: int, d: int, lam: tuple[Fraction, ...]) -> Fraction:
                 for g in enumerate_graphs(m, d)), Fraction(0))
 
 
-def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0,
-                      pipeline_value: Fraction | None = None) -> Check:
+def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0) -> Check:
     """Graph sums at independent weight tuples vs the series pipeline."""
     import random
 
@@ -275,9 +274,8 @@ def oracle_crosscheck(d: int, trials: int = 3, seed: int = 0,
         raise DomainError(f"oracle supports degrees 1 to {MAX_DEGREE} only")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if pipeline_value is None:
-        from .mirror import quintic_invariants
-        pipeline_value = quintic_invariants(d).N[d - 1]
+    from .mirror import quintic_invariants
+    pipeline_value = quintic_invariants(d).N[d - 1]
     rng = random.Random(seed)
     values = [sample_until(rng,
                            lambda r: bott_sum(4, 5, d, sample_lambda(4, r)))

@@ -3,7 +3,9 @@
 The correlator families live in q with hbar-rational coefficients at a
 fixed numeric weight tuple.  This module:
 
-* builds the recursion coefficients of the three degree regimes,
+* builds the recursion coefficients of the three degree regimes, each
+  read from (m, l): l < m, l = m (exponential initial terms) and the
+  Calabi-Yau case l = m + 1,
 * verifies that the hypergeometric correlators satisfy their recursions
   (residuals exactly zero below the Calabi-Yau case; hbar-polynomials of
   bounded degree in it),
@@ -12,7 +14,11 @@ fixed numeric weight tuple.  This module:
   leave theirs, interpolated from there on), and the double correlator Phi
   (a ``MixedSeries`` with X = z),
 * implements the three admissible transformations and their predicted
-  effect on Phi.
+  effect on Phi,
+* undoes the explicit composite transformation on Z* modulo hbar^-2,
+  where the verdict lives: on the (hbar^0, hbar^-1) heads over Q.
+
+Every order is the family's: a family is truncated to read it lower.
 """
 
 from __future__ import annotations
@@ -45,9 +51,7 @@ __all__ = [
 ]
 
 class RecursionCoefficients:
-    def __init__(self, regime: str, m: int, l: int, lam: tuple[Fraction, ...],
-                 order: int):
-        self.regime = regime
+    def __init__(self, m: int, l: int, lam: tuple[Fraction, ...], order: int):
         self.m = m
         self.l = l
         self.lam = lam
@@ -56,25 +60,17 @@ class RecursionCoefficients:
         self.initial = {}     # i -> TruncSeries over QQ
 
 
-def regime_of(m: int, l: int) -> str:
-    if l < m:
-        return "sub_m"
-    if l == m:
-        return "equal_m"
-    return "calabi_yau"
-
-
-def _coefficient(calabi_yau: bool, m: int, l: int, Lam: list, L: int,
-                 i: int, j: int, d: int) -> RatFunc:
+def _coefficient(m: int, l: int, Lam: list, L: int, i: int, j: int,
+                 d: int) -> RatFunc:
     """C_i^j(d) from the cleared weights Lam = L lam, on integers.
 
-    Below the Calabi-Yau case C_i^j(d) is
+    Below the Calabi-Yau case (l <= m) C_i^j(d) is
 
         hbar/(lam_i - lam_j + d hbar)
           * prod_{r<=ld}( l d lam_i/(lam_j - lam_i) + r )
           / prod_{a, r<=d, (a,r) != (j,d)}( d(lam_i - lam_a)/(lam_j - lam_i) + r ),
 
-    and in it, with s = (lam_j - lam_i)/d,
+    and in it (l > m), with s = (lam_j - lam_i)/d,
 
         prod_{r<=(m+1)d}( (m+1) lam_i + r s )
           / ( d! prod_{a!=i, r<=d, (a,r) != (j,d)}( lam_i - lam_a + r s ) )
@@ -101,7 +97,7 @@ def _coefficient(calabi_yau: bool, m: int, l: int, Lam: list, L: int,
             f"recursion coefficient denominator vanished at (i={i}, j={j}, d={d})")
     g = gcd(delta, d * L)
     edge = {(delta // g, d * L // g): 1}
-    if calabi_yau:
+    if l > m:
         return RatFunc.from_factors(
             Fraction(num * delta ** d * L, den * (d * L) ** (d + 1) * g),
             {}, edge)
@@ -112,24 +108,23 @@ def _coefficient(calabi_yau: bool, m: int, l: int, Lam: list, L: int,
 
 def recursion_coeffs(m: int, l: int, lam, order: int) -> RecursionCoefficients:
     """All coefficients C_i^j(d) for d <= order plus the initial terms, in
-    the regime of (m, l)."""
-    regime = regime_of(m, l)
+    the regime of (m, l): Calabi-Yau when l > m, exponential initial terms
+    when l = m."""
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != m + 1:
         raise DomainError(f"need {m + 1} weights, got {len(lam)}")
     if len(set(lam)) != len(lam):
         raise DegenerateLambda("weights must be pairwise distinct")
-    out = RecursionCoefficients(regime, m, l, lam, order)
+    out = RecursionCoefficients(m, l, lam, order)
     Lam, L = clear(lam)
-    cy = regime == "calabi_yau"
     for i in range(m + 1):
         for j in range(m + 1):
             if j == i:
                 continue
             for d in range(1, order + 1):
-                out.C[(i, j, d)] = _coefficient(cy, m, l, Lam, L, i, j, d)
+                out.C[(i, j, d)] = _coefficient(m, l, Lam, L, i, j, d)
     for i in range(m + 1):
-        if regime != "equal_m":
+        if l != m:
             out.initial[i] = TruncSeries.zero(order)
         else:
             # -1 + exp((c_i - m!) Q) with c_i = (m lam_i)^m / prod(lam_i - lam_a)
@@ -225,7 +220,7 @@ def verify_recursion(z_entries: list[TruncSeries],
     residuals = recursion_residuals(z_entries, coeffs)
     extracted: dict = {}
     for (i, d), res in sorted(residuals.items()):
-        if coeffs.regime in ("sub_m", "equal_m"):
+        if coeffs.l <= coeffs.m:
             if not res.is_zero():
                 return False, f"nonzero residual at (i={i}, Q^{d}): {res!r}", {}
         else:
@@ -261,8 +256,7 @@ class ClassPData:
         self.interpolated = interpolated    # d -> E_d, from the first miss on
 
 
-def classP_extract(family: CorrelatorFamily,
-                   order: int | None = None) -> ClassPData:
+def classP_extract(family: CorrelatorFamily) -> ClassPData:
     """N_id extraction and the class-P verdict on E_d for a recursion-form family.
 
     N_id = (Q^d coefficient of y_i) d! prod_{j!=i} prod_{r<=d}
@@ -280,13 +274,9 @@ def classP_extract(family: CorrelatorFamily,
     closed form's P-degree (m+1)d + 1 is below that for m >= 1.  From r0
     on (from 0 when m = 0, where the nodes do not fix E_d) each degree is
     interpolated (``_newton_interpolation``) and checked against the
-    bounds.  ``order`` must lie in 0..family.order.
+    bounds, through the family's order.
     """
-    m, lam = family.m, family.lam
-    D = family.order if order is None else order
-    if not 0 <= D <= family.order:
-        raise DomainError(f"order {D} lies outside 0..{family.order}, "
-                          "the family order")
+    m, lam, D = family.m, family.lam, family.order
     y = z_normalize(family)
     N_table: dict = {}
     r0 = D + 1 if m >= 1 else 0
@@ -381,8 +371,8 @@ def closed_form_E(m: int, d: int) -> list[Poly]:
     return [Poly.hbar(n - k) * x for k, x in enumerate(e)]
 
 
-def phi_double_correlator(family: CorrelatorFamily, z_order: int,
-                          q_order: int) -> MixedSeries:
+def phi_double_correlator(family: CorrelatorFamily,
+                          z_order: int) -> MixedSeries:
     """Phi(z, q) = sum_i w_i e^(lam_i z) Y_i(q e^(z hbar), hbar) Y_i(q, -hbar)
 
     with w_i = (m+1) lam_i / prod_{j != i}(lam_i - lam_j).  The argument
@@ -393,7 +383,7 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
               Y_i[d1](hbar) Y_i[d2](-hbar).
 
     Returned as a ``MixedSeries`` with X = z: ``c[k][e]`` is the z^k q^e
-    coefficient.
+    coefficient, through the family's order in q.
 
     For a q-order e the terms Y_i[d1](hbar) Y_i[e-d1](-hbar) are the same
     for every z-power; only their multipliers w_i (lam_i + d1 hbar)^k
@@ -402,9 +392,7 @@ def phi_double_correlator(family: CorrelatorFamily, z_order: int,
     its row of multipliers.  A multiplier can vanish at a pole that its
     term alone holds, which the combination's reduction tries as well.
     """
-    m, lam = family.m, family.lam
-    if q_order > family.order:
-        raise DomainError("q_order exceeds the family order")
+    m, lam, q_order = family.m, family.lam, family.order
     Y = family.entries
     weights = []
     for i in range(m + 1):
@@ -552,8 +540,10 @@ def mod_hbar2(family_entries: list[TruncSeries],
     return out
 
 
-def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
-    """Undo the explicit composite transformation on the hypergeometric family.
+def composite_inverse_of_zstar(
+        family: CorrelatorFamily) -> list[tuple[TruncSeries, TruncSeries]]:
+    """Undo the explicit composite transformation on the hypergeometric
+    family, modulo hbar^-2: (hbar^0, hbar^-1) pairs of q-series over Q.
 
     The composite sends a family Y to
         F(q) exp(A_i(q)/hbar) Y_i(q e^(g(q)), hbar),
@@ -562,19 +552,21 @@ def composite_inverse_of_zstar(family: CorrelatorFamily) -> list[TruncSeries]:
         = lam_i g + sum(lam) G_1/F.
     Applied inversely to Z* it must produce a family that is trivial
     modulo hbar^-2 (constant part 1, 1/hbar part 0).
+
+    Taking the hbar^0 and hbar^-1 parts at hbar = infinity is a ring map
+    from the series regular there to pairs y0 + y1/hbar with hbar^-2 = 0,
+    and it commutes with q -> sigma(q') = q' w(q').  exp(-A_i/hbar) maps
+    to 1 - A_i/hbar, so entry i maps to (y0/F, (y1 - y0 A_i)/F), every
+    series composed with sigma: F, g, G_1/F and the heads ``mod_hbar2``
+    reads go through one ``compose_all`` call over Q.
     """
     m, D, lam = family.m, family.order, family.lam
     F, G_1, G_top = f_and_g(m, D)
     g = (G_top - G_1).scale(m + 1) / F
     w = series_reversion(series_exp(g))
-    shared = (G_1 / F).scale(sum(lam))
-    A = [g.scale(x) + shared for x in lam]
-    # One call for F, the A_i and the entries: q = sigma(q') = q' w(q').
-    F_sigma, *rest = compose_all([F, *A, *family.entries], w.mul_q())
-    A_sigma, entries = rest[:len(A)], rest[len(A):]
-    inv_F = (TruncSeries.one(D) / F_sigma).map(RatFunc.const)
-    out = []
-    for composed, A_i in zip(entries, A_sigma):
-        pref = series_exp(A_i.map(lambda c: RatFunc(Poly([-c]), Poly([0, 1]))))
-        out.append(composed * pref * inv_F)
-    return out
+    heads = [h for pair in mod_hbar2(family.entries, D) for h in pair]
+    # From here on every series is composed with sigma.
+    F, g, shared, *heads = compose_all([F, g, G_1 / F, *heads], w.mul_q())
+    shared = shared.scale(sum(lam))
+    return [(y0 / F, (y1 - y0 * (g.scale(x) + shared)) / F)
+            for x, y0, y1 in zip(lam, heads[::2], heads[1::2])]

@@ -327,14 +327,6 @@ class TruncSeries:
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r})"
 
-    def __str__(self):
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"({c})*q^{d}" if d else f"({c})")
-        return " + ".join(parts) if parts else "0"
-
 
 def compose_all(outers: Sequence[TruncSeries],
                 inner: TruncSeries) -> list[TruncSeries]:

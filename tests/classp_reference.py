@@ -30,9 +30,8 @@ def e_polys(data: ClassPData) -> dict:
             else closed_form_E(data.m, d) for d in range(data.order + 1)}
 
 
-def classP_extract(family, order=None) -> ClassPData:
-    m, lam = family.m, family.lam
-    D = family.order if order is None else order
+def classP_extract(family) -> ClassPData:
+    m, lam, D = family.m, family.lam, family.order
     y = z_normalize(family)
     N_table: dict = {}
     for i in range(m + 1):

@@ -12,10 +12,15 @@ recursion stage ran on cleared integer weights:
 * ``forward_solve`` solves the Calabi-Yau recursion from its initial data
   with pairwise ``RatFunc`` sums;
 * ``phi_pairwise`` builds the double correlator Phi with one pairwise
-  ``RatFunc`` sum per term, each lifting its operands afresh.
+  ``RatFunc`` sum per term, each lifting its operands afresh;
+* ``composite_inverse_full`` undoes the composite transformation on whole
+  ``RatFunc`` series, with its exponential and products in hbar, where
+  ``composite_inverse_of_zstar`` reads only the heads modulo hbar^-2.
 
 They share no integer kernel with the code under test beyond ``RatFunc``'s
-constructor and arithmetic.
+constructor and arithmetic, except that ``composite_inverse_full`` takes
+its q-series over Q (F, G_1, G_(m+1), the reversion and the composition)
+from the same kernels: what it holds fixed is the hbar side.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.hypergeom import CorrelatorFamily, HypergeomConfig
 from quintic_mirror.mixed import MixedSeries
+from quintic_mirror.hypergeom import f_and_g
 from quintic_mirror.recursion import RecursionCoefficients
-from quintic_mirror.series import TruncSeries
+from quintic_mirror.series import (TruncSeries, compose_all, series_exp,
+                                   series_reversion)
 
 
 def _vanished(i: int, j: int, d: int) -> DegenerateLambda:
@@ -101,8 +108,9 @@ def cy_coefficient_cleared(m: int, lam, i: int, j: int, d: int) -> RatFunc:
     return RatFunc(Poly([num / den]), Poly([lam[i] - lam[j], d]))
 
 
-def oracle_coeffs(regime: str, m: int, l: int, lam, order: int) -> dict:
-    """(i, j, d) -> C_i^j(d) for d <= order, in ``recursion_coeffs``' order."""
+def oracle_coeffs(m: int, l: int, lam, order: int) -> dict:
+    """(i, j, d) -> C_i^j(d) for d <= order, in ``recursion_coeffs``' order;
+    Calabi-Yau when l > m."""
     lam = tuple(Fraction(x) for x in lam)
     out = {}
     for i in range(m + 1):
@@ -111,7 +119,7 @@ def oracle_coeffs(regime: str, m: int, l: int, lam, order: int) -> dict:
                 continue
             for d in range(1, order + 1):
                 out[(i, j, d)] = (cy_coefficient_direct(m, lam, i, j, d)
-                                  if regime == "calabi_yau"
+                                  if l > m
                                   else sub_m_coefficient(m, l, lam, i, j, d))
     return out
 
@@ -136,7 +144,7 @@ def zstar_family_fraction(cfg: HypergeomConfig, lam) -> CorrelatorFamily:
                     roots[root] = roots.get(root, 0) + 1
             coeffs.append(RatFunc(num, roots))
         entries.append(TruncSeries(coeffs, cfg.order))
-    return CorrelatorFamily(lam, entries, cfg.m, cfg.l, cfg.order)
+    return CorrelatorFamily(lam, entries, cfg.l)
 
 
 def forward_solve(initial: dict, coeffs: RecursionCoefficients,
@@ -149,7 +157,7 @@ def forward_solve(initial: dict, coeffs: RecursionCoefficients,
     Needs every lower-order coefficient as a genuine rational function,
     which is why the family is carried as RatFunc values throughout.
     """
-    if coeffs.regime != "calabi_yau":
+    if coeffs.l <= coeffs.m:
         raise DomainError("forward solve is a Calabi-Yau-regime operation")
     m, lam = coeffs.m, coeffs.lam
     cols: list[list[RatFunc]] = [[RatFunc.const(1)] for _ in range(m + 1)]
@@ -169,15 +177,15 @@ def forward_solve(initial: dict, coeffs: RecursionCoefficients,
     return [TruncSeries(col, order) for col in cols]
 
 
-def phi_pairwise(family: CorrelatorFamily, z_order: int,
-                 q_order: int) -> MixedSeries:
+def phi_pairwise(family: CorrelatorFamily, z_order: int) -> MixedSeries:
     """Phi(z, q) = sum_i w_i e^(lam_i z) Y_i(q e^(z hbar), hbar) Y_i(q, -hbar),
 
     w_i = (m+1) lam_i / prod_{j != i}(lam_i - lam_j), term by term: the
     z^k q^e coefficient is sum_i w_i sum_{d1+d2=e} (lam_i + d1 hbar)^k / k!
-    Y_i[d1](hbar) Y_i[d2](-hbar), each term added to the running sum.
+    Y_i[d1](hbar) Y_i[d2](-hbar), each term added to the running sum,
+    through the family's order in q.
     """
-    m, lam, Y = family.m, family.lam, family.entries
+    m, lam, Y, q_order = family.m, family.lam, family.entries, family.order
     weights = []
     for i in range(m + 1):
         denom = Fraction(1)
@@ -200,4 +208,25 @@ def phi_pairwise(family: CorrelatorFamily, z_order: int,
                         inner = inner + prod * Poly([lam[i], d1]) ** k
                 acc = acc + inner * weight
             out.c[k][e] = acc / factorial(k)
+    return out
+
+
+def composite_inverse_full(family: CorrelatorFamily) -> list[TruncSeries]:
+    """F(q)^-1 exp(-A_i(q)/hbar) Y_i(q, hbar), all at q = q' w(q'), as
+    whole ``RatFunc`` series: g = (m+1)(G_{m+1} - G_1)/F and
+    A_i = lam_i g + sum(lam) G_1/F.
+    """
+    m, D, lam = family.m, family.order, family.lam
+    F, G_1, G_top = f_and_g(m, D)
+    g = (G_top - G_1).scale(m + 1) / F
+    w = series_reversion(series_exp(g))
+    shared = (G_1 / F).scale(sum(lam))
+    A = [g.scale(x) + shared for x in lam]
+    F_sigma, *rest = compose_all([F, *A, *family.entries], w.mul_q())
+    A_sigma, entries = rest[:len(A)], rest[len(A):]
+    inv_F = (TruncSeries.one(D) / F_sigma).map(RatFunc.const)
+    out = []
+    for composed, A_i in zip(entries, A_sigma):
+        pref = series_exp(A_i.map(lambda c: RatFunc(Poly([-c]), Poly([0, 1]))))
+        out.append(composed * pref * inv_F)
     return out

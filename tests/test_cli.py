@@ -318,7 +318,8 @@ def test_class_p_violation_is_a_failed_check(capsys, monkeypatch):
         fam = real(cfg, weights)
         bad = fam.coeff(2, 1) * RatFunc(Poly([1]), Poly([3, 1]))
         fam.entries[2] = TruncSeries(
-            [fam.coeff(2, 0), bad] + list(fam.entry(2).coeffs[2:]), fam.order)
+            [fam.coeff(2, 0), bad] + list(fam.entries[2].coeffs[2:]),
+            fam.order)
         return fam
 
     monkeypatch.setattr(verify, "zstar_family", corrupted)
@@ -352,7 +353,7 @@ def test_class_p_wrong_node_value_is_interpolated(capsys, monkeypatch):
         fam = real(cfg, weights)
         fam.entries[2] = TruncSeries(
             [fam.coeff(2, 0), fam.coeff(2, 1) * 2]
-            + list(fam.entry(2).coeffs[2:]), fam.order)
+            + list(fam.entries[2].coeffs[2:]), fam.order)
         return fam
 
     def counted(nodes, values):

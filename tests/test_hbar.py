@@ -458,7 +458,7 @@ def test_phi_correlator_never_reads_fraction_views(monkeypatch):
     lam = (Fraction(3, 7), Fraction(-11, 5), Fraction(23, 3), Fraction(2, 9),
            Fraction(-31, 4))
     family = zstar_family(HypergeomConfig(4, 5, 2), lam)
-    phi = phi_double_correlator(family, 3, 2)   # z^0..z^2 vanish
+    phi = phi_double_correlator(family, 3)   # z^0..z^2 vanish
     nonzero = [v for row in phi.c for v in row if not v.is_zero()]
     assert nonzero and reads == []
     # The counter sees a read: the guard is not vacuous.

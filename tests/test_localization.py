@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 
 import bott_reference
-from quintic_mirror import localization
+from quintic_mirror import localization, mirror
 from quintic_mirror.errors import DegenerateLambda, DomainError
 from quintic_mirror.localization import (DecoratedGraph, bott_sum,
                                          enumerate_graphs,
@@ -233,10 +233,19 @@ def test_planted_zero_division_is_not_resampled(monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_crosscheck_detects_mismatch():
-    check = oracle_crosscheck(1, trials=2, seed=0,
-                              pipeline_value=Fraction(2874))
+def test_oracle_crosscheck_detects_mismatch(monkeypatch):
+    # A pipeline that is off by one at N_1 must fail the check.
+    real = mirror.quintic_invariants
+
+    def planted(order):
+        table = real(order)
+        table.N[0] -= 1
+        return table
+
+    monkeypatch.setattr(mirror, "quintic_invariants", planted)
+    check = oracle_crosscheck(1, trials=2, seed=0)
     assert not check.passed
+    assert check.detail == "graph sum 2875 != pipeline 2874"
 
 
 # The differential tests below hold the shape enumeration and the integer

@@ -12,24 +12,24 @@ from hypothesis import strategies as st
 
 from quintic_mirror import recursion, verify
 from quintic_mirror.errors import ClassPViolation, DegenerateLambda, DomainError
-from quintic_mirror.hbar import Poly, RatFunc
+from quintic_mirror.hbar import Lifted, Poly, RatFunc
 from quintic_mirror.hypergeom import (CorrelatorFamily, HypergeomConfig,
                                       exp_prefactor, f_and_g, zstar_family)
 from quintic_mirror.recursion import (classP_extract, closed_form_E,
                                       composite_inverse_of_zstar,
                                       mod_hbar2, phi_double_correlator,
                                       phi_law_a, phi_law_b, phi_law_c,
-                                      recursion_coeffs, regime_of,
-                                      transform_family, verify_recursion,
-                                      z_normalize)
+                                      recursion_coeffs, transform_family,
+                                      verify_recursion, z_normalize)
 from quintic_mirror.sampling import (sample_lambda, sample_series_coeffs,
                                      sample_until)
 from quintic_mirror.series import TruncSeries
 from quintic_mirror.verify import check_class_p
 import classp_reference
 from classp_reference import e_polys
-from recursion_oracle import (cy_coefficient_cleared, cy_coefficient_direct,
-                              forward_solve, oracle_coeffs, phi_pairwise,
+from recursion_oracle import (composite_inverse_full, cy_coefficient_cleared,
+                              cy_coefficient_direct, forward_solve,
+                              oracle_coeffs, phi_pairwise,
                               zstar_family_fraction)
 
 
@@ -41,6 +41,11 @@ def F(p, q=1):
 # is reported at once instead of after minutes of shrinking.
 _differential = settings(deadline=None, derandomize=True, database=None,
                          phases=(Phase.explicit, Phase.generate))
+
+
+def truncated(fam, order):
+    """The family read through q-order ``order`` only."""
+    return fam.map_entries(lambda i, e: TruncSeries(e.coeffs, order))
 
 
 def cy_setup(rng, m=4, order=3, lam=None):
@@ -90,11 +95,10 @@ _mixed_weights = st.one_of(
 
 
 def _same_coefficients(m, l, lam, order):
-    regime = regime_of(m, l)
     got = _outcome(lambda: recursion_coeffs(m, l, lam, order).C)
-    want = _outcome(lambda: oracle_coeffs(regime, m, l, lam, order))
+    want = _outcome(lambda: oracle_coeffs(m, l, lam, order))
     # Equal dicts, or DegenerateLambda at the same first (i, j, d).
-    assert got == want, (regime, lam)
+    assert got == want, (m, l, lam)
     if isinstance(got, dict):
         assert all(hash(got[k]) == hash(want[k]) for k in got)
     return got
@@ -201,19 +205,21 @@ def test_recursion_equal_m_fails_without_prefactor():
                                           ("calabi_yau", 4, 5)])
 def test_recursion_fails_with_one_scaled_coefficient(regime, m, l):
     # One coefficient doubled must show in a residual: nonzero below the
-    # Calabi-Yau case, non-polynomial in it.  At d = d' the term reads
-    # z_j[0] = 1, so the scaled coefficient always enters its residual.
+    # Calabi-Yau case, non-polynomial in it, as read from (m, l).  At
+    # d = d' the term reads z_j[0] = 1, so the scaled coefficient always
+    # enters its residual.
+    shows = "not polynomial" if regime == "calabi_yau" else "nonzero residual"
     lam = (F(3, 7), F(-11, 5), F(23, 3), F(2, 9), F(-31, 4), F(5, 2))[:m + 1]
     fam = zstar_family(HypergeomConfig(m, l, 3), lam)
     z = z_normalize(fam)
     for key in ((0, 1, 1), (2, 0, 2), (m, 1, 3)):
         coeffs = recursion_coeffs(m, l, lam, 3)
-        assert coeffs.regime == regime
         assert verify_recursion(z, coeffs)[0]
         coeffs.C[key] = coeffs.C[key] * 2
         ok, detail, _ = verify_recursion(z, coeffs)
         assert not ok
         assert f"(i={key[0]}, Q^{key[2]})" in detail, detail
+        assert shows in detail, detail
 
 
 def test_recursion_cy_initial_terms_bounded():
@@ -268,8 +274,7 @@ def test_classP_without_the_uniqueness_bound_interpolates():
     # d + 1: E_0 = P takes the one node value lam_0, but the interpolant
     # through one node is the constant lam_0.
     fam = CorrelatorFamily(
-        (F(3),), [TruncSeries([RatFunc.const(1), RatFunc.const(0)], 1)],
-        0, 1, 1)
+        (F(3),), [TruncSeries([RatFunc.const(1), RatFunc.const(0)], 1)], 1)
     data = classP_extract(fam)
     assert e_polys(data)[0] == [Poly([3])] != closed_form_E(0, 0)
 
@@ -367,13 +372,19 @@ def test_classP_matches_the_node_value_verdict(m):
     assert 0 < raised < 15
 
 
-@pytest.mark.parametrize("order", [-1, 3])
-def test_classP_order_outside_the_family_is_rejected(order):
+def test_classP_reads_the_family_order():
+    # A lower order is the family truncated to it, down to order 0.
     fam = zstar_family(HypergeomConfig(4, 5, 2),
                        tuple(F(x) for x in (0, 1, 10, 100, 1000)))
-    with pytest.raises(DomainError, match=r"order .* outside 0\.\.2"):
-        classP_extract(fam, order=order)
-    assert e_polys(classP_extract(fam, order=0)) == {0: closed_form_E(4, 0)}
+    full = classP_extract(fam)
+    assert full.order == 2
+    for order in (0, 1):
+        data = classP_extract(truncated(fam, order))
+        assert data.order == order
+        assert data.N_table == {(i, d): full.N_table[(i, d)]
+                                for i in range(5) for d in range(order + 1)}
+    assert e_polys(classP_extract(truncated(fam, 0))) == {
+        0: closed_form_E(4, 0)}
 
 
 def test_classP_detects_corrupted_family():
@@ -403,8 +414,8 @@ def test_phi_constant_family_vandermonde_identity():
         assert acc == 0
     const = CorrelatorFamily(
         lam, [TruncSeries([RatFunc.const(1)] + [RatFunc.const(0)] * 2, 2)
-              for _ in range(5)], 4, 5, 2)
-    phi = phi_double_correlator(const, 3, 2)
+              for _ in range(5)], 5)
+    phi = phi_double_correlator(const, 3)
     assert phi.coeff(0, 0).is_zero()
     assert phi.coeff(1, 0).is_zero()
     assert phi.coeff(2, 0).is_zero()
@@ -415,13 +426,13 @@ def test_phi_constant_family_vandermonde_identity():
 def test_phi_zstar_polynomial_and_fault_detection():
     rng = random.Random(40)
     lam, _, fam = cy_setup(rng, order=2)
-    phi = phi_double_correlator(fam, 2, 2)
+    phi = phi_double_correlator(fam, 2)
     assert all(v.is_polynomial() for row in phi.c for v in row)
     # Dropping a factor from one coefficient breaks polynomiality.
     broken = fam.coeff(1, 1) * RatFunc(Poly([1]), Poly([lam[1] - lam[0], 1]))
     fam.entries[1] = TruncSeries(
         [fam.coeff(1, 0), broken, fam.coeff(1, 2)], 2)
-    phi_bad = phi_double_correlator(fam, 2, 2)
+    phi_bad = phi_double_correlator(fam, 2)
     assert any(not v.is_polynomial() for row in phi_bad.c for v in row)
 
 
@@ -436,7 +447,8 @@ def _same_phi(got, want) -> None:
 @given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
 def test_phi_matches_pairwise_oracle(seed, z_cap, q_order):
     # Z* and its image under each transformation: one lift per q-order
-    # gives the same coefficients as adding the terms one at a time.
+    # gives the same coefficients as adding the terms one at a time.  Each
+    # family is truncated to q_order, which may be 0.
     rng = random.Random(seed)
     order = max(q_order, 1)
     lam = sample_lambda(4, rng)
@@ -448,8 +460,9 @@ def test_phi_matches_pairwise_oracle(seed, z_cap, q_order):
     for family in (fam, transform_family(fam, "a", f),
                    transform_family(fam, "b", g),
                    transform_family(fam, "c", g, C=sum(lam))):
-        _same_phi(phi_double_correlator(family, z_cap, q_order),
-                  phi_pairwise(family, z_cap, q_order))
+        family = truncated(family, q_order)
+        _same_phi(phi_double_correlator(family, z_cap),
+                  phi_pairwise(family, z_cap))
 
 
 def test_phi_cancels_a_pole_where_a_multiplier_vanishes():
@@ -465,9 +478,9 @@ def test_phi_cancels_a_pole_where_a_multiplier_vanishes():
                for _ in lam]
     entries[1] = TruncSeries([RatFunc.const(1),
                               RatFunc(Poly([1]), Poly([1, 1]))], 1)
-    fam = CorrelatorFamily(lam, entries, 4, 5, 1)
-    phi = phi_double_correlator(fam, 3, 1)
-    _same_phi(phi, phi_pairwise(fam, 3, 1))
+    fam = CorrelatorFamily(lam, entries, 5)
+    phi = phi_double_correlator(fam, 3)
+    _same_phi(phi, phi_pairwise(fam, 3))
     assert (-1, 1) in phi.coeff(0, 1).roots
     assert all((-1, 1) not in phi.coeff(k, 1).roots for k in (1, 2, 3))
 
@@ -499,7 +512,7 @@ def test_phi_transformation_laws_small():
     # laws' corrections reach the z^4 row through the z^3 row.
     rng = random.Random(43)
     lam, _, fam = cy_setup(rng, order=2)
-    phi = phi_double_correlator(fam, 4, 2)
+    phi = phi_double_correlator(fam, 4)
     assert not any(v.is_zero() for v in phi.c[3] + phi.c[4])
     f = TruncSeries([F(1)] + sample_series_coeffs(rng, 1, span=3, max_den=2),
                     2)
@@ -513,7 +526,7 @@ def test_phi_transformation_laws_small():
         assert predicted != phi, kind
         transformed = transform_family(fam, kind, series,
                                        C=C if kind == "c" else None)
-        assert phi_double_correlator(transformed, 4, 2) == predicted, kind
+        assert phi_double_correlator(transformed, 4) == predicted, kind
 
 
 def test_phi_transformation_laws_use_every_z_power():
@@ -522,7 +535,7 @@ def test_phi_transformation_laws_use_every_z_power():
     # Phi starts at z^0 and every power up to the cap counts.
     rng = random.Random(45)
     lam, _, fam = cy_setup(rng, m=1, order=3)
-    phi = phi_double_correlator(fam, 3, 3)
+    phi = phi_double_correlator(fam, 3)
     assert not any(v.is_zero() for v in phi.c[0])
     f = TruncSeries([F(1)] + sample_series_coeffs(rng, 2, span=3, max_den=2),
                     3)
@@ -535,7 +548,7 @@ def test_phi_transformation_laws_use_every_z_power():
             ("c", g, phi_law_c(phi, g, C))):
         transformed = transform_family(fam, kind, series,
                                        C=C if kind == "c" else None)
-        assert phi_double_correlator(transformed, 3, 3) == predicted, kind
+        assert phi_double_correlator(transformed, 3) == predicted, kind
 
 
 def test_mod_hbar2_closed_form_and_triviality():
@@ -548,7 +561,7 @@ def test_mod_hbar2_closed_form_and_triviality():
         assert h1 == (G5 - G1).scale(5 * lam[i]) + G1.scale(total)
     const = CorrelatorFamily(
         lam, [TruncSeries([RatFunc.const(1)] + [RatFunc.const(0)] * 3, 3)
-              for _ in range(5)], 4, 5, 3)
+              for _ in range(5)], 5)
     pairs = mod_hbar2(const.entries, 3)
     assert all(h0 == TruncSeries.one(3) and h1 == TruncSeries.zero(3)
                for h0, h1 in pairs)
@@ -583,7 +596,72 @@ def test_two_coefficient_determinacy():
 def test_composite_inverse_trivial_mod_hbar2():
     rng = random.Random(47)
     lam, _, fam = cy_setup(rng, order=3)
-    inverse = composite_inverse_of_zstar(fam)
-    for h0, h1 in mod_hbar2(inverse, 3):
+    for h0, h1 in composite_inverse_of_zstar(fam):
         assert h0 == TruncSeries.one(3)
         assert h1 == TruncSeries.zero(3)
+
+
+def _trivial(pairs, order) -> bool:
+    return all(h0 == TruncSeries.one(order) and h1 == TruncSeries.zero(order)
+               for h0, h1 in pairs)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_composite_heads_match_the_full_inverse(m):
+    # The pairs read on the heads over Q equal the whole RatFunc inverse
+    # read modulo hbar^-2 afterwards: on Z*, where both are (1, 0), and on
+    # its image under (a), where they are not unless f = 1.
+    rng = random.Random(60 + m)
+    for order in range(1, 5):
+        for _ in range(3):
+            _, _, fam = cy_setup(rng, m=m, order=order)
+            f = TruncSeries([F(1)] + sample_series_coeffs(
+                rng, order - 1, span=4, max_den=3), order)
+            pairs = []
+            for family in (fam, transform_family(fam, "a", f)):
+                want = mod_hbar2(composite_inverse_full(family), order)
+                pairs.append(composite_inverse_of_zstar(family))
+                assert pairs[-1] == want
+            assert _trivial(pairs[0], order)
+            assert _trivial(pairs[1], order) == (f == TruncSeries.one(order))
+
+
+def test_composite_planted_faults_fail(monkeypatch):
+    # Each fault leaves some pair other than (1, 0): dropping the
+    # sum(lam) G_1/F term of A_i, flipping the sign of g in A_i (both
+    # planted in the series the composite substitutes into), and doubling
+    # one Z* coefficient.
+    rng = random.Random(63)
+    lam, _, fam = cy_setup(rng, order=3)
+    assert sum(lam) != 0 and any(lam)
+    assert _trivial(composite_inverse_of_zstar(fam), 3)
+    Fq, G1, G5 = f_and_g(4, 3)
+    g = (G5 - G1).scale(5) / Fq
+    real = recursion.compose_all
+    for fault in (lambda s: s.scale(0) if s == G1 / Fq else s,
+                  lambda s: -s if s == g else s):
+        monkeypatch.setattr(recursion, "compose_all", lambda outers, inner:
+                            real([fault(s) for s in outers], inner))
+        assert not _trivial(composite_inverse_of_zstar(fam), 3)
+        checks = verify.check_transformations(4, 5, 3, 0, lam=lam)
+        assert [c.name for c in checks if not c.passed] == [
+            "composite-inverse"]
+    monkeypatch.undo()
+    doubled = _rescaled(fam, lambda i, d: 2 if (i, d) == (2, 2) else 1)
+    assert not _trivial(composite_inverse_of_zstar(doubled), 3)
+
+
+def test_composite_builds_no_ratfunc_product(monkeypatch):
+    rng = random.Random(64)
+    _, _, fam = cy_setup(rng, order=4)
+
+    def forbidden(*args):
+        raise AssertionError("hbar arithmetic in the composite inverse")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFunc, name, forbidden)
+    monkeypatch.setattr(Lifted, "__init__", forbidden)
+    assert _trivial(composite_inverse_of_zstar(fam), 4)
+    # The guard is not vacuous.
+    with pytest.raises(AssertionError, match="hbar arithmetic"):
+        RatFunc.const(2) * RatFunc.const(3)
