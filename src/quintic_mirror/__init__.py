@@ -10,7 +10,7 @@ Everything is computed over arbitrary-precision rationals.
 
 from .errors import (ClassPViolation, ConsistencyError, DegenerateLambda,
                      DomainError, OrderMismatch, PoleError, StructureError)
-from .hbar import Laurent, Poly, RatFunc
+from .hbar import Poly, RatFunc
 from .hypergeom import (CorrelatorFamily, HypergeomConfig, f_and_g,
                         fundamental_solution, hypersurface_series,
                         zstar_family)
@@ -19,13 +19,13 @@ from .localization import (DecoratedGraph, bott_sum, enumerate_graphs,
 from .mirror import (InvariantTable, MirrorMap, build_mirror_map,
                      mirror_identity_check, multiple_cover_invert,
                      multiple_cover_sum, quintic_invariants)
-from .mixed import HTruncPoly, MixedSeries
+from .mixed import MixedSeries
 from .series import (TruncSeries, series_exp, series_log, series_reversion)
 
 __all__ = [
     "ClassPViolation", "ConsistencyError", "CorrelatorFamily",
-    "DecoratedGraph", "DegenerateLambda", "DomainError", "HTruncPoly",
-    "HypergeomConfig", "InvariantTable", "Laurent", "MirrorMap",
+    "DecoratedGraph", "DegenerateLambda", "DomainError",
+    "HypergeomConfig", "InvariantTable", "MirrorMap",
     "MixedSeries", "OrderMismatch", "Poly", "PoleError", "RatFunc",
     "StructureError", "TruncSeries", "bott_sum", "build_mirror_map",
     "enumerate_graphs", "f_and_g",

@@ -42,11 +42,12 @@ so only a sum needs a gcd pass over its coefficients.
   alone at a root whose multiplier vanishes there (a zero, or a ``Poly``
   with that root, such as lam_i + d hbar at the pole (lam_a - lam_i)/d
   when lam_a = 0): that root is tried too.
-* ``Laurent`` -- finite Laurent polynomial (integer exponents of either
-  sign).  No pipeline code calls it: the ambient fundamental solution is
-  built at hbar = 1, with hbar restored by its grading rule
-  (``hypergeom.fundamental_solution``).  It is kept only while the
-  benchmark binds its product as ``hbar.laurent_mul``.
+* ``Laurent`` -- finite Laurent polynomial, reduced to its constructor
+  and product.  Neither the pipeline nor a test route uses it: the
+  ambient fundamental solution is built at hbar = 1, with hbar restored
+  by its grading rule (``hypergeom.fundamental_solution``).  It stays
+  only while the benchmark binds its product as ``hbar.laurent_mul``, and
+  is not exported.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from math import gcd, lcm
 from .errors import DomainError, PoleError, StructureError
 from .intpoly import clear, mul, mul_linear
 
-__all__ = ["Poly", "RatFunc", "Lifted", "Laurent"]
+__all__ = ["Poly", "RatFunc", "Lifted"]
 
 
 def _frac(x) -> Fraction:
@@ -759,7 +760,11 @@ class RatFunc:
 
 
 class Laurent:
-    """Finite Laurent polynomial in hbar over Fraction."""
+    """Finite Laurent polynomial sum c[k] hbar^k over Fraction.
+
+    It holds only a constructor and a product, which exist for the
+    benchmark's ``hbar.laurent_mul`` layer binding and go with it.
+    """
 
     __slots__ = ("c",)
 
@@ -772,106 +777,15 @@ class Laurent:
                     c[k] = v
         self.c = c
 
-    @classmethod
-    def const(cls, x) -> "Laurent":
-        return cls({0: x})
-
-    @classmethod
-    def unit(cls, power: int, x=1) -> "Laurent":
-        """x * hbar^power (power may be negative)."""
-        return cls({power: x})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Laurent):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Laurent({0: x})
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def coeff(self, k: int) -> Fraction:
-        return self.c.get(k, Fraction(0))
-
-    def __add__(self, other):
-        other = Laurent._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, Fraction(0)) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Laurent(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Laurent._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = Laurent._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self):
-        return Laurent({k: -v for k, v in self.c.items()})
-
     def __mul__(self, other):
-        other = Laurent._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = Laurent({0: other})
+        elif not isinstance(other, Laurent):
             return NotImplemented
         out: dict = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
-                k = k1 + k2
-                s = out.get(k, Fraction(0)) + v1 * v2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
         return Laurent(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Laurent({k: v / other for k, v in self.c.items()})
-        return NotImplemented
-
-    def inverse(self) -> "Laurent":
-        """Inverse of a monomial c*hbar^k; other shapes are not units."""
-        if len(self.c) != 1:
-            raise DomainError("only monomial Laurent elements are invertible")
-        ((k, v),) = self.c.items()
-        return Laurent({-k: 1 / v})
-
-    def shift(self, powers: int) -> "Laurent":
-        """Multiply by hbar^powers."""
-        return Laurent({k + powers: v for k, v in self.c.items()})
-
-    def __eq__(self, other):
-        other = Laurent._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        # A constant hashes like its value, since == equates them.
-        if self.c.keys() <= {0}:
-            return hash(self.c.get(0, 0))
-        return hash(tuple(sorted(self.c.items())))
-
-    def __repr__(self):
-        if not self.c:
-            return "Laurent(0)"
-        terms = [f"{v}*h^{k}" for k, v in sorted(self.c.items())]
-        return "Laurent(" + " + ".join(terms) + ")"

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .errors import DomainError
+from .errors import DegenerateLambda, DomainError
 from .hbar import RatFunc
 from .intpoly import clear, mul_linear
 from .mixed import MixedSeries
@@ -193,7 +193,7 @@ def zstar_family(cfg: HypergeomConfig,
     if len(lam) != cfg.m + 1:
         raise DomainError(f"need {cfg.m + 1} weights, got {len(lam)}")
     if len(set(lam)) != len(lam):
-        raise DomainError("weights must be pairwise distinct")
+        raise DegenerateLambda("weights must be pairwise distinct")
     m, l = cfg.m, cfg.l
     Lam, L = clear(lam)
     entries = []

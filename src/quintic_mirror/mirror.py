@@ -28,7 +28,7 @@ from .hypergeom import (HypergeomConfig, exp_prefactor, f_and_g,
                         hypersurface_operator_residual, hypersurface_series)
 from .mixed import MixedSeries
 from .report import Check
-from .series import TruncSeries, series_exp, series_reversion
+from .series import TruncSeries, compose_all, series_exp, series_reversion
 
 __all__ = [
     "MirrorMap",
@@ -166,8 +166,8 @@ def prepotential_in_t(mm: MirrorMap, table: InvariantTable) -> TruncSeries:
     Uses T = t + g(q) and e^(dT) = (q exp(g(q)))^d at t = 0.
     """
     g = mm.g
-    instantons = TruncSeries([0] + table.N, g.order).compose(
-        series_exp(g).mul_q())
+    instantons = compose_all([TruncSeries([0] + table.N, g.order)],
+                             series_exp(g).mul_q())[0]
     return (g ** 3).scale(Fraction(5, 6)) + instantons
 
 

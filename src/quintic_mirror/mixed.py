@@ -1,10 +1,11 @@
 """Nilpotent-H polynomials and the two-graded (X, q) mixed series ring.
 
-``HTruncPoly`` models the cohomology presentation with H nilpotent:
-multiplication simply discards every term of H-degree above the cap.
-No pipeline code calls it: the hypersurface series, the ambient solution
-among them, builds its H-blocks as ``TruncSeries`` in H.  It is kept for
-the benchmark's layer binding and as the tests' reference route.
+``HTruncPoly`` is a polynomial in H modulo a power of H, reduced to its
+constructor and product.  Neither the pipeline nor a test route uses it:
+the hypersurface series, the ambient solution among them, builds its
+H-blocks as ``TruncSeries`` in H, and so do the tests' references.  It
+stays only while the benchmark binds its product as ``mixed.htrunc_mul``,
+and is not exported.
 
 ``MixedSeries`` models elements of Q[X]/(X^(top+1)) [[q]]: a finite
 array of coefficients ``c[i][d]`` for X^i q^d.  Scalars may be Fraction
@@ -26,11 +27,15 @@ from math import factorial
 from .errors import DomainError, OrderMismatch
 from .series import TruncSeries, compose_all
 
-__all__ = ["HTruncPoly", "MixedSeries"]
+__all__ = ["MixedSeries"]
 
 
 class HTruncPoly:
-    """a0 + a1*H + ... + aN*H^N in the quotient by H^(N+1)."""
+    """a0 + a1*H + ... + aN*H^N in the quotient by H^(N+1).
+
+    It holds only a constructor and a product, which exist for the
+    benchmark's ``mixed.htrunc_mul`` layer binding and go with it.
+    """
 
     __slots__ = ("c", "nilpotency")
 
@@ -42,52 +47,12 @@ class HTruncPoly:
         self.c = c
         self.nilpotency = nilpotency
 
-    @classmethod
-    def const(cls, value, nilpotency: int) -> "HTruncPoly":
-        return cls([value], nilpotency)
-
-    @classmethod
-    def h(cls, nilpotency: int) -> "HTruncPoly":
-        return cls([0, 1], nilpotency)
-
-    @staticmethod
-    def _coerce(x, nilpotency: int):
-        if isinstance(x, HTruncPoly):
-            return x if x.nilpotency == nilpotency else None
-        if isinstance(x, (int, Fraction)):
-            return HTruncPoly([x], nilpotency)
-        return None
-
-    def __add__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
-        return HTruncPoly([a + b for a, b in zip(self.c, other.c)],
-                          self.nilpotency)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
-        return HTruncPoly([a - b for a, b in zip(self.c, other.c)],
-                          self.nilpotency)
-
-    def __rsub__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return HTruncPoly([-a for a in self.c], self.nilpotency)
-
     def __mul__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
         n = self.nilpotency
+        if isinstance(other, (int, Fraction)):
+            other = HTruncPoly([other], n)
+        elif not isinstance(other, HTruncPoly) or other.nilpotency != n:
+            return NotImplemented
         out = [0] * n
         for i, a in enumerate(self.c):
             if a == 0:
@@ -100,61 +65,6 @@ class HTruncPoly:
         return HTruncPoly(out, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "HTruncPoly":
-        if k < 0:
-            raise DomainError("negative powers not supported; divide instead")
-        result = HTruncPoly.const(1, self.nilpotency)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def inverse(self) -> "HTruncPoly":
-        """(a0 + N)^-1 via the finite geometric series in the nilpotent part."""
-        a0 = self.c[0]
-        if a0 == 0:
-            raise DomainError("constant term not invertible")
-        if isinstance(a0, int):
-            inv0 = Fraction(1, a0)
-        elif isinstance(a0, Fraction):
-            inv0 = 1 / a0
-        else:
-            inv0 = a0.inverse()
-        rest = HTruncPoly([0] + [-x * inv0 for x in self.c[1:]],
-                          self.nilpotency)
-        out = HTruncPoly.const(1, self.nilpotency)
-        power = HTruncPoly.const(1, self.nilpotency)
-        for _ in range(1, self.nilpotency):
-            power = power * rest
-            out = out + power
-        return HTruncPoly([x * inv0 for x in out.c], self.nilpotency)
-
-    def __truediv__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def coeff(self, i: int):
-        return self.c[i] if 0 <= i < self.nilpotency else 0
-
-    def __eq__(self, other):
-        other = HTruncPoly._coerce(other, self.nilpotency)
-        if other is None:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.c, other.c))
-
-    def __hash__(self):
-        return hash((self.nilpotency, tuple(self.c)))
-
-    def __repr__(self):
-        terms = [f"({a})*H^{i}" for i, a in enumerate(self.c) if a != 0]
-        return "HTruncPoly(" + (" + ".join(terms) or "0") + ")"
 
 
 def _add_row(acc: list, row, scale=1) -> None:

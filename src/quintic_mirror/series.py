@@ -8,7 +8,9 @@ Binary operations require equal orders (``OrderMismatch`` otherwise).
 
 Every substitution of series into another goes through ``compose_all``,
 which takes the inner series itself and builds its ``powers`` once for all
-the outer series; ``TruncSeries.compose`` is its one-series call.
+the outer series.  ``TruncSeries.compose``, its one-series call, has no
+caller in the package: it stays for the benchmark's ``series.compose``
+layer binding and for the tests.
 
 Products over Q take one exact integer kernel (``q_mul``): when every
 coefficient of both operands is an ``int`` or a ``Fraction``, their
@@ -305,7 +307,9 @@ class TruncSeries:
         """Substitute ``inner`` for the variable: self(inner).
 
         This is the one-series call of ``compose_all``, which holds the
-        checks and both the packed and the term-by-term route.
+        checks and both the packed and the term-by-term route.  No package
+        code calls it: it stays for the benchmark's ``series.compose``
+        layer binding and for the tests, and goes with that binding.
         """
         return compose_all([self], inner)[0]
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-import pytest
-
 import quintic_mirror
 from quintic_mirror.hypergeom import (HypergeomConfig, fundamental_solution,
                                       hypersurface_operator_residual,
@@ -23,8 +21,7 @@ from quintic_mirror.hypergeom import (HypergeomConfig, fundamental_solution,
 from quintic_mirror.localization import oracle_crosscheck
 from quintic_mirror.mirror import (build_mirror_map, case_i_check,
                                    case_ii_check, mirror_identity_check,
-                                   multiple_cover_sum, picard_fuchs_check,
-                                   quintic_invariants,
+                                   multiple_cover_sum, quintic_invariants,
                                    transformed_quintic_series)
 from quintic_mirror.recursion import (classP_extract, closed_form_E,
                                       composite_inverse_of_zstar,

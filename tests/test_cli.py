@@ -445,6 +445,21 @@ def test_explicit_degenerate_lambda_is_usage_error(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, check in verify.CHECKS.items()
+    if "lam" in inspect.signature(check).parameters))
+def test_repeated_weight_is_one_usage_error_in_every_check(capsys, name):
+    # The recursion checks meet the repeat in recursion_coeffs, the others
+    # in zstar_family; both report it alike.  At the check's default m the
+    # tuple is 1,1,2,...,m.
+    m = inspect.signature(verify.CHECKS[name]).parameters["m"].default
+    lam = ",".join(["1"] + [str(k) for k in range(1, m + 1)])
+    code, out, err = run_cli(capsys, "verify", name, "--lambda", lam)
+    assert (code, out) == (2, "")
+    assert err == ("degenerate weight configuration: "
+                   "weights must be pairwise distinct\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "invariants", "--order", "1",

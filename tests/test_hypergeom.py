@@ -8,13 +8,13 @@ from math import factorial
 
 import pytest
 
-from quintic_mirror.errors import DomainError
-from quintic_mirror.hbar import Laurent, Poly, RatFunc
+from quintic_mirror.errors import DegenerateLambda, DomainError
+from quintic_mirror.hbar import RatFunc
 from quintic_mirror.hypergeom import (HypergeomConfig, f_and_g,
                                       fundamental_solution,
                                       hypersurface_operator_residual,
                                       hypersurface_series, zstar_family)
-from quintic_mirror.mixed import HTruncPoly, MixedSeries
+from quintic_mirror.mixed import MixedSeries
 from quintic_mirror.sampling import sample_lambda
 from quintic_mirror.series import TruncSeries
 import ambient_reference
@@ -95,22 +95,36 @@ def test_ambient_m1_d1_expansion():
     assert sol.coeff(1, 1) == -2
 
 
+def _ring_route_agrees(solve, m: int, order: int) -> bool:
+    """The P^m solution ``solve(m, order)`` against the one built by long
+    divisions in H with RatFunc coefficients: the solution is expanded by
+    e^(Ht), and hbar goes back onto each nonzero H^i t^k q^d value v as
+    v hbar^(-(m+1)d - i), the root 0 taken (m+1)d + i times."""
+    graded = [[[v * RatFunc(1, {0: (m + 1) * d + i}) if v != 0 else v
+                for d, v in enumerate(row)] for row in plane]
+              for i, plane in enumerate(expand(solve(m, order)))]
+    return graded == ambient_reference.fundamental_solution(m, order)
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_ambient_solution_matches_the_ring_route(m):
-    # The hyperplane identity and the grading rule against the solution
-    # built by products and inverses in H with Laurent coefficients: the
-    # solution is expanded by e^(Ht), and hbar goes back onto each nonzero
-    # H^i t^k q^d value v as v hbar^(-(m+1)d - i).  repr, not ==, so every
-    # coefficient keeps its type.
+    # The hyperplane identity and the grading rule, neither of which the
+    # ring route uses.
     for order in range(7):
-        got = fundamental_solution(m, order)
-        want = ambient_reference.fundamental_solution(m, order)
-        assert got.caps() == (m, order)
-        graded = [[[repr(Laurent.unit(-(m + 1) * d - i, v) if v != 0 else v)
-                    for d, v in enumerate(row)] for row in plane]
-                  for i, plane in enumerate(expand(got))]
-        assert graded == [[[repr(c) for c in row] for row in plane]
-                          for plane in want]
+        assert fundamental_solution(m, order).caps() == (m, order)
+        assert _ring_route_agrees(fundamental_solution, m, order)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_ring_route_catches_an_off_by_one_hyperplane(m):
+    # The P^m solution built as a hyperplane in P^(m+2), cut to the caps
+    # of P^m so that only its values differ: its q^d coefficient is
+    # 1/(d!)^(m+2).  A reference that agrees with it would be vacuous.
+    def off_by_one(m, order):
+        wide = hypersurface_series(HypergeomConfig._make((m + 2, 1, order)))
+        return MixedSeries(m, order, wide.c[:m + 1])
+
+    assert not _ring_route_agrees(off_by_one, m, 3)
 
 
 @pytest.mark.parametrize("m", [-1, -2])
@@ -163,7 +177,9 @@ def test_zstar_constant_terms_and_example_value():
 
 def test_zstar_rejects_repeated_weights():
     cfg = HypergeomConfig(4, 5, 2)
-    with pytest.raises(DomainError):
+    # The condition recursion_coeffs reports, with the same exception.
+    with pytest.raises(DegenerateLambda,
+                       match="^weights must be pairwise distinct$"):
         zstar_family(cfg, (F(0), F(0), F(1), F(2), F(3)))
 
 
@@ -205,24 +221,36 @@ def test_hypersurface_series_quintic_block_closed_form():
             assert c[i][k][3] == block[i - k] / factorial(k)
 
 
+def _equivariant_route_agrees(m: int, l: int, order: int,
+                              bumped: int = 0) -> bool:
+    """The hypersurface series against an independent route: keep H
+    un-truncated one step longer, include the r = 0 numerator factor lH,
+    and compare H^(b+1) against l * I_b.  A positive ``bumped`` plants a
+    fault: the denominator factor H + bumped is built as H + bumped + 1."""
+    S = hypersurface_series(HypergeomConfig(m, l, order))
+    for d in range(order + 1):
+        num = TruncSeries([0, l], m)            # the r = 0 factor: l*H
+        for r in range(1, l * d + 1):
+            num = num * TruncSeries([r, l], m)
+        den = TruncSeries.one(m)
+        for r in range(1, d + 1):
+            den = den * TruncSeries([r + (r == bumped), 1], m) ** (m + 1)
+        block = num / den
+        if any(block[b + 1] != l * S.coeff(b, d) for b in range(m)):
+            return False
+    return True
+
+
 def test_hypersurface_series_matches_equivariant_route():
-    # Independent route: keep H un-truncated one step longer, include the
-    # r = 0 numerator factor lH, and compare H^(b+1) against l * I_b.
     for m, l in ((5, 3), (4, 2)):
-        order = 3
-        cfg = HypergeomConfig(m, l, order)
-        S = hypersurface_series(cfg)
-        nil = m + 1
-        for d in range(order + 1):
-            num = HTruncPoly([0, l], nil)       # the r = 0 factor: l*H
-            for r in range(1, l * d + 1):
-                num = num * HTruncPoly([r, l], nil)
-            den = HTruncPoly.const(Fraction(1), nil)
-            for r in range(1, d + 1):
-                den = den * HTruncPoly([r, 1], nil) ** (m + 1)
-            block = num * den.inverse()
-            for b in range(m):
-                assert block.coeff(b + 1) == l * _coeff_block(S, b, d)
+        assert _equivariant_route_agrees(m, l, 3)
+
+
+@pytest.mark.parametrize("bumped", [1, 2, 3])
+def test_equivariant_route_catches_a_shifted_factor(bumped):
+    # A reference that agrees with a mutant is vacuous.
+    for m, l in ((5, 3), (4, 2)):
+        assert not _equivariant_route_agrees(m, l, 3, bumped)
 
 
 def _five_products_route(cfg: HypergeomConfig) -> MixedSeries:
@@ -256,11 +284,6 @@ def test_hypersurface_series_matches_five_products_route(m, l):
         # repr, not ==: every coefficient keeps its value and its type.
         assert [[repr(c) for c in row] for row in got.c] \
             == [[repr(c) for c in row] for row in want.c]
-
-
-def _coeff_block(S: MixedSeries, b: int, d: int):
-    # The t^0 part of the H^b component at q^d (pure coefficient block).
-    return S.coeff(b, d)
 
 
 def test_operator_residual_detects_fault_injection():

@@ -11,9 +11,8 @@ import pytest
 from quintic_mirror import mirror, series
 from quintic_mirror.errors import ConsistencyError, DomainError
 from quintic_mirror.hypergeom import HypergeomConfig, hypersurface_series
-from quintic_mirror.mirror import (InvariantTable, build_mirror_map,
-                                   case_i_check, case_ii_check,
-                                   mirror_identity_check,
+from quintic_mirror.mirror import (build_mirror_map, case_i_check,
+                                   case_ii_check, mirror_identity_check,
                                    multiple_cover_invert, multiple_cover_sum,
                                    picard_fuchs_check, prepotential_in_t,
                                    quintic_invariants,

@@ -20,31 +20,14 @@ from quintic_mirror.series import TruncSeries
 
 
 def test_h_nilpotency_is_exact():
-    h = HTruncPoly.h(4)
-    assert (h ** 3).c == [0, 0, 0, 1]
-    assert (h ** 4).c == [0, 0, 0, 0]
-
-
-def test_equal_htrunc_polys_hash_equal_across_coefficient_types():
-    a = HTruncPoly([RatFunc.const(1), 0], 2)
-    b = HTruncPoly([1, Fraction(0)], 2)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-
-
-def test_h_negative_power_raises():
-    with pytest.raises(DomainError):
-        HTruncPoly([1, 2], 3) ** -1
-
-
-def test_htrunc_inverse():
-    rng = random.Random(1)
-    for _ in range(20):
-        coeffs = sample_series_coeffs(rng, 4)
-        if coeffs[0] == 0:
-            coeffs[0] = Fraction(2)
-        x = HTruncPoly(coeffs, 5)
-        assert x * x.inverse() == HTruncPoly.const(1, 5)
+    # The product, the one method the class keeps, drops every H-power
+    # past the cap, whatever the coefficient types.
+    h = HTruncPoly([0, 1], 4)
+    assert (h * h * h).c == [0, 0, 0, 1]
+    assert (h * h * h * h).c == [0, 0, 0, 0]
+    x = HTruncPoly([2, Fraction(1, 3), RatFunc.const(5)], 3)
+    assert (x * HTruncPoly([0, 1], 3)).c == [0, 2, Fraction(1, 3)]
+    assert (3 * x).c == (x * 3).c == [6, 1, 15]
 
 
 def test_qseries_embedding_is_ring_homomorphism():
