@@ -2,12 +2,13 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage or
 precondition errors (a degenerate weight configuration or an unwritable
-``--out`` path included), 3 on an internal error: any other exception is
-a program bug, reported as "internal error: ..." rather than blamed on the
-input.  A reader that closes stdout early is not one: exit 141, as a shell
-reports SIGPIPE, with nothing on stderr, after writing any ``--out``
-file.  Output is deterministic for a fixed seed and never contains
-floating point; rationals print as "p/q" (or "p" for integers).
+``--out`` path included), 3 on an internal error: any other exception,
+``StructureError`` too (every denominator splits into linear forms), is
+a program bug, reported as "internal error: ..." rather than blamed on
+the input.  A reader that closes stdout early is not one: exit 141, as a
+shell reports SIGPIPE, with nothing on stderr, after writing any
+``--out`` file.  Output is deterministic for a fixed seed and never
+contains floating point; rationals print as "p/q" (or "p" for integers).
 
 Each ``verify`` check accepts only the options it reads, the parameters
 of its function in ``verify.CHECKS``; any other option exits 2.
@@ -34,8 +35,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (DegenerateLambda, DomainError, PoleError,
-                     StructureError)
+from .errors import DegenerateLambda, DomainError, PoleError
 from .localization import MAX_DEGREE, oracle_crosscheck
 from .mirror import InvariantTable, quintic_invariants
 from .report import Check, all_passed, report_json, report_text
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return commands[args.command](args)
     except BrokenPipeError:
         return CLOSED_STDOUT
-    except (DomainError, StructureError) as exc:
+    except DomainError as exc:
         sys.stderr.write(f"{exc}\n")
         return USAGE_ERROR
     except (DegenerateLambda, PoleError) as exc:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode is a distinct class so callers (and tests) can react to
-the precise condition: order mismatches are bugs, poles and degenerate
-weight tuples are resampled, class-P violations are reported.
+the precise condition: order mismatches are bugs, degenerate weight tuples
+are resampled (a pole is not: see ``sampling``), class-P violations are
+reported.
 """
 
 from __future__ import annotations

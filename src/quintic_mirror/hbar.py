@@ -16,9 +16,11 @@ so only a sum needs a gcd pass over its coefficients.
   the pipeline builds is a product of linear forms in hbar: the Z*
   factors lam_i - lam_a + r hbar, the recursion edges lam_i - lam_j +
   d hbar, the Newton-node differences, the 1/hbar of the transformations,
-  and their images under hbar -> -hbar.  A missing root p/q multiplies N
-  by (q hbar - p), a cancellation is exact top-down integer division by
-  it, and no polynomial gcd is ever needed.
+  and their images under hbar -> -hbar.  A pole enters only through
+  ``from_factors`` or division by a linear form (``inverse``), so only
+  ``inverse`` and ``heads_at_infinity`` raise ``StructureError``.  A
+  missing root p/q multiplies N by (q hbar - p), a cancellation is exact
+  top-down integer division by it, and no polynomial gcd is ever needed.
 
   Every sum of ``RatFunc`` values goes through one kernel in two steps.
   *Lift* (``Lifted(terms)``, once): bring each term to the common root
@@ -141,10 +143,6 @@ class Poly:
     @property
     def c(self) -> tuple[Fraction, ...]:
         return tuple(self._content * x for x in self._n)
-
-    @classmethod
-    def const(cls, x) -> "Poly":
-        return cls([x])
 
     @classmethod
     def hbar(cls, power: int = 1) -> "Poly":
@@ -471,14 +469,14 @@ class RatFunc:
     at no stored root, so the triple is canonical and ``==`` compares it
     structurally.
 
-    A denominator is given as a root mapping ({root: multiplicity} with
-    Fraction roots, standing for the monic product of (hbar - root)) or as
-    a ``Poly`` of degree at most 1 (the recursion edges lam_i - lam_j +
-    d hbar, the 1/hbar prefactors, the Newton-node differences).  A
-    ``Poly`` of higher degree raises ``StructureError``, as does inverting
-    a numerator of degree above 1: neither would split into known roots.
-    ``from_factors`` takes both numerator and denominator as products of
-    linear forms, given as pair-keyed root multisets.
+    ``RatFunc(num, den)`` is ``RatFunc(num) / den``, so a pole enters in
+    exactly two ways: through ``from_factors``, which takes numerator and
+    denominator as pair-keyed root multisets (Z* and the recursion
+    coefficients), or through division by a linear form, whose ``inverse``
+    turns it into a root (the 1/hbar prefactors, the Newton-node
+    differences).  ``StructureError`` comes only from ``inverse``, for a
+    numerator of degree above 1 that would not split into known roots, and
+    from ``heads_at_infinity``.
     ``num`` and ``den`` are ``Poly`` views built on demand from the same
     integer tuples: the numerator over the monic denominator, and that
     denominator expanded.
@@ -487,44 +485,19 @@ class RatFunc:
     __slots__ = ("_n", "_content", "roots", "_num", "_den")
 
     def __init__(self, num, den=None, _content: Fraction | None = None):
-        if _content is not None:
-            # Internal form: num is a primitive integer tuple and den a
-            # pair-keyed root multiset, already in lowest terms.
-            self._n, self._content, self.roots = num, _content, den
-            self._num = self._den = None
-            return
-        num = Poly._coerce(num)
-        if num is None:
-            raise TypeError("RatFunc components must be Poly-coercible")
-        scale = Fraction(1)
-        if den is None:
-            roots = {}
-        elif isinstance(den, dict):
-            roots = {}
-            for r, k in den.items():
-                if k:
-                    r = _frac(r)
-                    roots[(r.numerator, r.denominator)] = k
-                    scale *= r.denominator ** k
-        else:
-            den = Poly._coerce(den)
+        if _content is None:
+            # Public form: RatFunc(num, den) is RatFunc(num) / den.
+            poly = Poly._coerce(num)
+            if poly is None:
+                raise TypeError("RatFunc numerator must be Poly-coercible")
             if den is None:
-                raise TypeError("RatFunc components must be Poly-coercible")
-            if den.is_zero():
-                raise ZeroDivisionError(
-                    "rational function with zero denominator")
-            if den.degree > 1:
-                raise StructureError(
-                    f"denominator {den!r} is not a linear form in hbar")
-            # den = c (n1 hbar + n0), primitive with n1 > 0: root (-n0, n1).
-            roots = {(-den._n[0], den._n[1]): 1} if den.degree else {}
-            scale = 1 / den._content
-        content, n = num._content, num._n
-        if not n:
-            roots = {}
-        elif roots:
-            n = _reduce(n, roots, list(roots))
-        self._n, self._content, self.roots = n, content * scale, roots
+                num, den, _content = poly._n, {}, poly._content
+            else:
+                f = RatFunc(poly) / den
+                num, den, _content = f._n, f.roots, f._content
+        # Internal form: num is a primitive integer tuple and den a
+        # pair-keyed root multiset, already in lowest terms.
+        self._n, self._content, self.roots = num, _content, den
         self._num = self._den = None
 
     @property
@@ -554,14 +527,14 @@ class RatFunc:
         product over ``poles``.
 
         Both are root multisets keyed like ``roots``: integer pairs (p, q)
-        in lowest terms with q > 0.  Two such factors are equal exactly
-        when their pairs are, so cancelling the pairs both hold leaves
-        lowest terms without a division.
+        in lowest terms with q > 0, multiplicity 0 meaning none.  Two such
+        factors are equal exactly when their pairs are, so cancelling the
+        pairs both hold leaves lowest terms without a division.
         """
         content = _frac(content)
         if not content:
             return cls.const(0)
-        poles = dict(poles)
+        poles = {r: k for r, k in poles.items() if k}
         shared = zeros.keys() & poles.keys()
         if shared:
             zeros = dict(zeros)

@@ -176,6 +176,16 @@ def f_and_g(m: int, order: int) -> tuple[TruncSeries, TruncSeries,
     return tuple(TruncSeries(c, order) for c in (F, G_1, G_top))
 
 
+def weight_tuple(m: int, lam) -> tuple[Fraction, ...]:
+    """lam as m + 1 pairwise distinct Fractions, the torus weights on P^m."""
+    lam = tuple(Fraction(x) for x in lam)
+    if len(lam) != m + 1:
+        raise DomainError(f"need {m + 1} weights, got {len(lam)}")
+    if len(set(lam)) != len(lam):
+        raise DegenerateLambda("weights must be pairwise distinct")
+    return lam
+
+
 def zstar_family(cfg: HypergeomConfig,
                  lam: tuple[Fraction, ...]) -> CorrelatorFamily:
     """The hypergeometric correlators Z*_i at a numeric weight tuple.
@@ -189,11 +199,7 @@ def zstar_family(cfg: HypergeomConfig,
     in lowest terms.  The factors grow as root multisets, and the scales h,
     g and L collect into one content per entry.
     """
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != cfg.m + 1:
-        raise DomainError(f"need {cfg.m + 1} weights, got {len(lam)}")
-    if len(set(lam)) != len(lam):
-        raise DegenerateLambda("weights must be pairwise distinct")
+    lam = weight_tuple(cfg.m, lam)
     m, l = cfg.m, cfg.l
     Lam, L = clear(lam)
     entries = []

@@ -42,6 +42,7 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from .errors import DegenerateLambda, DomainError
+from .hypergeom import weight_tuple
 from .intpoly import clear
 from .report import Check
 from .sampling import sample_lambda, sample_until
@@ -257,6 +258,7 @@ def bott_sum(m: int, l: int, d: int, lam: tuple[Fraction, ...]) -> Fraction:
     rank l d + 1 equals dim M_{0,0}(P^m, d) = (m+1)(d+1) - 4; elsewhere
     the sum depends on the weights, so it raises ``DomainError``.
     """
+    lam = weight_tuple(m, lam)
     if l * d + 1 != (m + 1) * (d + 1) - 4:
         raise DomainError(
             f"rank {l * d + 1} of the section bundle differs from the "

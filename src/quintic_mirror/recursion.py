@@ -28,7 +28,7 @@ from math import factorial, gcd
 
 from .errors import ClassPViolation, DegenerateLambda, DomainError
 from .hbar import Lifted, Poly, RatFunc
-from .hypergeom import CorrelatorFamily, exp_prefactor, f_and_g
+from .hypergeom import CorrelatorFamily, exp_prefactor, f_and_g, weight_tuple
 from .intpoly import clear, mul_linear
 from .mixed import MixedSeries
 from .series import TruncSeries, compose_all, series_exp, series_reversion
@@ -110,11 +110,7 @@ def recursion_coeffs(m: int, l: int, lam, order: int) -> RecursionCoefficients:
     """All coefficients C_i^j(d) for d <= order plus the initial terms, in
     the regime of (m, l): Calabi-Yau when l > m, exponential initial terms
     when l = m."""
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != m + 1:
-        raise DomainError(f"need {m + 1} weights, got {len(lam)}")
-    if len(set(lam)) != len(lam):
-        raise DegenerateLambda("weights must be pairwise distinct")
+    lam = weight_tuple(m, lam)
     out = RecursionCoefficients(m, l, lam, order)
     Lam, L = clear(lam)
     for i in range(m + 1):
@@ -414,7 +410,7 @@ def phi_double_correlator(family: CorrelatorFamily,
                 if not prod.is_zero():
                     terms.append(prod)
                     lins.append(Poly([lam[i], d1]))
-                    row.append(Poly.const(weights[i]))
+                    row.append(Poly([weights[i]]))
         lifted = Lifted(terms)
         for k in range(z_order + 1):
             out.c[k][e] = lifted.combine(row) / factorial(k)

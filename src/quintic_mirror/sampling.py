@@ -1,9 +1,11 @@
 """Deterministic random sampling of weight tuples and test series.
 
 Weights are small-height rationals, pairwise distinct; callers that hit a
-degenerate configuration (vanishing derived denominator, pole collision)
-resample with the same generator, so a fixed seed gives a reproducible
-sequence of attempts.
+degenerate configuration (a vanishing derived denominator) resample with
+the same generator, so a fixed seed gives a reproducible sequence of
+attempts.  No builder evaluates at a point: the one ``PoleError`` source,
+``recursion_residuals``, runs after sampling, so a pole collision is not
+resampled (ROADMAP item 12).
 """
 
 from __future__ import annotations

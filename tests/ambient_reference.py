@@ -36,6 +36,6 @@ def fundamental_solution(m: int, order: int) -> list:
                 v = block[i - k]
                 if v != 0:
                     # (H/hbar)^k / k!: hbar^-k is the root 0 taken k times.
-                    out[i][k][d] = v * RatFunc(Fraction(1, factorial(k)),
-                                               {0: k})
+                    out[i][k][d] = v * RatFunc.from_factors(
+                        Fraction(1, factorial(k)), {}, {(0, 1): k})
     return out

@@ -8,7 +8,7 @@ recursion stage ran on cleared integer weights:
   Calabi-Yau one in two derivations (the edge slope inside each factor,
   and every factor multiplied by d);
 * ``zstar_family_fraction`` builds each Z*_i entry as a ``Poly`` product
-  over a Fraction root mapping;
+  divided by one linear form lam_i - lam_a + r hbar at a time;
 * ``forward_solve`` solves the Calabi-Yau recursion from its initial data
   with pairwise ``RatFunc`` sums;
 * ``phi_pairwise`` builds the double correlator Phi with one pairwise
@@ -132,17 +132,16 @@ def zstar_family_fraction(cfg: HypergeomConfig, lam) -> CorrelatorFamily:
     for i in range(cfg.m + 1):
         coeffs: list = [RatFunc.const(1)]
         for d in range(1, cfg.order + 1):
-            # lam_i - lam_a + r hbar = r (hbar - (lam_a - lam_i)/r): the
-            # scale prod r = (d!)^(m+1) moves into the numerator.
-            num = Poly([Fraction(1, factorial(d) ** (cfg.m + 1))])
+            num = Poly([1])
             for r in range(1, cfg.l * d + 1):
                 num = num * Poly([cfg.l * lam[i], r])
-            roots: dict = {}
+            # One division per linear form, off the root-multiset route
+            # of the code under test.
+            z = RatFunc(num)
             for a in range(cfg.m + 1):
                 for r in range(1, d + 1):
-                    root = (lam[a] - lam[i]) / r
-                    roots[root] = roots.get(root, 0) + 1
-            coeffs.append(RatFunc(num, roots))
+                    z = z / Poly([lam[i] - lam[a], r])
+            coeffs.append(z)
         entries.append(TruncSeries(coeffs, cfg.order))
     return CorrelatorFamily(lam, entries, cfg.l)
 

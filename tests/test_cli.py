@@ -16,6 +16,7 @@ import pytest
 import quintic_mirror
 from quintic_mirror import hypergeom, localization, recursion, verify
 from quintic_mirror.cli import main
+from quintic_mirror.errors import StructureError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.series import TruncSeries
 
@@ -272,6 +273,20 @@ def test_planted_error_in_recursion_coefficient_is_internal_error(
     assert out == ""
     assert "internal error: ZeroDivisionError: planted" in err
     assert "degenerate" not in err
+
+
+def test_structure_error_is_internal_error(capsys, monkeypatch):
+    # Every denominator the pipeline builds splits into linear forms, so no
+    # input reaches a StructureError: one that occurs is a program bug.
+    def planted(self):
+        raise StructureError("planted")
+
+    monkeypatch.setattr(RatFunc, "heads_at_infinity", planted)
+    code, out, err = run_cli(capsys, "verify", "transformations", "--order",
+                             "1", "--lambda", "0,1,10,100,1000")
+    assert code == 3
+    assert out == ""
+    assert "internal error: StructureError: planted" in err
 
 
 @pytest.mark.parametrize("m", [-2, 0])

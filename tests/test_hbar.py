@@ -31,11 +31,19 @@ def _linear_product(roots, scale=1) -> RatFunc:
     return out
 
 
-def _multiset(roots) -> dict:
-    out: dict = {}
-    for r in roots:
-        out[r] = out.get(r, 0) + 1
-    return out
+def _factored(scale, zeros, poles) -> RatFunc:
+    """scale prod (hbar - z) / prod (hbar - p) over the Fractions in zeros
+    and poles, built as the pipeline builds Z*: by ``from_factors``, each
+    root p/q keyed (p, q) and standing for q hbar - p."""
+    content, multisets = Fraction(scale), []
+    for roots, power in ((zeros, -1), (poles, 1)):
+        out: dict = {}
+        for r in roots:
+            key = (r.numerator, r.denominator)
+            out[key] = out.get(key, 0) + 1
+            content *= Fraction(r.denominator) ** power
+        multisets.append(out)
+    return RatFunc.from_factors(content, *multisets)
 
 
 # Fixed examples, and no shrinking: a kernel that raises on every example
@@ -46,7 +54,7 @@ _differential = settings(deadline=None, derandomize=True, database=None,
 
 def test_add_common_denominator():
     got = RatFunc(Poly([1]), Poly([1, 1])) + RatFunc(Poly([1]), Poly([-1, 1]))
-    assert got == RatFunc(Poly([0, 2]), {Fraction(-1): 1, Fraction(1): 1})
+    assert got == RatFunc.from_factors(2, {(0, 1): 1}, {(-1, 1): 1, (1, 1): 1})
     assert got.num == Poly([0, 2]) and got.den == Poly([-1, 0, 1])
 
 
@@ -104,7 +112,8 @@ def test_laurent_expansion_geometric():
     # 6h^2/((2h-1)(h+3)) = 3 - (15/2)/h + ...
     f = RatFunc(Poly([0, 0, 6]), Poly([-1, 2])) / Poly([3, 1])
     assert f.heads_at_infinity() == (3, Fraction(-15, 2))
-    assert RatFunc(Poly([5]), {Fraction(1): 2}).heads_at_infinity() == (0, 0)
+    assert RatFunc.from_factors(5, {}, {(1, 1): 2}).heads_at_infinity() == (
+        0, 0)
     assert RatFunc.const(0).heads_at_infinity() == (0, 0)
     assert RatFunc.const(Fraction(-2, 3)).heads_at_infinity() == (
         Fraction(-2, 3), 0)
@@ -119,19 +128,28 @@ def test_laurent_expansion_rejects_positive_powers():
 def test_canonical_form_monic_reduced():
     f = RatFunc(Poly([2, 2]), Poly([4, 4, 0]))  # (2h+2)/(4h+4) = 1/2
     assert f.is_polynomial() and f.num == Poly([Fraction(1, 2)])
-    # 2h/(4h) * 1/h = (1/2)/h, and 2h/h^2 from a root mapping = 2/h
+    # 2h/(4h) * 1/h = (1/2)/h, and 2h/h^2 from its factors = 2/h
     g = RatFunc(Poly([0, 2]), Poly([0, 4])) * RatFunc(Poly([1]), Poly([0, 1]))
     assert g.num == Poly([Fraction(1, 2)]) and g.den == Poly([0, 1])
-    h = RatFunc(Poly([0, 2]), {Fraction(0): 2})
+    h = RatFunc.from_factors(2, {(0, 1): 1}, {(0, 1): 2})
     assert h.num == Poly([2]) and h.den == Poly([0, 1])
 
 
+def test_from_factors_ignores_zero_multiplicities():
+    # A factor taken 0 times is no factor: the result is the constant, in
+    # its canonical form.
+    f = RatFunc.from_factors(3, {(1, 1): 0}, {(0, 1): 0, (-2, 3): 0})
+    assert f.roots == {} and f == 3 and hash(f) == hash(3)
+
+
 def test_structural_equality_of_equivalent_builds():
-    # The same function assembled along two different routes compares equal.
-    a = (RatFunc(Poly([1]), Poly([1, 1])) * RatFunc(Poly([2, 1]), Poly([5, 1]))
+    # The same function assembled along two different routes compares
+    # equal: products of factored terms, and divisions by linear forms.
+    a = (RatFunc.from_factors(1, {}, {(-1, 1): 1})
+         * RatFunc.from_factors(1, {(-2, 1): 1}, {(-5, 1): 1})
          + RatFunc(Poly([3])))
-    b = RatFunc(Poly([2, 1]) + Poly([3]) * Poly([1, 1]) * Poly([5, 1]),
-                {Fraction(-1): 1, Fraction(-5): 1})
+    b = (RatFunc(Poly([2, 1]) + Poly([3]) * Poly([1, 1]) * Poly([5, 1]))
+         / Poly([1, 1]) / Poly([5, 1]))
     assert a == b
 
 
@@ -144,7 +162,7 @@ def test_polynomial_identity_by_point_evaluation():
         roots = [sample_rational(rng, span=4, max_den=2) for _ in range(3)]
         if num.is_zero():
             continue
-        f = RatFunc(num, _multiset(roots))
+        f = RatFunc(num) * _factored(1, [], roots)
         g = RatFunc(num * Poly([2])) * _linear_product(roots, Fraction(1, 2))
         points = 0
         x = Fraction(0)
@@ -162,8 +180,8 @@ def test_subs_neg_matches_pointwise():
     rng = random.Random(4)
     for _ in range(20):
         roots = [sample_rational(rng) for _ in range(2)]
-        f = RatFunc(Poly([sample_rational(rng) for _ in range(4)]),
-                    _multiset(roots))
+        f = (RatFunc(Poly([sample_rational(rng) for _ in range(4)]))
+             * _factored(1, [], roots))
         x = sample_rational(rng, nonzero=True)
         try:
             assert f.subs_neg().eval(x) == f.eval(-x)
@@ -184,11 +202,6 @@ def test_field_laws_random():
         e = rf(num_terms=2)         # a linear numerator is invertible
         if not e.is_zero():
             assert (a / e) * e == a
-
-
-def test_non_split_denominator_is_rejected():
-    with pytest.raises(StructureError):
-        RatFunc(Poly([1]), Poly([1, 0, 1]))
 
 
 def test_inverse_of_non_split_numerator_is_rejected():
@@ -224,14 +237,12 @@ def _split_pair(draw, max_num_degree=3, root=_root, scale=_scale):
     Numerator and denominator roots come from one small pool, so repeated
     and cancelling factors are common.
     """
-    num = Poly([draw(scale)])
-    for r in draw(st.lists(root, max_size=max_num_degree)):
-        num = num * Poly([-r, 1])
+    scale = draw(scale)
+    num_roots = draw(st.lists(root, max_size=max_num_degree))
     den_roots = draw(st.lists(root, max_size=4))
-    den = Poly([1])
-    for r in den_roots:
-        den = den * Poly([-r, 1])
-    return RatFunc(num, _multiset(den_roots)), EuclidRatFunc(num, den)
+    return (_factored(scale, num_roots, den_roots),
+            EuclidRatFunc(Poly([scale]) * _linear_poly(num_roots),
+                          _linear_poly(den_roots)))
 
 
 def _same(new: RatFunc, old: EuclidRatFunc) -> None:
@@ -294,9 +305,9 @@ def test_matches_euclidean_oracle_with_large_content(x, y, lin, point):
 
 def test_root_at_zero_matches_euclidean_oracle():
     zero = Fraction(0)
-    x = (RatFunc(Poly([0, 0, 3]), {zero: 3}),
+    x = (RatFunc.from_factors(3, {(0, 1): 2}, {(0, 1): 3}),
          EuclidRatFunc(Poly([0, 0, 3]), Poly([0, 0, 0, 1])))
-    y = (RatFunc(Poly([2, 1]), {zero: 1, Fraction(-2): 1}),
+    y = (RatFunc.from_factors(1, {(-2, 1): 1}, {(0, 1): 1, (-2, 1): 1}),
          EuclidRatFunc(Poly([2, 1]), Poly([0, 2, 1])))
     lin = (RatFunc(Poly([0, 5])), EuclidRatFunc(Poly([0, 5])))
     for point in (zero, Fraction(-2), Fraction(1, 3)):
@@ -379,7 +390,7 @@ def test_lincomb_of_one_root_terms_over_many_roots():
     # terms that each hold one of them.  Those take their cofactor from the
     # expanded common denominator.
     roots = [Fraction(p, q) for p in (-3, -1, 2, 5) for q in (1, 2, 3)]
-    wide = RatFunc(Poly([1, 2, 3]), _multiset(roots + roots[:2]))
+    wide = RatFunc(Poly([1, 2, 3])) * _factored(1, [], roots + roots[:2])
     pairs = [(1, wide), (Fraction(-7, 4), RatFunc.const(1))]
     for k, r in enumerate(roots):
         pairs.append((Fraction(k + 1, 3), RatFunc(Poly([0, 1]), Poly([-r, 1]))))
@@ -582,6 +593,31 @@ def test_poly_matches_fraction_reference(a, b, k, x):
     assert (p == ra[0]) == (len(ra) == 1) if ra else p == 0
 
 
+# Coefficient lists of c (hbar - r), and of nonzero constants.
+_linear_form = st.builds(lambda c, r: [-c * r, c], _scale, _any_root)
+
+
+@settings(_differential, max_examples=100)
+@given(_poly_coeffs(), st.one_of(_scale.map(lambda c: [c]), _linear_form),
+       _linear_form)
+@example([3, 1], [0, 2], [1, 1])                         # the root 0
+@example([], [5], [0, 1])                                # zero numerator
+def test_constructor_divides_by_its_denominator(num, den, lin):
+    # RatFunc(num, den) is RatFunc(num) / den: a constant or linear den
+    # divides, a zero one raises ZeroDivisionError, and one of degree 2,
+    # split or not, raises StructureError.
+    num, den, lin = Poly(num), Poly(den), Poly(lin)
+    got, want = RatFunc(num, den), RatFunc(num) / den
+    assert got == want and hash(got) == hash(want)
+    _same(got, EuclidRatFunc(num, den))
+    for zero in (Poly(), 0):
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(num, zero)
+    for quadratic in (lin * lin, Poly([1, 0, 1])):
+        with pytest.raises(StructureError):
+            RatFunc(num, quadratic)
+
+
 @st.composite
 def _tall_pair(draw):
     """One element as (factored RatFunc, Euclidean oracle) whose numerator
@@ -589,13 +625,13 @@ def _tall_pair(draw):
     Cancelling leaves at least PACK_FROM + 5 numerator coefficients, and a
     product of two at least PACK_FROM + 1 in each factor after its
     cross-reduction, so the product takes the packed route."""
-    num = Poly([draw(_big_scale)])
-    for r in draw(st.lists(_any_root, min_size=PACK_FROM + 8,
-                           max_size=PACK_FROM + 12)):
-        num = num * Poly([-r, 1])
+    scale = draw(_big_scale)
+    num_roots = draw(st.lists(_any_root, min_size=PACK_FROM + 8,
+                              max_size=PACK_FROM + 12))
     den_roots = draw(st.lists(_root, max_size=4))
-    return (RatFunc(num, _multiset(den_roots)),
-            EuclidRatFunc(num, _linear_poly(den_roots)))
+    return (_factored(scale, num_roots, den_roots),
+            EuclidRatFunc(Poly([scale]) * _linear_poly(num_roots),
+                          _linear_poly(den_roots)))
 
 
 @settings(_differential, max_examples=25)

@@ -100,7 +100,8 @@ def _ring_route_agrees(solve, m: int, order: int) -> bool:
     divisions in H with RatFunc coefficients: the solution is expanded by
     e^(Ht), and hbar goes back onto each nonzero H^i t^k q^d value v as
     v hbar^(-(m+1)d - i), the root 0 taken (m+1)d + i times."""
-    graded = [[[v * RatFunc(1, {0: (m + 1) * d + i}) if v != 0 else v
+    graded = [[[v * RatFunc.from_factors(1, {}, {(0, 1): (m + 1) * d + i})
+                if v != 0 else v
                 for d, v in enumerate(row)] for row in plane]
               for i, plane in enumerate(expand(solve(m, order)))]
     return graded == ambient_reference.fundamental_solution(m, order)

@@ -148,6 +148,19 @@ def test_rank_off_the_dimension_is_rejected(lam):
         bott_sum(3, 4, 1, tuple(map(F, lam)))
 
 
+@pytest.mark.parametrize("lam, error, message", [
+    ((0, 1, 10, 100, 1000, 7), DomainError, "^need 5 weights, got 6$"),
+    ((0, 1, 10, 100), DomainError, "^need 5 weights, got 4$"),
+    ((0, 1, 10, 1, 1000), DegenerateLambda,
+     "^weights must be pairwise distinct$"),
+])
+def test_weight_tuple_is_checked(lam, error, message):
+    # As zstar_family and recursion_coeffs check it: a sixth weight is not
+    # ignored, a missing fifth is not an IndexError.
+    with pytest.raises(error, match=message):
+        bott_sum(4, 5, 1, tuple(map(F, lam)))
+
+
 def test_weight_independence_random_tuples():
     rng = random.Random(50)
     seen = set()
