@@ -218,8 +218,13 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-1/2,1,..." as an option: join it to its --lambda.
+    for k in range(len(argv) - 1, 0, -1):
+        if (argv[k - 1] == "--lambda" and argv[k][:1] == "-"
+                and argv[k][1:2].isdigit()):
+            argv[k - 1:k + 1] = [f"--lambda={argv[k]}"]
+    args = build_parser().parse_args(argv)
     commands = {"invariants": cmd_invariants, "verify": cmd_verify,
                 "oracle": cmd_oracle}
     try:

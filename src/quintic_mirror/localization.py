@@ -25,12 +25,12 @@ out, so a zero weight needs no special case.  A vanishing N_e, or
 sum_F w_F^-1 = 0 at a vertex of valence 2, raises ``DegenerateLambda``.
 
 The trees are enumerated over unlabelled shapes: each shape on n <= d+1
-vertices is found once among the Pruefer trees with its automorphism
-group, then decorated, and a decoration is keyed by its least image under
-that group alone.  The sum runs on integers: the weights are cleared to
-Lam = D lam, every factor above is an integer over a power of D delta,
-each edge factor and tangent product is computed once per weight tuple,
-and each tree makes one ``Fraction``.
+vertices is grown from those on n - 1 by adding a leaf, kept once with
+its automorphism group, then decorated, and a decoration is keyed by its
+least image under that group alone.  The sum runs on integers: the
+weights are cleared to Lam = D lam, every factor above is an integer over
+a power of D delta, each edge factor and tangent product is computed once
+per weight tuple, and each tree makes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -81,21 +81,6 @@ class DecoratedGraph(namedtuple("DecoratedGraph",
         return order
 
 
-def _prufer_tree(code: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """The labelled tree on vertices 0..n-1 with Pruefer code ``code``."""
-    valence = [1] * n
-    for x in code:
-        valence[x] += 1
-    edges = []
-    for x in code:
-        leaf = valence.index(1)
-        edges.append((leaf, x))
-        valence[leaf] -= 1
-        valence[x] -= 1
-    edges.append(tuple(v for v in range(n) if valence[v] == 1))
-    return edges
-
-
 def _moved(edges, p) -> list[tuple[int, int]]:
     """The edges' images under the vertex permutation p, ends in order."""
     return [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
@@ -105,13 +90,17 @@ def _moved(edges, p) -> list[tuple[int, int]]:
 def _shapes(n: int) -> tuple:
     """Unlabelled trees on n vertices, each as (edges, automorphisms).
 
-    A shape's edges are the least relabelling of a Pruefer tree over all
-    n! permutations, and its automorphisms the permutations fixing them.
+    A tree on n >= 2 vertices is one on n - 1 with a leaf n - 1 attached
+    at some vertex v.  A shape's edges are the least relabelling of such
+    a tree over all n! permutations, and its automorphisms the
+    permutations fixing them.
     """
+    if n == 1:
+        return (((), ((0,),)),)
     perms = list(permutations(range(n)))
-    shapes = {min(tuple(sorted(_moved(_prufer_tree(code, n), p)))
+    shapes = {min(tuple(sorted(_moved(edges + ((v, n - 1),), p)))
                   for p in perms)
-              for code in product(range(n), repeat=n - 2)}
+              for edges, _ in _shapes(n - 1) for v in range(n - 1)}
     return tuple((edges, tuple(p for p in perms
                                if sorted(_moved(edges, p)) == list(edges)))
                  for edges in sorted(shapes))

@@ -164,7 +164,7 @@ def recursion_residuals(z_entries: list[TruncSeries],
 
     The inner evaluation happens at hbar = (lam_j - lam_i)/d', which the
     regularity property guarantees to be off every pole; a PoleError here
-    means a degenerate weight tuple (resample) or a genuine violation.
+    means a degenerate tuple, which no check resamples, or a violation.
 
     The table ``values[(i, j, d')][e]`` holds z_j[e] at the point of the
     edge (i, j, d') for every e < order, although a residual reads it only

@@ -1,11 +1,11 @@
 """Deterministic random sampling of weight tuples and test series.
 
-Weights are small-height rationals, pairwise distinct; callers that hit a
-degenerate configuration (a vanishing derived denominator) resample with
-the same generator, so a fixed seed gives a reproducible sequence of
-attempts.  No builder evaluates at a point: the one ``PoleError`` source,
-``recursion_residuals``, runs after sampling, so a pole collision is not
-resampled (ROADMAP item 12).
+Weights are small-height rationals, pairwise distinct.  Only
+``recursion_coeffs`` and ``bott_sum`` have exceptional weights such a
+tuple can hit; their callers resample through ``sample_until`` with the
+same generator, so a fixed seed gives a reproducible run, and the other
+sampled checks draw one tuple.  No package builder evaluates at a point;
+a ``PoleError`` reaches ``sample_until`` from tests alone (ROADMAP 12).
 """
 
 from __future__ import annotations

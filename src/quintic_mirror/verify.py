@@ -7,8 +7,8 @@ parameter list names exactly the inputs it reads, each with the default a
 bare command takes, and the CLI passes only the options typed and accepts
 no other.  A check raises ``DomainError`` when (m, l) lies outside its
 regime; its own defaults lie inside it.  Sampled checks take an explicit
-weight tuple ``lam`` or resample one (deterministically, from ``seed``)
-whenever a degenerate configuration is hit.
+weight tuple ``lam`` or draw one from ``seed``; only the recursion checks
+draw again, where ``recursion_coeffs`` raises ``DegenerateLambda``.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ PHI_POLY_Z_ORDER = 4    # z-truncation of the phi-poly check
 LAWS_Z_ORDER = 3        # z-truncation of the transformation-law check
 
 
-def _at_weights(m: int, lam, rng, build):
-    """build(lam), or build at tuples drawn from rng until one is nondegenerate.
-
-    Looks both samplers up in this module, where a tracer may rebind them."""
-    if lam is not None:
-        return build(lam)
-    return sample_until(rng, lambda r: build(sample_lambda(m, r)))
-
-
 def _recursion_checks(name: str, identity: str, done: str, m: int, l: int,
                       order: int, seed: int, lam) -> list[Check]:
     """One check per weight tuple: the family satisfies the recursion of
@@ -59,7 +50,8 @@ def _recursion_checks(name: str, identity: str, done: str, m: int, l: int,
     rng = random.Random(seed)
     out = []
     for trial in range(TUPLES if lam is None else 1):
-        coeffs, family = _at_weights(m, lam, rng, build)
+        coeffs, family = (build(lam) if lam is not None else sample_until(
+            rng, lambda r: build(sample_lambda(m, r))))
         ok, detail, _ = verify_recursion(z_normalize(family), coeffs)
         out.append(Check(
             name=f"{name}#{trial}", identity=identity, passed=ok,
@@ -104,9 +96,9 @@ def check_class_p(m: int = 4, l: int = 5, order: int = 6,
     cfg = HypergeomConfig(m, l, order)
     bounds = ("N_id are hbar-polynomials of degree <= (m+1)d; E_d has "
               "P-degree <= (m+1)d + m with polynomial coefficients")
+    weights = lam if lam is not None else sample_lambda(m, random.Random(seed))
     try:
-        data = _at_weights(m, lam, random.Random(seed), lambda weights:
-                           classP_extract(zstar_family(cfg, weights)))
+        data = classP_extract(zstar_family(cfg, weights))
     except ClassPViolation as exc:
         return [Check(name="class-p-bounds", identity=bounds, passed=False,
                       detail=str(exc))]
@@ -130,9 +122,8 @@ def check_phi_poly(m: int = 4, l: int = 5, order: int = 6,
     if l != m + 1:
         raise DomainError("the double correlator check is Calabi-Yau-regime")
     cfg = HypergeomConfig(m, l, order)
-    phi = _at_weights(m, lam, random.Random(seed), lambda weights:
-                      phi_double_correlator(zstar_family(cfg, weights),
-                                            PHI_POLY_Z_ORDER))
+    weights = lam if lam is not None else sample_lambda(m, random.Random(seed))
+    phi = phi_double_correlator(zstar_family(cfg, weights), PHI_POLY_Z_ORDER)
     bad = [(k, e) for k, row in enumerate(phi.c)
            for e, v in enumerate(row) if not v.is_polynomial()]
     return [Check(
@@ -154,12 +145,9 @@ def check_transformations(m: int = 4, l: int = 5, order: int = 6,
         raise DomainError("transformation laws are a Calabi-Yau-regime check")
     cfg = HypergeomConfig(m, l, order)
     rng = random.Random(seed)
-
-    def build(weights):
-        family = zstar_family(cfg, weights)
-        return family, phi_double_correlator(family, LAWS_Z_ORDER)
-
-    family, phi = _at_weights(m, lam, rng, build)
+    family = zstar_family(cfg, lam if lam is not None
+                          else sample_lambda(m, rng))
+    phi = phi_double_correlator(family, LAWS_Z_ORDER)
     f = TruncSeries([Fraction(1)] + sample_series_coeffs(rng, order - 1,
                                                          span=4, max_den=3),
                     order)

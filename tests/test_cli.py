@@ -16,7 +16,7 @@ import pytest
 import quintic_mirror
 from quintic_mirror import hypergeom, localization, recursion, verify
 from quintic_mirror.cli import main
-from quintic_mirror.errors import StructureError
+from quintic_mirror.errors import DegenerateLambda, StructureError
 from quintic_mirror.hbar import Poly, RatFunc
 from quintic_mirror.series import TruncSeries
 
@@ -494,6 +494,48 @@ def test_lambda_of_wrong_length_is_usage_error(capsys, argv, message):
     code, _, err = run_cli(capsys, "verify", *argv, "--order", "2")
     assert code == 2
     assert message in err
+
+
+def test_negative_first_weight_reads_as_a_tuple(capsys):
+    # argparse takes "-1/2,1,..." for an option string; the spaced form
+    # must run as the "=" form does.
+    spaced = run_cli(capsys, "verify", "transformations", "--order", "2",
+                     "--lambda", "-1/2,1,3,4,9")
+    joined = run_cli(capsys, "verify", "transformations", "--order", "2",
+                     "--lambda=-1/2,1,3,4,9")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1].startswith("PASS")
+
+
+def test_lambda_without_a_value_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "transformations", "--lambda", "--order", "3"])
+    assert exc.value.code == 2
+    assert "argument --lambda: expected one argument" in capsys.readouterr().err
+
+
+def test_class_p_does_not_resample(capsys, monkeypatch):
+    # Only the recursion checks resample: a DegenerateLambda from the
+    # class-P builder is an exit 2 after one draw.
+    draws = []
+    real_sample = verify.sample_lambda
+    real_extract = verify.classP_extract
+
+    def counted(m, rng):
+        draws.append(m)
+        return real_sample(m, rng)
+
+    def degenerate_once(family):
+        if len(draws) == 1:
+            raise DegenerateLambda("planted")
+        return real_extract(family)
+
+    monkeypatch.setattr(verify, "sample_lambda", counted)
+    monkeypatch.setattr(verify, "classP_extract", degenerate_once)
+    code, out, err = run_cli(capsys, "verify", "class-p", "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == "degenerate weight configuration: planted\n"
+    assert len(draws) == 1
 
 
 def test_byte_identical_reruns():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -273,6 +274,38 @@ def test_classes_match_full_canonicalization(m, d):
             for g in bott_reference.tree_classes(m, d)}
     assert len(got) == len(graphs) == len(want)
     assert got == want
+
+
+def _image(edges, p):
+    return tuple(sorted((min(p[u], p[v]), max(p[u], p[v]))
+                        for u, v in edges))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grown_shapes_are_the_least_pruefer_trees(n):
+    # Each shape grown leaf by leaf is the least relabelling of some
+    # Pruefer tree, each such least relabelling is grown, and the
+    # automorphisms are the permutations fixing it.
+    perms = list(permutations(range(n)))
+    least = {min(_image(bott_reference.prufer_tree(code, n), p)
+                 for p in perms)
+             for code in product(range(n), repeat=n - 2)}
+    assert localization._shapes(n) == tuple(
+        (edges, tuple(p for p in perms if _image(edges, p) == edges))
+        for edges in sorted(least))
+
+
+def test_shapes_count_every_labelled_tree():
+    # 1, 1, 1, 2, 3 and 6 unlabelled trees on 1..6 vertices, whose
+    # labellings n!/|Aut T| add up to Cayley's n^(n-2).  Six vertices lie
+    # beyond MAX_DEGREE + 1, where no sum reaches.
+    counts = []
+    for n in range(1, 7):
+        shapes = localization._shapes(n)
+        counts.append(len(shapes))
+        assert sum(factorial(n) // len(automorphisms)
+                   for _, automorphisms in shapes) == n ** (n - 2)
+    assert counts == [1, 1, 1, 2, 3, 6]
 
 
 # A zero weight, negative weights, and the two degenerate tuples of
